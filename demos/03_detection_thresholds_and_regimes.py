@@ -60,7 +60,7 @@ for n in (1000, 4000, 16_000, 64_000):
     print(f"{n:>8} {s:>12.6f} {1 - tail_bound_sum(channel, deep, cfg):>12.6f}")
 
 ##############################################################################
-# Full simulation agrees: at the same point the empirical sum saturates,
+# Exact simulation agrees: at the same point the empirical sum saturates,
 # while without the pilot attack the same trojan power is caught cold.
 
 cfg = replace(config, block_len=4000)

@@ -22,9 +22,9 @@ from .detection import (Conditioning, ErrorProbabilities, Regime,
                         compute_thresholds, radiometer_statistic,
                         solve_sqrt_law_coefficient, sqrt_law_bound,
                         tail_bound_sum, tau_dagger, tau_eps)
-from .montecarlo import (EstimatorErrorRow, McConfig, McResult, McTarget,
-                         SqrtLawRow, mc_comm_error_probs, mc_estimator_error,
-                         mc_pilot_kl, mc_sqrt_law)
+from .montecarlo import (EstimatorErrorRow, McConfig, McResult, SqrtLawRow,
+                         mc_comm_error_probs, mc_estimator_error, mc_pilot_kl,
+                         mc_sqrt_law)
 from .pilot import (CovertnessMargin, EstimateReport, PilotCovariances,
                     covertness_margin, kl_pilot_exact, kl_pilot_limit,
                     mmse_estimate, mmse_limit, pilot_covariances)
@@ -38,7 +38,7 @@ __all__ = [
     "AttackParams", "ChannelParams", "CommHypothesis", "Conditioning",
     "CovertnessMargin", "CriticalPower", "ErrorProbabilities",
     "EstimateReport", "EstimatorErrorRow", "FeasibilityReport", "McConfig",
-    "McResult", "McTarget", "ParameterError", "Phase", "PilotCovariances",
+    "McResult", "ParameterError", "Phase", "PilotCovariances",
     "PilotHypothesis", "Regime", "RegimeClassification", "RegimeError",
     "ScalingRow", "SignalBlock", "SqrtLawBound", "SqrtLawRow",
     "SystemConfig", "Thresholds", "alice_input", "analytic_error_probs",

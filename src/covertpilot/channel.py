@@ -20,6 +20,8 @@ Conventions
   functions are the module constants ``STREAM_NOISE``, ``STREAM_ALICE``,
   ``STREAM_TROJAN``, ``STREAM_FADING_W``, ``STREAM_FADING_E``; callers
   can re-derive any component of a synthesized block from the same seed.
+  ``STREAM_TRIAL`` is the one stream of a reduced-sampler Monte Carlo
+  trial (see :mod:`covertpilot.montecarlo`).
 * Powers and variances are linear (watts), never dB.
 """
 
@@ -45,6 +47,7 @@ STREAM_TROJAN = 2
 STREAM_FADING_W = 3
 STREAM_FADING_E = 4
 STREAM_PILOT_NOISE = 5
+STREAM_TRIAL = 6
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
@@ -56,11 +59,6 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     bit-identical draws regardless of which worker or call site asks.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
-
-
-def trial_seed_path(trial: int, stream: int) -> tuple[int, int]:
-    """Per-trial sub-stream path used by the Monte Carlo drivers."""
-    return (trial, stream)
 
 
 class Phase(Enum):
@@ -115,6 +113,10 @@ class ChannelParams:
         for name in ("alpha_w_sq", "alpha_e_sq", "sigma_w_sq", "sigma_e_sq",
                      "sigma_h_sq"):
             _require(math.isfinite(getattr(self, name)), f"{name} must be finite")
+        for name in ("h_w", "h_e"):
+            gain = complex(getattr(self, name))
+            _require(math.isfinite(gain.real) and math.isfinite(gain.imag),
+                     f"{name} must be finite")
 
     @classmethod
     def sample(cls, alpha_w_sq: float, alpha_e_sq: float, sigma_w_sq: float,

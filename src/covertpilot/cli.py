@@ -63,15 +63,10 @@ import numpy as np
 from .channel import (AttackParams, ChannelParams, ParameterError,
                       SystemConfig, link_capacity)
 from .detection import classify_regime, solve_sqrt_law_coefficient, tau_eps
-from .montecarlo import (McConfig, McTarget, mc_comm_error_probs,
-                         mc_estimator_error, mc_pilot_kl, mc_sqrt_law)
+from .montecarlo import (McConfig, mc_comm_error_probs, mc_estimator_error,
+                         mc_pilot_kl, mc_sqrt_law)
 from .rates import attack_feasibility
 from . import verification
-
-_MC_TARGETS = {"pilot-kl": McTarget.PILOT_KL,
-               "comm-detection": McTarget.COMM_DETECTION,
-               "estimator": McTarget.ESTIMATOR_ERROR,
-               "sqrtlaw": McTarget.SQRT_LAW}
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -169,6 +164,10 @@ def build_scenario(values: dict) -> tuple[ChannelParams, SystemConfig, AttackPar
         sigma_h_sq=values["sigma_h_sq"], h_w=values["h_w"], h_e=values["h_e"])
     r_a = values["r_a"]
     if r_a is None:
+        if channel.gain_w == 0:
+            raise ParameterError(
+                "r_a defaults to 80% of the link capacity, which is 0 at zero "
+                "link gain alpha_w_sq * |h_w|^2; set r_a or a nonzero gain")
         r_a = 0.8 * link_capacity(channel, values["lambda_a"])
     config = SystemConfig.create(
         channel, lambda_a=values["lambda_a"], r_a=r_a,
@@ -269,8 +268,7 @@ def _mc_payload(args: argparse.Namespace) -> dict:
     values = resolve_params(args)
     channel, config, attack = build_scenario(values)
     mc = McConfig(trials=args.trials, base_seed=args.seed,
-                  n=values["block_len"], l=values["pilot_len"],
-                  target=_MC_TARGETS[args.target])
+                  n=values["block_len"])
     params = {"epsilon": attack.epsilon, "lambda_t": attack.lambda_t,
               "n": values["block_len"], "l": values["pilot_len"]}
     out = {"target": args.target, "trials": args.trials, "seed": args.seed,

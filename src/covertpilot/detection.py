@@ -21,7 +21,9 @@ two levels it becomes perfect.  Exact error probabilities follow from
 
 All probabilities here are exact under the noise-only randomness model
 (the residual and trojan terms enter as deterministic per-block powers);
-the Monte Carlo module provides the independent full-signal simulation.
+the Monte Carlo module provides the independent simulation, whose exact
+reduced-dimension sampler keeps the input-noise cross terms this model
+leaves out.
 """
 
 from __future__ import annotations
@@ -155,9 +157,16 @@ def tau_eps(channel: ChannelParams, attack: AttackParams) -> float:
     ``b = (1+eps)^2 alpha_w^2 |h_w|^2 lambda_t`` and
     ``tau = b e^{b/s2} / (e^{b/s2} - 1)``; continuously extended to
     ``sigma_w^2`` at ``lambda_t = 0``.  Strictly increasing in both eps
-    and lambda_t.
+    and lambda_t.  Raises :class:`ParameterError` when ``b`` is not a
+    finite float.
     """
-    b = (1 + attack.epsilon) ** 2 * channel.gain_w * attack.lambda_t
+    try:
+        b = (1 + attack.epsilon) ** 2 * channel.gain_w * attack.lambda_t
+    except OverflowError:
+        b = math.inf
+    if not math.isfinite(b):
+        raise ParameterError("tau_eps needs a finite scaled trojan power "
+                             "(1+eps)^2 alpha_w^2 |h_w|^2 lambda_t")
     if b == 0:
         return channel.sigma_w_sq
     x = b / channel.sigma_w_sq

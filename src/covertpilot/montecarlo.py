@@ -1,11 +1,51 @@
 """Monte Carlo estimation of every analytic quantity in the package.
 
-Each estimator simulates actual signal vectors (no distributional
-shortcuts) and is the independent cross-check for the corresponding
-closed form.  Reproducibility contract:
+Each estimator is the independent cross-check for the corresponding
+closed form.  ``mc_pilot_kl`` and ``mc_estimator_error`` simulate actual
+pilot observation vectors.  The radiometer estimators
+(``mc_comm_error_probs``, ``mc_sqrt_law``) use an exact reduced-dimension
+sampler instead of length-n vectors.
 
+Reduced sampler
+---------------
+The radiometer statistics of one block depend on it only through a few
+inner products.  The inputs meet their block power exactly
+(``||x_a||^2 = n lambda_a``, ``||x_t||^2 = n lambda_t``) with independent
+uniform directions, and the noise ``z ~ CN(0, s2 I)`` is isotropic.  A
+unitary rotation taking ``x_a`` onto the first axis and ``x_t`` into the
+span of the first two axes leaves the law of ``z`` unchanged, so with
+``c = alpha_w (h - h_hat) sqrt(n lambda_a)`` and
+``d = alpha_w h sqrt(n lambda_t)``::
+
+    n t0 = |c + z1|^2 + |z2|^2 + R
+    n t1 = |c + z1 + d rho|^2 + |z2 + d sqrt(1 - |rho|^2)|^2 + R
+
+where ``z1, z2 ~ CN(0, s2)``, ``R = ||z_rest||^2 ~ Gamma(n - 2, scale s2)``
+and ``rho``, the correlation of ``x_a`` and ``x_t``, has
+``|rho|^2 ~ Beta(1, n - 1)`` and a uniform phase, all independent.  This
+is the law of the full simulation, not an approximation, drawn with about
+eight scalars per trial instead of ``6n`` normals.  In the two-phase mode
+the pilot observation enters the estimate only through
+``s^H z_p ~ CN(0, s2 ||s||^2)``.  The full-vector simulation is kept in
+the test suite as the reference the reduced sampler is checked against.
+
+Reproducibility contract
+------------------------
 * trial ``i`` of a run with ``base_seed`` draws all of its randomness
-  from streams ``derive_rng(base_seed, i, STREAM_*)``;
+  from streams ``derive_rng(base_seed, i, STREAM_*)``; a reduced-sampler
+  trial uses the single stream ``derive_rng(base_seed, i, STREAM_TRIAL)``
+  and draws, in this order:
+
+  1. ``standard_normal(4)``: real and imaginary parts of ``z1``, then of
+     ``z2``, in units of ``sqrt(s2 / 2)`` (``mc_sqrt_law``:
+     ``standard_normal(2)`` for ``z1`` only);
+  2. ``gamma(n - 2, s2)``: ``R`` (``mc_sqrt_law``: ``gamma(n - 1, s2)``,
+     its last draw);
+  3. ``beta(1, n - 1)``: ``|rho|^2``;
+  4. ``random()``: the phase of ``rho`` as a fraction of a turn;
+  5. two-phase mode only, ``standard_normal(2)``: real and imaginary
+     parts of ``s^H z_p`` in units of ``sqrt(s2 ||s||^2 / 2)``;
+
 * trials are processed in fixed chunks of :data:`CHUNK` regardless of
   ``threads``, and per-chunk results are reduced in chunk order,
 
@@ -22,46 +62,36 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .channel import (STREAM_ALICE, STREAM_FADING_W, STREAM_NOISE,
-                      STREAM_PILOT_NOISE, STREAM_TROJAN, AttackParams,
-                      ChannelParams, Phase, PilotHypothesis, SignalBlock,
-                      SystemConfig, _require, complex_normal, derive_rng,
-                      gaussian_input, make_pilot)
+from .channel import (STREAM_FADING_W, STREAM_NOISE, STREAM_TRIAL,
+                      AttackParams, ChannelParams, Phase, PilotHypothesis,
+                      SignalBlock, SystemConfig, _require, complex_normal,
+                      derive_rng, make_pilot)
 from .detection import (Conditioning, DetectionPhase, ErrorProbabilities,
                         ProbKind, analytic_error_probs, sqrt_law_bound,
                         tau_dagger, tau_eps)
-from .pilot import (DENSE_PILOT_MAX_LEN, kl_pilot_exact, mmse_estimate,
-                    mmse_limit, pilot_covariances)
+from .pilot import (DENSE_PILOT_MAX_LEN, _estimator_coefficient,
+                    _pilot_energy, kl_pilot_exact, mmse_estimate, mmse_limit,
+                    pilot_covariances)
 
 CHUNK = 512
-
-
-class McTarget(Enum):
-    PILOT_KL = "pilot_kl"
-    COMM_DETECTION = "comm_detection"
-    ESTIMATOR_ERROR = "estimator_error"
-    SQRT_LAW = "sqrt_law"
 
 
 @dataclass(frozen=True)
 class McConfig:
     """Trial budget and seeding for one Monte Carlo run.
 
-    ``n`` and ``l`` override the block and pilot lengths where relevant;
-    when None the lengths come from the system configuration.
+    ``n`` overrides the block length where relevant; when None it comes
+    from the system configuration.
     """
 
     trials: int
     base_seed: int
     n: int | None = None
-    l: int | None = None
-    target: McTarget | None = None
 
     def __post_init__(self):
         _require(self.trials >= 1, "trials must be >= 1")
@@ -120,52 +150,62 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
                         tau: float | None = None, threads: int = 1,
                         two_phase_pilot_len: int | None = None,
                         ) -> tuple[ErrorProbabilities, tuple[McResult, McResult]]:
-    """Empirical communication-phase error probabilities by full simulation.
+    """Empirical communication-phase error probabilities by exact simulation.
 
     Default conditioning is the attack's intended chain: the pilot attack
     went undetected, the receiver cancels with the corrupted estimate
     ``h_hat = (1+eps) h_w``, and the threshold is ``tau(eps)``.  Each trial
-    draws fresh exact-power inputs and noise, forms the radiometer
-    residual under both communication hypotheses (sharing draws across
-    the two, which leaves each marginal untouched), and tallies false
-    alarms and missed detections.
+    draws the radiometer statistic under both communication hypotheses
+    with the reduced sampler of this module (sharing draws across the two,
+    which leaves each marginal untouched), and tallies false alarms and
+    missed detections.
 
-    ``two_phase_pilot_len`` switches to a full two-phase simulation: the
+    ``two_phase_pilot_len`` switches to a two-phase simulation: the
     estimation phase is re-simulated per trial at that finite pilot
-    length, and the receiver's estimate and threshold come from its own
-    noisy pilot observation instead of the injected limit.
+    length, and the receiver's estimate and its threshold
+    ``tau_dagger(h_hat)`` come from its own noisy pilot observation
+    instead of the injected limit.  The ``analytic_reference`` of both
+    results stays the injected-limit value at ``tau_eps`` in either mode,
+    so in the two-phase mode it is a landmark, not the expectation of the
+    estimate.
     """
     n = mc.n if mc.n is not None else config.block_len
+    _require(n >= 2, "block length n must be >= 2")
     a_w = math.sqrt(channel.alpha_w_sq)
+    s2 = channel.sigma_w_sq
     h = channel.h_w
     h_hat_limit = (1 + attack.epsilon) * h
     tau_fixed = tau if tau is not None else tau_eps(channel, attack)
-    pilot = (make_pilot(two_phase_pilot_len)
-             if two_phase_pilot_len is not None else None)
+    root_a = a_w * math.sqrt(n * config.lambda_a)
+    d = a_w * h * math.sqrt(n * attack.lambda_t)
+    sd = math.sqrt(s2 / 2)
+    if two_phase_pilot_len is not None:
+        energy = _pilot_energy(make_pilot(two_phase_pilot_len))
+        weight = _estimator_coefficient(channel, energy)
+        pilot_mean = a_w * h * (1 + attack.epsilon) * energy
+        pilot_sd = math.sqrt(s2 * energy / 2)
 
     def worker(chunk: range) -> tuple[int, int]:
         fa = md = 0
         for i in chunk:
-            x_a = gaussian_input(n, config.lambda_a,
-                                 derive_rng(mc.base_seed, i, STREAM_ALICE))
-            x_t = gaussian_input(n, attack.lambda_t,
-                                 derive_rng(mc.base_seed, i, STREAM_TROJAN))
-            z = complex_normal(derive_rng(mc.base_seed, i, STREAM_NOISE),
-                               n, channel.sigma_w_sq)
-            if pilot is None:
+            rng = derive_rng(mc.base_seed, i, STREAM_TRIAL)
+            g = rng.standard_normal(4) * sd
+            rest = rng.gamma(n - 2, s2)
+            rho_sq = rng.beta(1, n - 1)
+            angle = 2 * math.pi * rng.random()
+            if two_phase_pilot_len is None:
                 h_hat, thr = h_hat_limit, tau_fixed
             else:
-                zp = complex_normal(derive_rng(mc.base_seed, i, STREAM_PILOT_NOISE),
-                                    len(pilot), channel.sigma_w_sq)
-                y_p = a_w * h * (1 + attack.epsilon) * pilot.samples + zp
-                rec = SignalBlock(y_p, Phase.ESTIMATION,
-                                  pilot_hypothesis=PilotHypothesis.H1)
-                h_hat = mmse_estimate(channel, pilot, rec, attack).h_hat
+                gp = rng.standard_normal(2) * pilot_sd
+                h_hat = weight * (pilot_mean + complex(gp[0], gp[1]))
                 thr = tau if tau is not None else \
                     tau_dagger(channel, h_hat, attack.lambda_t, n)
-            v0 = a_w * (h - h_hat) * x_a + z
-            t0 = np.mean(np.abs(v0) ** 2)
-            t1 = np.mean(np.abs(v0 + a_w * h * x_t) ** 2)
+            u = root_a * (h - h_hat) + complex(g[0], g[1])
+            w = complex(g[2], g[3])
+            rho = math.sqrt(rho_sq) * complex(math.cos(angle), math.sin(angle))
+            t0 = (abs(u) ** 2 + abs(w) ** 2 + rest) / n
+            t1 = (abs(u + d * rho) ** 2
+                  + abs(w + d * math.sqrt(1 - rho_sq)) ** 2 + rest) / n
             fa += t0 > thr
             md += t1 < thr
         return fa, md
@@ -273,7 +313,9 @@ def mc_sqrt_law(channel: ChannelParams, config: SystemConfig, c: float,
     """Empirical detectability of a silent pilot attack at power c/sqrt(n).
 
     Per blocklength: simulate the optimal test with a perfect channel
-    estimate (epsilon 0) and tally the error probabilities; the row also
+    estimate (epsilon 0) by the reduced sampler, which needs only the
+    noise component along ``x_t`` and the remainder's energy, and tally
+    the error probabilities; the row also
     carries the square-root-law bound the empirical ``1 - P_F - P_M`` must
     stay under.  A power schedule decaying slower than 1/sqrt(n) sends the
     error sum to 0, faster sends it to 1, and exactly 1/sqrt(n) pins
@@ -281,22 +323,26 @@ def mc_sqrt_law(channel: ChannelParams, config: SystemConfig, c: float,
     """
     _require(c > 0, "c must be > 0")
     a_w = math.sqrt(channel.alpha_w_sq)
+    s2 = channel.sigma_w_sq
+    sd = math.sqrt(s2 / 2)
     h = channel.h_w
     rows = []
     for n in n_grid:
         n = int(n)
         lt = c / math.sqrt(n)
         tau = tau_dagger(channel, h, lt, n)
+        d = a_w * h * math.sqrt(n * lt)
 
         def worker(chunk: range) -> tuple[int, int]:
+            # reduced sampler with x_t on the first axis: z1, then R
             fa = md = 0
             for i in chunk:
-                z = complex_normal(derive_rng(mc.base_seed, i, STREAM_NOISE),
-                                   n, channel.sigma_w_sq)
-                x_t = gaussian_input(n, lt,
-                                     derive_rng(mc.base_seed, i, STREAM_TROJAN))
-                t0 = np.mean(np.abs(z) ** 2)
-                t1 = np.mean(np.abs(a_w * h * x_t + z) ** 2)
+                rng = derive_rng(mc.base_seed, i, STREAM_TRIAL)
+                g = rng.standard_normal(2) * sd
+                rest = rng.gamma(n - 1, s2)
+                z1 = complex(g[0], g[1])
+                t0 = (abs(z1) ** 2 + rest) / n
+                t1 = (abs(d + z1) ** 2 + rest) / n
                 fa += t0 > tau
                 md += t1 < tau
             return fa, md

@@ -157,6 +157,10 @@ class TestParams:
             ChannelParams(0.1, 0.1, 0.0, 0.1, 1.0, 1 + 0j, 1 + 0j)
         with pytest.raises(ParameterError):
             ChannelParams(0.1, 0.1, 0.1, 0.1, 0.0, 1 + 0j, 1 + 0j)
+        with pytest.raises(ParameterError, match="h_w must be finite"):
+            ChannelParams(0.1, 0.1, 0.1, 0.1, 1.0, complex("nan+0j"), 1 + 0j)
+        with pytest.raises(ParameterError, match="h_e must be finite"):
+            ChannelParams(0.1, 0.1, 0.1, 0.1, 1.0, 1 + 0j, complex(0, math.inf))
 
     def test_channel_sample_reproducible(self):
         a = ChannelParams.sample(0.1, 0.1, 0.1, 0.1, 1.0, seed=5)

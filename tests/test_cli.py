@@ -25,6 +25,18 @@ class TestRate:
         assert "feasible = false" in out
         assert "cond_pilot_covert = false" in out
 
+    def test_overflowing_epsilon_exits_1(self, capsys):
+        assert run_cli(["rate", "--epsilon", "1e300"]) == 1
+        assert "(1+eps)^2" in capsys.readouterr().err
+
+    def test_nonfinite_gain_exits_1(self, capsys):
+        assert run_cli(["rate", "--h-w", "nan+0j"]) == 1
+        assert "h_w must be finite" in capsys.readouterr().err
+
+    def test_zero_gain_default_rate_exits_1(self, capsys):
+        assert run_cli(["rate", "--h-w", "0j"]) == 1
+        assert "zero link gain" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_header_is_pinned(self, tmp_path):

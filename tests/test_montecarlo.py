@@ -1,14 +1,88 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from covertpilot import (AttackParams, McConfig, ParameterError,
-                         kl_pilot_limit, mc_comm_error_probs,
-                         mc_estimator_error, mc_pilot_kl, mc_sqrt_law,
-                         mmse_limit, solve_sqrt_law_coefficient, tau_eps)
-from covertpilot.channel import PilotHypothesis
+from covertpilot import (AttackParams, McConfig, ParameterError, SignalBlock,
+                         derive_rng, gaussian_input, kl_pilot_limit,
+                         make_pilot, mc_comm_error_probs, mc_estimator_error,
+                         mc_pilot_kl, mc_sqrt_law, mmse_estimate, mmse_limit,
+                         radiometer_statistic, solve_sqrt_law_coefficient,
+                         tau_dagger, tau_eps)
+from covertpilot.channel import (STREAM_ALICE, STREAM_NOISE,
+                                 STREAM_PILOT_NOISE, STREAM_TRIAL,
+                                 STREAM_TROJAN, Phase, PilotHypothesis,
+                                 complex_normal)
 from covertpilot.montecarlo import CHUNK
+
+
+# Full-vector reference simulations: every trial synthesizes the length-n
+# blocks x_a, x_t and z (6n normals) and applies the radiometer to them.
+# The package's reduced sampler must reproduce their laws exactly.
+
+def full_vector_comm_tally(channel, attack, config, n, trials, seed,
+                           pilot_len=None):
+    """(false alarms, misses) of the communication-phase test, by full vectors.
+
+    Without ``pilot_len`` the receiver cancels with the injected limit
+    ``(1+eps) h_w`` and thresholds at ``tau_eps``; with it, each trial
+    re-simulates the scaled pilot, estimates ``h_hat`` with
+    ``mmse_estimate`` and thresholds at ``tau_dagger(h_hat)``.
+    """
+    a_w = math.sqrt(channel.alpha_w_sq)
+    h = channel.h_w
+    pilot = make_pilot(pilot_len) if pilot_len is not None else None
+    fa = md = 0
+    for i in range(trials):
+        x_a = gaussian_input(n, config.lambda_a,
+                             derive_rng(seed, i, STREAM_ALICE))
+        x_t = gaussian_input(n, attack.lambda_t,
+                             derive_rng(seed, i, STREAM_TROJAN))
+        z = complex_normal(derive_rng(seed, i, STREAM_NOISE), n,
+                           channel.sigma_w_sq)
+        if pilot is None:
+            h_hat, thr = (1 + attack.epsilon) * h, tau_eps(channel, attack)
+        else:
+            zp = complex_normal(derive_rng(seed, i, STREAM_PILOT_NOISE),
+                                len(pilot), channel.sigma_w_sq)
+            y_p = a_w * h * (1 + attack.epsilon) * pilot.samples + zp
+            rec = SignalBlock(y_p, Phase.ESTIMATION,
+                              pilot_hypothesis=PilotHypothesis.H1)
+            h_hat = mmse_estimate(channel, pilot, rec, attack).h_hat
+            thr = tau_dagger(channel, h_hat, attack.lambda_t, n)
+        y0 = a_w * h * x_a + z
+        fa += radiometer_statistic(y0, x_a, h_hat, channel) > thr
+        md += radiometer_statistic(y0 + a_w * h * x_t, x_a, h_hat,
+                                   channel) < thr
+    return fa, md
+
+
+def full_vector_sqrt_law_tally(channel, c, n, trials, seed):
+    """(false alarms, misses) of the silent-pilot test at power c/sqrt(n)."""
+    a_w = math.sqrt(channel.alpha_w_sq)
+    lt = c / math.sqrt(n)
+    tau = tau_dagger(channel, channel.h_w, lt, n)
+    fa = md = 0
+    for i in range(trials):
+        z = complex_normal(derive_rng(seed, i, STREAM_NOISE), n,
+                           channel.sigma_w_sq)
+        x_t = gaussian_input(n, lt, derive_rng(seed, i, STREAM_TROJAN))
+        fa += np.mean(np.abs(z) ** 2) > tau
+        md += np.mean(np.abs(a_w * channel.h_w * x_t + z) ** 2) < tau
+    return fa, md
+
+
+def assert_tallies_agree(reduced, full, trials_reduced, trials_full):
+    """Each rate agrees within 4 combined binomial standard errors."""
+    for k_red, k_full in zip(reduced, full):
+        p, q = k_red / trials_reduced, k_full / trials_full
+        se = math.hypot(math.sqrt(p * (1 - p) / trials_reduced),
+                        math.sqrt(q * (1 - q) / trials_full))
+        assert 0 < se and abs(p - q) <= 4 * se, (p, q, se)
+
+
+AGREE_N, AGREE_REDUCED, AGREE_FULL = 40, 20_000, 5_000
 
 
 class TestCommDetection:
@@ -42,28 +116,65 @@ class TestCommDetection:
 
     def test_split_runs_merge_to_serial(self, channel, config, attack):
         # two workers with disjoint trial ranges reproduce the serial tally
-        # because every trial owns its seed path
+        # because every trial owns its seed path; the oracle recomputes each
+        # trial from its stream in the documented draw order
         n = 300
         mc_all = McConfig(trials=2 * CHUNK, base_seed=5, n=n)
         serial, _ = mc_comm_error_probs(channel, attack, config, mc_all)
         tau = tau_eps(channel, attack)
 
-        import covertpilot.channel as ch
+        s2 = channel.sigma_w_sq
+        a_w = math.sqrt(channel.alpha_w_sq)
+        h_hat = (1 + attack.epsilon) * channel.h_w
+        c = a_w * (channel.h_w - h_hat) * math.sqrt(n * config.lambda_a)
+        d = a_w * channel.h_w * math.sqrt(n * attack.lambda_t)
         fa = md = 0
         for i in range(2 * CHUNK):
-            x_a = ch.gaussian_input(n, config.lambda_a,
-                                    ch.derive_rng(5, i, ch.STREAM_ALICE))
-            x_t = ch.gaussian_input(n, attack.lambda_t,
-                                    ch.derive_rng(5, i, ch.STREAM_TROJAN))
-            z = ch.complex_normal(ch.derive_rng(5, i, ch.STREAM_NOISE), n,
-                                  channel.sigma_w_sq)
-            a_w = math.sqrt(channel.alpha_w_sq)
-            h_hat = (1 + attack.epsilon) * channel.h_w
-            v0 = a_w * (channel.h_w - h_hat) * x_a + z
-            fa += np.mean(np.abs(v0) ** 2) > tau
-            md += np.mean(np.abs(v0 + a_w * channel.h_w * x_t) ** 2) < tau
+            rng = derive_rng(5, i, STREAM_TRIAL)
+            re1, im1, re2, im2 = rng.standard_normal(4) * math.sqrt(s2 / 2)
+            rest = rng.gamma(n - 2, s2)
+            rho_sq = rng.beta(1, n - 1)
+            rho = math.sqrt(rho_sq) * np.exp(2j * np.pi * rng.random())
+            u, w = c + complex(re1, im1), complex(re2, im2)
+            fa += (abs(u) ** 2 + abs(w) ** 2 + rest) / n > tau
+            md += (abs(u + d * rho) ** 2
+                   + abs(w + d * math.sqrt(1 - rho_sq)) ** 2 + rest) / n < tau
         assert serial.p_f == fa / (2 * CHUNK)
         assert serial.p_m == md / (2 * CHUNK)
+
+    def test_two_phase_determinism_across_threads(self, channel, config,
+                                                  attack):
+        mc = McConfig(trials=1300, base_seed=19, n=300)
+        a = mc_comm_error_probs(channel, attack, config, mc, threads=1,
+                                two_phase_pilot_len=16)
+        b = mc_comm_error_probs(channel, attack, config, mc, threads=3,
+                                two_phase_pilot_len=16)
+        assert a == b
+
+    def test_reduced_sampler_matches_full_vectors(self, channel, config,
+                                                  attack):
+        config = replace(config, pilot_len=4, block_len=AGREE_N)
+        probs, _ = mc_comm_error_probs(
+            channel, attack, config,
+            McConfig(trials=AGREE_REDUCED, base_seed=27, n=AGREE_N))
+        reduced = (round(probs.p_f * AGREE_REDUCED),
+                   round(probs.p_m * AGREE_REDUCED))
+        full = full_vector_comm_tally(channel, attack, config, AGREE_N,
+                                      AGREE_FULL, seed=28)
+        assert_tallies_agree(reduced, full, AGREE_REDUCED, AGREE_FULL)
+
+    def test_two_phase_reduced_sampler_matches_full_vectors(self, channel,
+                                                            config, attack):
+        config = replace(config, pilot_len=4, block_len=AGREE_N)
+        probs, _ = mc_comm_error_probs(
+            channel, attack, config,
+            McConfig(trials=AGREE_REDUCED, base_seed=29, n=AGREE_N),
+            two_phase_pilot_len=4)
+        reduced = (round(probs.p_f * AGREE_REDUCED),
+                   round(probs.p_m * AGREE_REDUCED))
+        full = full_vector_comm_tally(channel, attack, config, AGREE_N,
+                                      AGREE_FULL, seed=30, pilot_len=4)
+        assert_tallies_agree(reduced, full, AGREE_REDUCED, AGREE_FULL)
 
     def test_two_phase_simulation_reproduces_saturated_regimes(self, channel,
                                                                config):
@@ -194,6 +305,15 @@ class TestSqrtLaw:
             sums.append(row.p_f + row.p_m)
         assert sums[-1] <= 0.01
         assert sums[0] >= sums[-1]
+
+    def test_reduced_sampler_matches_full_vectors(self, channel, config):
+        row = mc_sqrt_law(channel, config, 1.0, [AGREE_N],
+                          McConfig(trials=AGREE_REDUCED, base_seed=31))[0]
+        reduced = (round(row.p_f * AGREE_REDUCED),
+                   round(row.p_m * AGREE_REDUCED))
+        full = full_vector_sqrt_law_tally(channel, 1.0, AGREE_N, AGREE_FULL,
+                                          seed=32)
+        assert_tallies_agree(reduced, full, AGREE_REDUCED, AGREE_FULL)
 
     def test_thread_determinism(self, channel, config):
         mc = McConfig(trials=600, base_seed=18)
