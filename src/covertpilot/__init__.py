@@ -16,33 +16,24 @@ from .channel import (AttackParams, ChannelParams, CommHypothesis,
                       SystemConfig, alice_input, derive_rng, gaussian_input,
                       link_capacity, make_pilot, sample_fading,
                       synthesize_received, trojan_input)
-from .detection import (Conditioning, ErrorProbabilities, Regime,
-                        RegimeClassification, RegimeError, SqrtLawBound,
-                        Thresholds, analytic_error_probs, classify_regime,
-                        compute_thresholds, radiometer_statistic,
-                        solve_sqrt_law_coefficient, sqrt_law_bound,
-                        tail_bound_sum, tau_dagger, tau_eps)
-from .montecarlo import (EstimatorErrorRow, McConfig, McResult, SqrtLawRow,
-                         mc_comm_error_probs, mc_estimator_error, mc_pilot_kl,
-                         mc_sqrt_law)
-from .pilot import (CovertnessMargin, EstimateReport, PilotCovariances,
-                    covertness_margin, kl_pilot_exact, kl_pilot_limit,
+from .detection import (Conditioning, Regime, RegimeError,
+                        analytic_error_probs, classify_regime,
+                        radiometer_statistic, solve_sqrt_law_coefficient,
+                        sqrt_law_bound, tail_bound_sum, tau_dagger, tau_eps)
+from .montecarlo import (McConfig, mc_comm_error_probs, mc_estimator_error,
+                         mc_pilot_kl, mc_sqrt_law)
+from .pilot import (covertness_margin, kl_pilot_exact, kl_pilot_limit,
                     mmse_estimate, mmse_limit, pilot_covariances)
-from .rates import (CriticalPower, FeasibilityReport, ScalingRow,
-                    attack_feasibility, power_scaling_table,
+from .rates import (attack_feasibility, power_scaling_table,
                     solve_lambda_star, willie_sinr)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttackParams", "ChannelParams", "CommHypothesis", "Conditioning",
-    "CovertnessMargin", "CriticalPower", "ErrorProbabilities",
-    "EstimateReport", "EstimatorErrorRow", "FeasibilityReport", "McConfig",
-    "McResult", "ParameterError", "Phase", "PilotCovariances",
-    "PilotHypothesis", "Regime", "RegimeClassification", "RegimeError",
-    "ScalingRow", "SignalBlock", "SqrtLawBound", "SqrtLawRow",
-    "SystemConfig", "Thresholds", "alice_input", "analytic_error_probs",
-    "attack_feasibility", "classify_regime", "compute_thresholds",
+    "McConfig", "ParameterError", "Phase", "PilotHypothesis", "Regime",
+    "RegimeError", "SignalBlock", "SystemConfig", "alice_input",
+    "analytic_error_probs", "attack_feasibility", "classify_regime",
     "covertness_margin", "derive_rng", "gaussian_input", "kl_pilot_exact",
     "kl_pilot_limit", "link_capacity", "make_pilot", "mc_comm_error_probs",
     "mc_estimator_error", "mc_pilot_kl", "mc_sqrt_law", "mmse_estimate",

@@ -113,10 +113,16 @@ class ChannelParams:
         for name in ("alpha_w_sq", "alpha_e_sq", "sigma_w_sq", "sigma_e_sq",
                      "sigma_h_sq"):
             _require(math.isfinite(getattr(self, name)), f"{name} must be finite")
-        for name in ("h_w", "h_e"):
-            gain = complex(getattr(self, name))
-            _require(math.isfinite(gain.real) and math.isfinite(gain.imag),
+        for name, gain, alpha in (("h_w", "gain_w", "alpha_w_sq"),
+                                  ("h_e", "gain_e", "alpha_e_sq")):
+            h = complex(getattr(self, name))
+            _require(math.isfinite(h.real) and math.isfinite(h.imag),
                      f"{name} must be finite")
+            try:
+                finite = math.isfinite(getattr(self, gain))
+            except OverflowError:   # |h|^2 itself overflows
+                finite = False
+            _require(finite, f"{gain} = {alpha} * |{name}|^2 must be finite")
 
     @classmethod
     def sample(cls, alpha_w_sq: float, alpha_e_sq: float, sigma_w_sq: float,
@@ -197,17 +203,18 @@ class AttackParams:
     """Trojan knobs: pilot scaling ``epsilon`` and transmit power ``lambda_t``.
 
     ``epsilon = 0`` with ``lambda_t > 0`` is the legal no-pilot-attack
-    configuration (square-root-law regime).
+    configuration (square-root-law regime).  Either knob may be an array;
+    the two broadcast to a grid, and every element is checked.
     """
 
-    epsilon: float
-    lambda_t: float
+    epsilon: float | np.ndarray
+    lambda_t: float | np.ndarray
 
     def __post_init__(self):
-        _require(math.isfinite(self.epsilon) and self.epsilon >= 0,
-                 "epsilon must be finite and >= 0")
-        _require(math.isfinite(self.lambda_t) and self.lambda_t >= 0,
-                 "lambda_t must be finite and >= 0")
+        for name in ("epsilon", "lambda_t"):
+            value = getattr(self, name)
+            _require(np.all(np.isfinite(value) & (value >= 0)),
+                     f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

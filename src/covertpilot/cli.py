@@ -45,27 +45,28 @@ linear (watt) units::
 ``feasible`` is 1/0; ``failing_condition`` is empty for feasible cells
 and otherwise the first failing condition in the order pilot_covert,
 blind_comm, no_disruption, eve_ic.  Infeasible cells report zero rates so
-plots can distinguish "zero rate" from "infeasible".  Output bytes depend
-only on the grid, parameters, and seed, never on ``--threads``.
+plots can distinguish "zero rate" from "infeasible".  One broadcast call
+evaluates the whole grid; ``--threads`` only affects ``mc``, whose bytes
+depend only on the parameters and seed, never on ``--threads``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (AttackParams, ChannelParams, ParameterError,
-                      SystemConfig, link_capacity)
-from .detection import classify_regime, solve_sqrt_law_coefficient, tau_eps
+                      SystemConfig, _require, link_capacity)
+from .detection import classify_regime, solve_sqrt_law_coefficient
 from .montecarlo import (McConfig, mc_comm_error_probs, mc_estimator_error,
                          mc_pilot_kl, mc_sqrt_law)
-from .rates import attack_feasibility
+from .rates import FeasibilityReport, attack_feasibility
 from . import verification
 
 EXIT_OK = 0
@@ -168,6 +169,7 @@ def build_scenario(values: dict) -> tuple[ChannelParams, SystemConfig, AttackPar
             raise ParameterError(
                 "r_a defaults to 80% of the link capacity, which is 0 at zero "
                 "link gain alpha_w_sq * |h_w|^2; set r_a or a nonzero gain")
+        _require(values["lambda_a"] > 0, "lambda_a must be > 0")
         r_a = 0.8 * link_capacity(channel, values["lambda_a"])
     config = SystemConfig.create(
         channel, lambda_a=values["lambda_a"], r_a=r_a,
@@ -189,36 +191,27 @@ def _first_failing(report) -> str:
     return ""
 
 
-def sweep_cell_line(channel: ChannelParams, config: SystemConfig,
-                    eps: float, lt: float) -> str:
-    attack = AttackParams(eps, lt)
-    rep = attack_feasibility(channel, attack, config)
-    cls = classify_regime(channel, attack, config)
+def sweep_cell_line(eps: float, lt: float, rep: FeasibilityReport) -> str:
+    """The CSV row of the point (eps, lt), whose report is ``rep``."""
     failing = "" if rep.feasible else _first_failing(rep)
     tin, ic = (rep.r_t_tin, rep.r_t_ic) if rep.feasible else (0.0, 0.0)
     return ",".join([
         _fmt(eps), _fmt(lt), "1" if rep.feasible else "0", failing,
-        _fmt(tin), _fmt(ic), _fmt(rep.gamma_w), _fmt(tau_eps(channel, attack)),
-        _fmt(cls.delta_1_gap),
+        _fmt(tin), _fmt(ic), _fmt(rep.gamma_w), _fmt(rep.tau_eps),
+        _fmt(rep.delta_1_gap),
     ])
 
 
-def run_sweep(channel: ChannelParams, config: SystemConfig, spec: SweepSpec,
-              threads: int = 1) -> list[str]:
-    """All CSV lines in row-major order, independent of evaluation order."""
-    eps_grid = np.linspace(spec.eps_min, spec.eps_max, spec.eps_steps)
-    lt_grid = np.linspace(spec.lt_min, spec.lt_max, spec.lt_steps)
-
-    def row(eps: float) -> list[str]:
-        return [sweep_cell_line(channel, config, float(eps), float(lt))
-                for lt in lt_grid]
-
-    if threads <= 1:
-        rows = [row(e) for e in eps_grid]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, eps_grid))
-    return [CSV_HEADER] + [line for block in rows for line in block]
+def run_sweep(channel: ChannelParams, config: SystemConfig,
+              spec: SweepSpec) -> list[str]:
+    """All CSV lines in row-major order, from one call over the whole grid."""
+    eps = np.linspace(spec.eps_min, spec.eps_max, spec.eps_steps)[:, None]
+    lt = np.linspace(spec.lt_min, spec.lt_max, spec.lt_steps)
+    grid = attack_feasibility(channel, AttackParams(eps, lt), config)
+    rows = zip(*np.broadcast_arrays(eps, lt, *grid))   # per epsilon: few floats live
+    return [CSV_HEADER] + [sweep_cell_line(e, l, FeasibilityReport(*rep))
+                           for row in rows
+                           for e, l, *rep in zip(*(c.tolist() for c in row))]
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -235,7 +228,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     spec = SweepSpec(args.eps_min, args.eps_max, args.eps_steps,
                      args.lt_min, args.lt_max, args.lt_steps,
                      output_path=args.out)
-    lines = run_sweep(channel, config, spec, threads=args.threads)
+    lines = run_sweep(channel, config, spec)
     _write_text(spec.output_path, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -256,9 +249,9 @@ def cmd_rate(args: argparse.Namespace) -> int:
         f"gamma_w = {_fmt(rep.gamma_w)}",
         f"r_t_tin_bpcu = {_fmt(rep.r_t_tin)}",
         f"r_t_ic_bpcu = {_fmt(rep.r_t_ic)}",
-        f"tau_eps_w = {_fmt(tau_eps(channel, attack))}",
+        f"tau_eps_w = {_fmt(rep.tau_eps)}",
         f"regime = {cls.regime.value}",
-        f"delta_1_gap = {_fmt(cls.delta_1_gap)}",
+        f"delta_1_gap = {_fmt(rep.delta_1_gap)}",
     ]
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -347,11 +340,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key = value parameter file")
     p.add_argument("--seed", type=int, default=0, help="root RNG seed")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; output is identical for any value")
+                   help="worker threads for mc; output is identical for "
+                        "any value")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing never mutates it)."""
     parser = argparse.ArgumentParser(
         prog="covertpilot",
         description="covert pilot-scaling attack analysis",
@@ -399,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point returning the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParameterError as exc:

@@ -24,6 +24,13 @@ All probabilities here are exact under the noise-only randomness model
 the Monte Carlo module provides the independent simulation, whose exact
 reduced-dimension sampler keeps the input-noise cross terms this model
 leaves out.
+
+Inputs may broadcast (array ``epsilon``/``lambda_t``, ``h_hat``, ``tau``);
+a scalar call is the 0-d case of the same code and returns a float.
+``expm1``, ``log2`` and ``|h|`` run through Python's ``math``/``abs`` per
+element and squares through ``np.float_power`` (C ``pow``, as ``**``):
+numpy's SIMD versions differ in the last bit, which would make a grid
+cell's bytes differ from the scalar call's.
 """
 
 from __future__ import annotations
@@ -40,6 +47,22 @@ from scipy.optimize import brentq
 
 from .channel import (AttackParams, ChannelParams, ParameterError, SignalBlock,
                       SystemConfig, _require)
+
+
+def _per_element(fn):
+    """``fn`` applied to each element of a float, complex or array argument."""
+    ufunc = np.frompyfunc(fn, 1, 1)
+
+    def apply(x):
+        y = ufunc(x)
+        return y.astype(float) if isinstance(y, np.ndarray) else y
+
+    return apply
+
+
+_expm1 = _per_element(math.expm1)
+_abs = _per_element(abs)
+_log2 = _per_element(math.log2)
 
 
 class RegimeError(ValueError):
@@ -59,17 +82,6 @@ class Conditioning(Enum):
     H1_TRUE = "h1_true"
 
 
-class ProbKind(Enum):
-    ANALYTIC = "analytic"
-    TAIL_BOUND = "tail_bound"
-    MONTE_CARLO = "monte_carlo"
-
-
-class DetectionPhase(Enum):
-    ESTIMATION = "estimation"
-    COMMUNICATION = "communication"
-
-
 class Regime(Enum):
     BLIND_BELOW = "blind_below"      # threshold under both statistic levels
     BLIND_ABOVE = "blind_above"      # threshold above both statistic levels
@@ -77,26 +89,18 @@ class Regime(Enum):
 
 
 @dataclass(frozen=True)
-class Thresholds:
-    """Finite-n and asymptotic thresholds plus the scaled trojan power b."""
-
-    tau_dagger: float
-    tau_eps: float
-    beta_t: float
-
-
-@dataclass(frozen=True)
 class ErrorProbabilities:
-    p_f: float
-    p_m: float
-    phase: DetectionPhase
-    kind: ProbKind
-    sum: float = 0.0
+    p_f: float | np.ndarray
+    p_m: float | np.ndarray
 
     def __post_init__(self):
-        _require(0 <= self.p_f <= 1 and 0 <= self.p_m <= 1,
+        _require(np.all((0 <= self.p_f) & (self.p_f <= 1)
+                        & (0 <= self.p_m) & (self.p_m <= 1)),
                  "probabilities must lie in [0, 1]")
-        object.__setattr__(self, "sum", self.p_f + self.p_m)
+
+    @property
+    def sum(self) -> float | np.ndarray:
+        return self.p_f + self.p_m
 
 
 @dataclass(frozen=True)
@@ -113,15 +117,6 @@ class SqrtLawBound(NamedTuple):
     limit: float
 
 
-def _chi2_2n_cdf(n: int, x: float) -> float:
-    """P(V <= x) for V ~ chi2(2n), via the regularized lower incomplete gamma."""
-    return float(gammainc(n, x / 2))
-
-
-def _chi2_2n_sf(n: int, x: float) -> float:
-    return float(gammaincc(n, x / 2))
-
-
 def radiometer_statistic(received: SignalBlock | np.ndarray,
                          x_a: SignalBlock | np.ndarray,
                          h_hat: complex, channel: ChannelParams) -> float:
@@ -134,8 +129,15 @@ def radiometer_statistic(received: SignalBlock | np.ndarray,
     return float(np.mean(np.abs(v) ** 2))
 
 
-def tau_dagger(channel: ChannelParams, h_hat: complex, lambda_t: float,
-               n: int) -> float:
+def _threshold(b, x, s2):
+    """``b e^x / (e^x - 1) = b / (1 - e^-x)``, extended to ``s2`` where ``b = 0``."""
+    with np.errstate(invalid="ignore"):
+        tau = np.divide(b, -_expm1(-x))
+    return np.where(b > 0, tau, s2)[()]
+
+
+def tau_dagger(channel: ChannelParams, h_hat: complex | np.ndarray,
+               lambda_t: float, n: int) -> float | np.ndarray:
     """Optimal finite-n radiometer threshold for an assumed trojan power.
 
     ``lambda_t = 0`` returns ``sigma_w^2`` (continuous extension of the
@@ -144,14 +146,12 @@ def tau_dagger(channel: ChannelParams, h_hat: complex, lambda_t: float,
     """
     _require(n >= 2, "n must be >= 2")
     _require(lambda_t >= 0, "lambda_t must be >= 0")
-    b = channel.alpha_w_sq * abs(h_hat) ** 2 * lambda_t
-    if b == 0:
-        return channel.sigma_w_sq
-    x = (n / (n - 1)) * b / channel.sigma_w_sq
-    return b / -math.expm1(-x)
+    b = channel.alpha_w_sq * np.float_power(_abs(h_hat), 2) * lambda_t
+    return _threshold(b, (n / (n - 1)) * b / channel.sigma_w_sq,
+                      channel.sigma_w_sq)
 
 
-def tau_eps(channel: ChannelParams, attack: AttackParams) -> float:
+def tau_eps(channel: ChannelParams, attack: AttackParams) -> float | np.ndarray:
     """Large-n threshold when the estimate was corrupted to (1+eps) h_w.
 
     ``b = (1+eps)^2 alpha_w^2 |h_w|^2 lambda_t`` and
@@ -160,38 +160,43 @@ def tau_eps(channel: ChannelParams, attack: AttackParams) -> float:
     and lambda_t.  Raises :class:`ParameterError` when ``b`` is not a
     finite float.
     """
-    try:
-        b = (1 + attack.epsilon) ** 2 * channel.gain_w * attack.lambda_t
-    except OverflowError:
-        b = math.inf
-    if not math.isfinite(b):
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.float_power(1 + attack.epsilon, 2) * channel.gain_w \
+            * attack.lambda_t
+    if not np.all(np.isfinite(b)):
         raise ParameterError("tau_eps needs a finite scaled trojan power "
                              "(1+eps)^2 alpha_w^2 |h_w|^2 lambda_t")
-    if b == 0:
-        return channel.sigma_w_sq
-    x = b / channel.sigma_w_sq
-    return b / -math.expm1(-x)
-
-
-def compute_thresholds(channel: ChannelParams, attack: AttackParams,
-                       n: int) -> Thresholds:
-    """Thresholds evaluated with the corrupted estimate h_hat = (1+eps) h_w."""
-    h_hat = (1 + attack.epsilon) * channel.h_w
-    return Thresholds(
-        tau_dagger=tau_dagger(channel, h_hat, attack.lambda_t, n),
-        tau_eps=tau_eps(channel, attack),
-        beta_t=(1 + attack.epsilon) ** 2 * channel.gain_w * attack.lambda_t,
-    )
+    return _threshold(b, b / channel.sigma_w_sq, channel.sigma_w_sq)
 
 
 def residual_power(channel: ChannelParams, attack: AttackParams,
-                   config: SystemConfig) -> float:
+                   config: SystemConfig) -> float | np.ndarray:
     """Leakage power from imperfect cancellation: eps^2 alpha_w^2 |h_w|^2 lambda_a."""
-    return attack.epsilon ** 2 * channel.gain_w * config.lambda_a
+    return np.float_power(attack.epsilon, 2) * channel.gain_w * config.lambda_a
+
+
+def statistic_levels(channel: ChannelParams, attack: AttackParams,
+                     config: SystemConfig) -> tuple:
+    """(lower, upper): ``residual + sigma_w^2`` and ``residual + trojan
+    power + sigma_w^2``, the statistic's limits with the trojan silent or
+    transmitting under ``H1_TRUE`` conditioning."""
+    res = residual_power(channel, attack, config)
+    return (res + channel.sigma_w_sq,
+            res + channel.gain_w * attack.lambda_t + channel.sigma_w_sq)
+
+
+def regime_gaps(channel: ChannelParams, attack: AttackParams,
+                config: SystemConfig) -> tuple:
+    """(tau(eps), d1, d2): ``d1 = (lower - tau) / sigma_w^2`` > 0 iff blind
+    below, ``d2 = (tau - upper) / sigma_w^2`` > 0 iff blind above."""
+    s2 = channel.sigma_w_sq
+    tau = tau_eps(channel, attack)
+    lower, upper = statistic_levels(channel, attack, config)
+    return tau, (lower - tau) / s2, (tau - upper) / s2
 
 
 def analytic_error_probs(channel: ChannelParams, attack: AttackParams,
-                         config: SystemConfig, tau: float,
+                         config: SystemConfig, tau: float | np.ndarray,
                          conditioning: Conditioning) -> ErrorProbabilities:
     """Exact radiometer error probabilities at threshold tau.
 
@@ -205,39 +210,29 @@ def analytic_error_probs(channel: ChannelParams, attack: AttackParams,
     ``eps^2 alpha_w^2 |h_w|^2 lambda_a`` under ``H1_TRUE``.  Thresholds at
     or below the residual floor give P_F = 1 / P_M = 0 exactly.
     """
-    _require(tau > 0, "tau must be > 0")
+    _require(np.all(tau > 0), "tau must be > 0")
     n = config.block_len
     s2 = channel.sigma_w_sq
     res = residual_power(channel, attack, config) \
         if conditioning is Conditioning.H1_TRUE else 0.0
-    trojan = channel.gain_w * attack.lambda_t
-
-    gap_f = tau - res
-    p_f = 1.0 if gap_f <= 0 else _chi2_2n_sf(n, 2 * n * gap_f / s2)
-    gap_m = tau - res - trojan
-    p_m = 0.0 if gap_m <= 0 else _chi2_2n_cdf(n, 2 * n * gap_m / s2)
-    return ErrorProbabilities(p_f, p_m, DetectionPhase.COMMUNICATION,
-                              ProbKind.ANALYTIC)
+    gap_f = np.maximum(tau - res, 0.0)
+    gap_m = np.maximum(tau - res - channel.gain_w * attack.lambda_t, 0.0)
+    # P(chi2(2n) > 2n gap / s2) is the regularized upper gamma at n gap / s2
+    return ErrorProbabilities(gammaincc(n, n * gap_f / s2),
+                              gammainc(n, n * gap_m / s2))
 
 
 def classify_regime(channel: ChannelParams, attack: AttackParams,
                     config: SystemConfig) -> RegimeClassification:
-    """Place tau(eps) relative to the two limiting statistic levels.
+    """Place tau(eps) at one point relative to the two limiting statistic levels.
 
-    Lower level: ``residual + sigma_w^2`` (trojan silent);
-    upper level: ``residual + trojan power + sigma_w^2``.  A threshold
-    below the lower level or above the upper one saturates the test
-    (P_F + P_M -> 1); strictly in between the test becomes perfect
-    (P_F + P_M -> 0).  Exact boundary hits are classified DETECTABLE with
-    a zero gap and a warning, since the regime statements are strict.
+    A threshold below the lower level or above the upper one (see
+    :func:`statistic_levels`) saturates the test (P_F + P_M -> 1);
+    strictly in between the test becomes perfect (P_F + P_M -> 0).  Exact
+    boundary hits are classified DETECTABLE with a zero gap and a warning,
+    since the regime statements are strict.
     """
-    s2 = channel.sigma_w_sq
-    tau = tau_eps(channel, attack)
-    res = residual_power(channel, attack, config)
-    lower = res + s2
-    upper = res + channel.gain_w * attack.lambda_t + s2
-    d1 = (lower - tau) / s2
-    d2 = (tau - upper) / s2
+    _, d1, d2 = regime_gaps(channel, attack, config)
     if d1 > 0:
         regime = Regime.BLIND_BELOW
     elif d2 > 0:

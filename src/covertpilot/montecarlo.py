@@ -71,9 +71,9 @@ from .channel import (STREAM_FADING_W, STREAM_NOISE, STREAM_TRIAL,
                       AttackParams, ChannelParams, Phase, PilotHypothesis,
                       SignalBlock, SystemConfig, _require, complex_normal,
                       derive_rng, make_pilot)
-from .detection import (Conditioning, DetectionPhase, ErrorProbabilities,
-                        ProbKind, analytic_error_probs, sqrt_law_bound,
-                        tau_dagger, tau_eps)
+from .detection import (Conditioning, ErrorProbabilities,
+                        analytic_error_probs, sqrt_law_bound, tau_dagger,
+                        tau_eps)
 from .pilot import (DENSE_PILOT_MAX_LEN, _estimator_coefficient,
                     _pilot_energy, kl_pilot_exact, mmse_estimate, mmse_limit,
                     pilot_covariances)
@@ -164,10 +164,11 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
     estimation phase is re-simulated per trial at that finite pilot
     length, and the receiver's estimate and its threshold
     ``tau_dagger(h_hat)`` come from its own noisy pilot observation
-    instead of the injected limit.  The ``analytic_reference`` of both
-    results stays the injected-limit value at ``tau_eps`` in either mode,
-    so in the two-phase mode it is a landmark, not the expectation of the
-    estimate.
+    instead of the injected limit (one ``tau_dagger`` call per chunk,
+    over the estimates of the chunk's trials).  The ``analytic_reference``
+    of both results stays the injected-limit value at ``tau_eps`` in either
+    mode, so in the two-phase mode it is a landmark, not the expectation
+    of the estimate.
     """
     n = mc.n if mc.n is not None else config.block_len
     _require(n >= 2, "block length n must be >= 2")
@@ -185,21 +186,27 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
         pilot_mean = a_w * h * (1 + attack.epsilon) * energy
         pilot_sd = math.sqrt(s2 * energy / 2)
 
+    def draw(i: int) -> tuple:
+        rng = derive_rng(mc.base_seed, i, STREAM_TRIAL)
+        g = rng.standard_normal(4) * sd
+        rest = rng.gamma(n - 2, s2)
+        rho_sq = rng.beta(1, n - 1)
+        angle = 2 * math.pi * rng.random()
+        if two_phase_pilot_len is None:
+            return g, rest, rho_sq, angle, h_hat_limit
+        gp = rng.standard_normal(2) * pilot_sd
+        return g, rest, rho_sq, angle, weight * (pilot_mean
+                                                 + complex(gp[0], gp[1]))
+
     def worker(chunk: range) -> tuple[int, int]:
+        trials = [draw(i) for i in chunk]
+        if two_phase_pilot_len is None or tau is not None:
+            thresholds = [tau_fixed] * len(trials)
+        else:
+            thresholds = tau_dagger(channel, [t[-1] for t in trials],
+                                    attack.lambda_t, n).tolist()
         fa = md = 0
-        for i in chunk:
-            rng = derive_rng(mc.base_seed, i, STREAM_TRIAL)
-            g = rng.standard_normal(4) * sd
-            rest = rng.gamma(n - 2, s2)
-            rho_sq = rng.beta(1, n - 1)
-            angle = 2 * math.pi * rng.random()
-            if two_phase_pilot_len is None:
-                h_hat, thr = h_hat_limit, tau_fixed
-            else:
-                gp = rng.standard_normal(2) * pilot_sd
-                h_hat = weight * (pilot_mean + complex(gp[0], gp[1]))
-                thr = tau if tau is not None else \
-                    tau_dagger(channel, h_hat, attack.lambda_t, n)
+        for (g, rest, rho_sq, angle, h_hat), thr in zip(trials, thresholds):
             u = root_a * (h - h_hat) + complex(g[0], g[1])
             w = complex(g[2], g[3])
             rho = math.sqrt(rho_sq) * complex(math.cos(angle), math.sin(angle))
@@ -217,8 +224,7 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
 
     ref = analytic_error_probs(channel, attack, _with_block_len(config, n),
                                tau_fixed, Conditioning.H1_TRUE)
-    probs = ErrorProbabilities(p_f, p_m, DetectionPhase.COMMUNICATION,
-                               ProbKind.MONTE_CARLO)
+    probs = ErrorProbabilities(p_f, p_m)
     results = (McResult(p_f, _std_error_binomial(p_f, mc.trials), mc.trials, ref.p_f),
                McResult(p_m, _std_error_binomial(p_m, mc.trials), mc.trials, ref.p_m))
     return probs, results

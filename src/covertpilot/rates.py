@@ -17,7 +17,9 @@ attack collapses to ``epsilon = 0`` and covert power must scale as
 ``1/sqrt(n)`` (square-root law); :func:`power_scaling_table` tabulates that
 dichotomy.
 
-Rates are in bits/channel use throughout.
+Rates are in bits/channel use throughout.  Array ``epsilon``/``lambda_t``
+broadcast, so one call evaluates a whole grid (see
+:mod:`~covertpilot.detection`).
 """
 
 from __future__ import annotations
@@ -25,21 +27,25 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .channel import AttackParams, ChannelParams, SystemConfig, _require
-from .detection import (Conditioning, analytic_error_probs, sqrt_law_bound,
+from .detection import (Conditioning, _log2, analytic_error_probs,
+                        regime_gaps, sqrt_law_bound, statistic_levels,
                         tau_dagger, tau_eps)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     """Per-condition outcomes and the achievable trojan rates.
 
     ``feasible`` is the conjunction of the first three conditions;
     ``cond_eve_ic`` only decides whether the interference-cancellation
     rate applies (``r_t_ic`` falls back to ``r_t_tin`` when it fails).
+    ``tau_eps`` and ``delta_1_gap`` decide ``cond_blind_comm``.  For a grid
+    each field is an array that broadcasts to it.
     """
 
     cond_pilot_covert: bool
@@ -50,6 +56,8 @@ class FeasibilityReport:
     r_t_tin: float
     r_t_ic: float
     feasible: bool
+    tau_eps: float
+    delta_1_gap: float
 
 
 @dataclass(frozen=True)
@@ -81,61 +89,59 @@ def willie_sinr(channel: ChannelParams, attack: AttackParams,
 
     gamma_w = gain_w lambda_a / (eps^2 gain_w lambda_a + gain_w lambda_t
     + sigma_w_sq): the first interference term is self-interference from
-    mismatched decoding, the second the trojan's transmission.  Strictly
-    decreasing in both eps and lambda_t.
+    mismatched decoding, the second the trojan's transmission (the
+    denominator is the upper statistic level).  Strictly decreasing in
+    both eps and lambda_t.
     """
-    g = channel.gain_w
-    return g * config.lambda_a / (attack.epsilon ** 2 * g * config.lambda_a
-                                  + g * attack.lambda_t + channel.sigma_w_sq)
+    _, upper = statistic_levels(channel, attack, config)
+    return channel.gain_w * config.lambda_a / upper
 
 
 def rate_tin(channel: ChannelParams, attack: AttackParams,
              config: SystemConfig) -> float:
     """Trojan rate with the rogue receiver treating the legitimate signal as noise."""
     g = channel.gain_e
-    return math.log2(1 + g * attack.lambda_t / (g * config.lambda_a
-                                                + channel.sigma_e_sq))
+    return _log2(1 + g * attack.lambda_t / (g * config.lambda_a
+                                            + channel.sigma_e_sq))
 
 
 def rate_ic(channel: ChannelParams, attack: AttackParams) -> float:
     """Trojan rate after the rogue receiver cancels the legitimate signal."""
-    return math.log2(1 + channel.gain_e * attack.lambda_t / channel.sigma_e_sq)
+    return _log2(1 + channel.gain_e * attack.lambda_t / channel.sigma_e_sq)
 
 
 def attack_feasibility(channel: ChannelParams, attack: AttackParams,
                        config: SystemConfig) -> FeasibilityReport:
-    """Evaluate the feasibility conditions and achievable rates at one point.
+    """Evaluate the feasibility conditions and achievable rates.
 
     The blind-communication condition is strict (boundary equality is
     infeasible); the no-disruption condition is non-strict, with a warning
     at exact equality since delay-limited decoding at capacity is an
     idealization.
     """
-    eps, lt = attack.epsilon, attack.lambda_t
-    cond1 = eps <= config.delta_1 / math.sqrt(2)
-
-    tau = tau_eps(channel, attack)
-    floor = eps ** 2 * channel.gain_w * config.lambda_a + channel.sigma_w_sq
-    cond2 = tau < floor
+    cond1 = attack.epsilon <= config.delta_1 / math.sqrt(2)
+    tau, d1, _ = regime_gaps(channel, attack, config)
+    cond2 = d1 > 0
 
     g_w = willie_sinr(channel, attack, config)
-    legit_rate_cap = math.log2(1 + g_w)
+    legit_rate_cap = _log2(1 + g_w)
     cond3 = config.r_a <= legit_rate_cap
-    if cond3 and config.r_a == legit_rate_cap:
+    if np.any(config.r_a == legit_rate_cap):
         warnings.warn("legitimate rate sits exactly at the degraded capacity",
                       stacklevel=2)
 
     g_e = channel.gain_e
-    ic_cap = math.log2(1 + g_e * config.lambda_a / (g_e * lt + channel.sigma_e_sq))
+    ic_cap = _log2(1 + g_e * config.lambda_a
+                   / (g_e * attack.lambda_t + channel.sigma_e_sq))
     cond4 = config.r_a <= ic_cap
 
     tin = rate_tin(channel, attack, config)
-    ic = rate_ic(channel, attack) if cond4 else tin
+    ic = np.where(cond4, rate_ic(channel, attack), tin)[()]
     return FeasibilityReport(
         cond_pilot_covert=cond1, cond_blind_comm=cond2,
         cond_no_disruption=cond3, cond_eve_ic=cond4,
         gamma_w=g_w, r_t_tin=tin, r_t_ic=ic,
-        feasible=cond1 and cond2 and cond3)
+        feasible=cond1 & cond2 & cond3, tau_eps=tau, delta_1_gap=d1)
 
 
 def solve_lambda_star(channel: ChannelParams, config: SystemConfig,
@@ -152,7 +158,7 @@ def solve_lambda_star(channel: ChannelParams, config: SystemConfig,
     _require(epsilon > 0, "epsilon must be > 0: with a silent pilot attack the "
                           "threshold never falls below the floor")
     _require(channel.gain_w > 0, "needs a nonzero link gain")
-    floor = epsilon ** 2 * channel.gain_w * config.lambda_a + channel.sigma_w_sq
+    floor, _ = statistic_levels(channel, AttackParams(epsilon, 0.0), config)
 
     def f(lt: float) -> float:
         return tau_eps(channel, AttackParams(epsilon, lt)) - floor
@@ -192,7 +198,7 @@ def power_scaling_table(channel: ChannelParams, config: SystemConfig,
         probs = analytic_error_probs(channel, attack, cfg_n, tau,
                                      Conditioning.H0_TRUE)
         bound = sqrt_law_bound(channel, lt * math.sqrt(n), int(n))
-        r_t = math.log2(1 + channel.gain_e * lt / channel.sigma_e_sq)
+        r_t = rate_ic(channel, attack)
         rows.append(ScalingRow(n=int(n), lambda_t=lt, p_f=probs.p_f,
                                p_m=probs.p_m, p_sum=probs.sum,
                                sqrt_bound=bound.finite_n,

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
 
 from .channel import (AttackParams, ChannelParams, Phase, PilotHypothesis,
                       SignalBlock, SystemConfig, link_capacity, make_pilot)
@@ -98,22 +97,6 @@ def verify_mmse(seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def error_sum_on_grid(channel: ChannelParams, lam_t: float, n: int,
-                      taus: np.ndarray) -> np.ndarray:
-    """Vectorized P_F + P_M of the clean-estimate radiometer over thresholds.
-
-    Same chi-square model as :func:`~covertpilot.detection.analytic_error_probs`
-    under clean-pilot conditioning, evaluated for a whole threshold grid at
-    once so grid searches over tau stay cheap.
-    """
-    s2 = channel.sigma_w_sq
-    trojan = channel.gain_w * lam_t
-    p_f = gammaincc(n, n * taus / s2)
-    gap = taus - trojan
-    p_m = np.where(gap > 0, gammainc(n, n * np.clip(gap, 0, None) / s2), 0.0)
-    return p_f + p_m
-
-
 def random_detection_config(rng: np.random.Generator
                             ) -> tuple[ChannelParams, float, int]:
     """Random (channel, lambda_t, n) with a resolvable error minimum.
@@ -135,13 +118,19 @@ def random_detection_config(rng: np.random.Generator
 
 
 def verify_threshold(seed: int = 0) -> list[CheckResult]:
+    # clean-pilot probabilities use only the block length; a one-symbol
+    # pilot keeps the short-pilot warning quiet for every drawn n
+    _, config, _ = _reference_point()
+    config = replace(config, pilot_len=1)
     rng = np.random.default_rng(seed)
     worst_steps = 0.0
     for _ in range(50):
         channel, lam_t, n = random_detection_config(rng)
         t_star = tau_dagger(channel, channel.h_w, lam_t, n)
         grid = np.linspace(0.3 * t_star, 3.0 * t_star, 10_000)
-        sums = error_sum_on_grid(channel, lam_t, n, grid)
+        sums = analytic_error_probs(channel, AttackParams(0.0, lam_t),
+                                    replace(config, block_len=n), grid,
+                                    Conditioning.H0_TRUE).sum
         t_grid = grid[int(np.argmin(sums))]
         step = grid[1] - grid[0]
         worst_steps = max(worst_steps, abs(t_grid - t_star) / step)

@@ -22,7 +22,7 @@ from covertpilot import (AttackParams, ChannelParams, Conditioning, McConfig,
                          tau_dagger, tau_eps, power_scaling_table)
 from covertpilot import cli
 from covertpilot.channel import Phase, PilotHypothesis, SignalBlock
-from covertpilot.verification import error_sum_on_grid, random_detection_config
+from covertpilot.verification import random_detection_config
 
 LOG2_1P3 = 0.37851162325372981
 EDGE = 1 / math.sqrt(20)           # pilot covertness limit delta_1 / sqrt(2)
@@ -133,14 +133,16 @@ def test_criterion_3_estimator_consistency(channel):
     assert slope_ok
 
 
-def test_criterion_4_threshold_optimality():
+def test_criterion_4_threshold_optimality(config):
     rng = np.random.default_rng(22)
     worst_steps = 0.0
     for _ in range(50):
         ch, lam_t, n = random_detection_config(rng)
         t_star = tau_dagger(ch, ch.h_w, lam_t, n)
         grid = np.linspace(0.3 * t_star, 3.0 * t_star, 10_000)
-        sums = error_sum_on_grid(ch, lam_t, n, grid)
+        sums = analytic_error_probs(ch, AttackParams(0.0, lam_t),
+                                    replace(config, block_len=n), grid,
+                                    Conditioning.H0_TRUE).sum
         step = grid[1] - grid[0]
         worst_steps = max(worst_steps,
                           abs(grid[int(np.argmin(sums))] - t_star) / step)

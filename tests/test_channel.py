@@ -173,6 +173,11 @@ class TestParams:
             AttackParams(-0.1, 0.3)
         with pytest.raises(ParameterError):
             AttackParams(0.1, float("inf"))
+        # a grid is checked element by element
+        with pytest.raises(ParameterError, match="epsilon must be finite"):
+            AttackParams(np.array([0.1, -0.1]), 0.3)
+        with pytest.raises(ParameterError, match="lambda_t must be finite"):
+            AttackParams(0.1, np.array([[0.3], [np.nan]]))
         # silent pilot attack with positive power is legal
         AttackParams(0.0, 0.3)
 

@@ -37,6 +37,39 @@ class TestRate:
         assert run_cli(["rate", "--h-w", "0j"]) == 1
         assert "zero link gain" in capsys.readouterr().err
 
+    def test_overflowing_gain_exits_1(self, capsys):
+        assert run_cli(["rate", "--h-w", "1e200+0j"]) == 1
+        assert "|h_w|^2 must be finite" in capsys.readouterr().err
+
+    def test_negative_legit_power_exits_1(self, capsys):
+        assert run_cli(["rate", "--lambda-a", "-100"]) == 1
+        assert "lambda_a must be > 0" in capsys.readouterr().err
+
+    def test_rate_matches_sweep_rows(self, tmp_path, capsys):
+        # eps 0 fails blind_comm; (0.1, 0.1) and (0.1, 0.3) are blind below
+        out = tmp_path / "s.csv"
+        assert run_cli(["sweep", "--eps-min", "0", "--eps-max", "0.1",
+                        "--eps-steps", "2", "--lt-min", "0.1", "--lt-max",
+                        "0.3", "--lt-steps", "2", "--out", str(out)]) == 0
+        header = cli.CSV_HEADER.split(",")
+        rows = [dict(zip(header, line.split(",")))
+                for line in out.read_text().splitlines()[1:]]
+        assert [r["feasible"] for r in rows] == ["0", "0", "1", "1"]
+        for row in rows:
+            capsys.readouterr()
+            assert run_cli(["rate", "--epsilon", row["epsilon"],
+                            "--lambda-t", row["lambda_t"]]) == 0
+            rate = dict(line.split(" = ")
+                        for line in capsys.readouterr().out.splitlines())
+            assert rate["feasible"] == ("true" if row["feasible"] == "1"
+                                        else "false")
+            for key in ("gamma_w", "tau_eps_w", "delta_1_gap"):
+                assert rate[key] == row[key], key
+            if row["feasible"] == "1":
+                assert rate["regime"] == "blind_below"
+                for key in ("r_t_tin_bpcu", "r_t_ic_bpcu"):
+                    assert rate[key] == row[key], key
+
 
 class TestSweep:
     def test_header_is_pinned(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from covertpilot import (AttackParams, ChannelParams, CommHypothesis,
                          Conditioning, ParameterError, Phase, Regime,
                          RegimeError, alice_input, analytic_error_probs,
-                         classify_regime, compute_thresholds, derive_rng,
+                         attack_feasibility, classify_regime, derive_rng,
                          radiometer_statistic, solve_lambda_star,
                          solve_sqrt_law_coefficient, sqrt_law_bound,
                          synthesize_received, tail_bound_sum, tau_dagger,
@@ -69,6 +69,7 @@ class TestThresholds:
                 for n in (10, 100, 1000, 10_000)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert all(v < tau_eps(channel, attack) for v in vals)
+        assert channel.sigma_w_sq < vals[-1] < tau_eps(channel, attack)
 
     def test_tau_eps_reference_value(self, channel, attack):
         assert tau_eps(channel, attack) == pytest.approx(TAU_REF, rel=1e-14)
@@ -84,10 +85,17 @@ class TestThresholds:
     def test_tau_eps_continuous_extension(self, channel):
         assert tau_eps(channel, AttackParams(0.0, 0.0)) == channel.sigma_w_sq
 
-    def test_compute_thresholds_bundle(self, channel, attack):
-        th = compute_thresholds(channel, attack, 10_000)
-        assert th.beta_t == pytest.approx(1.21 * 0.1 * 0.3)
-        assert channel.sigma_w_sq < th.tau_dagger < th.tau_eps
+    def test_scalar_calls_return_scalars(self, channel, config, attack):
+        # a scalar call is the 0-d case of the broadcast code; it must not
+        # leak 0-d arrays (the mc JSON serializes these values)
+        rep = attack_feasibility(channel, attack, config)
+        probs = analytic_error_probs(channel, attack, config, TAU_REF,
+                                     Conditioning.H1_TRUE)
+        for v in (tau_eps(channel, attack), tau_eps(channel, AttackParams(0, 0)),
+                  tau_dagger(channel, channel.h_w, 0.3, 100),
+                  rep.r_t_ic, rep.gamma_w, rep.delta_1_gap, probs.p_f,
+                  probs.p_m):
+            assert isinstance(v, float)
 
     def test_tau_dagger_validates(self, channel):
         with pytest.raises(ParameterError):
@@ -271,24 +279,25 @@ class TestSqrtLawBound:
 
 class TestThresholdOptimality:
     def test_grid_argmin_at_tau_dagger(self):
-        from covertpilot.verification import (error_sum_on_grid,
-                                              random_detection_config)
+        from covertpilot.verification import random_detection_config
         rng = np.random.default_rng(12)
         for _ in range(10):
             channel, lam_t, n = random_detection_config(rng)
             t_star = tau_dagger(channel, channel.h_w, lam_t, n)
             grid = np.linspace(0.3 * t_star, 3.0 * t_star, 10_000)
-            sums = error_sum_on_grid(channel, lam_t, n, grid)
+            sums = analytic_error_probs(channel, AttackParams(0.0, lam_t),
+                                        replace_config_n(n), grid,
+                                        Conditioning.H0_TRUE).sum
             step = grid[1] - grid[0]
             assert abs(grid[int(np.argmin(sums))] - t_star) <= step * (1 + 1e-9)
 
     def test_grid_objective_matches_pointwise_probs(self, channel):
-        # the vectorized grid objective is the same model as the scalar path
-        from covertpilot.verification import error_sum_on_grid
+        # an array of thresholds runs the same model as the scalar path
         cfg = replace_config_n(500)
         att = AttackParams(0.0, 0.2)
         taus = np.array([0.08, 0.11, 0.13, 0.2])
-        vec = error_sum_on_grid(channel, 0.2, 500, taus)
+        vec = analytic_error_probs(channel, att, cfg, taus,
+                                   Conditioning.H0_TRUE).sum
         for t, v in zip(taus, vec):
             assert analytic_error_probs(channel, att, cfg, float(t),
                                         Conditioning.H0_TRUE).sum == \

@@ -88,6 +88,18 @@ class TestAttackFeasibility:
         assert not rep.cond_eve_ic
         assert rep.r_t_ic == rep.r_t_tin
 
+    def test_grid_matches_pointwise_calls(self, channel, config):
+        # one broadcast call gives every cell the bytes of the scalar call
+        eps = np.array([0.0, 0.1, 0.2])[:, None]
+        lts = np.array([0.0, 0.1, 0.3, 1.0])
+        grid = attack_feasibility(channel, AttackParams(eps, lts), config)
+        for i, e in enumerate(eps[:, 0]):
+            for j, lt in enumerate(lts):
+                point = attack_feasibility(channel, AttackParams(e, lt), config)
+                for name, value in point._asdict().items():
+                    assert np.broadcast_to(getattr(grid, name),
+                                           (3, 4))[i, j] == value, name
+
     def test_shrinking_trojan_power_preserves_conditions(self, channel,
                                                          config):
         base = AttackParams(0.1, 0.3)
