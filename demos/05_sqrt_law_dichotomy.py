@@ -43,7 +43,7 @@ for k, n in enumerate(n_grid):
 
 c = solve_sqrt_law_coefficient(channel, target=0.1)
 print(f"\nc for a limiting slack of 0.1: {c:.6f}")
-rows = mc_sqrt_law(channel, config, c, [10_000, 100_000],
+rows = mc_sqrt_law(channel, c, [10_000, 100_000],
                    McConfig(trials=2000, base_seed=3))
 for r in rows:
     print(f"n = {r.n:>7}: empirical 1 - P_F - P_M = {r.one_minus_sum:.4f} "

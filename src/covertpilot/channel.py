@@ -219,16 +219,14 @@ class AttackParams:
 
 @dataclass(frozen=True)
 class SignalBlock:
-    """A complex sample vector tagged with its phase and hypothesis labels.
+    """A complex sample vector tagged with its phase and pilot hypothesis.
 
-    Pilot-phase blocks carry ``pilot_hypothesis``; communication-phase
-    blocks carry ``comm_hypothesis``.  Synthesized inputs are immutable.
+    Synthesized inputs are immutable.
     """
 
     samples: np.ndarray
     phase: Phase
     pilot_hypothesis: PilotHypothesis | None = None
-    comm_hypothesis: CommHypothesis | None = None
 
     def __post_init__(self):
         # own copy so freezing never flips write flags on a caller's buffer
@@ -359,5 +357,4 @@ def synthesize_received(config: SystemConfig, channel: ChannelParams,
         x_t = trojan_input(config, attack, seed)
         y = y + a_w * channel.h_w * x_t.samples
     return SignalBlock(y, Phase.COMMUNICATION,
-                       pilot_hypothesis=pilot_hypothesis,
-                       comm_hypothesis=comm_hypothesis)
+                       pilot_hypothesis=pilot_hypothesis)

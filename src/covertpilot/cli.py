@@ -46,8 +46,8 @@ linear (watt) units::
 and otherwise the first failing condition in the order pilot_covert,
 blind_comm, no_disruption, eve_ic.  Infeasible cells report zero rates so
 plots can distinguish "zero rate" from "infeasible".  One broadcast call
-evaluates the whole grid; ``--threads`` only affects ``mc``, whose bytes
-depend only on the parameters and seed, never on ``--threads``.
+evaluates the whole grid.  Every subcommand runs serially, so output bytes
+depend only on the parameters and seed; ``--threads`` has no effect.
 """
 
 from __future__ import annotations
@@ -268,13 +268,11 @@ def _mc_payload(args: argparse.Namespace) -> dict:
            "params": params}
 
     if args.target == "pilot-kl":
-        res = mc_pilot_kl(channel, attack, values["pilot_len"], mc,
-                          threads=args.threads)
+        res = mc_pilot_kl(channel, attack, values["pilot_len"], mc)
         out.update(point_estimate=res.point_estimate, std_error=res.std_error,
                    analytic_reference=res.analytic_reference)
     elif args.target == "comm-detection":
-        probs, (rf, rm) = mc_comm_error_probs(channel, attack, config, mc,
-                                              threads=args.threads)
+        probs, (rf, rm) = mc_comm_error_probs(channel, attack, config, mc)
         out.update(point_estimate=probs.sum, p_f=probs.p_f, p_m=probs.p_m,
                    std_error=math.hypot(rf.std_error, rm.std_error),
                    analytic_reference=(rf.analytic_reference
@@ -288,12 +286,11 @@ def _mc_payload(args: argparse.Namespace) -> dict:
                    analytic_reference=-1.0,
                    table=[{"l": r.l, "mse_clean": r.mse_clean,
                            "mse_scaled": r.mse_scaled} for r in rows])
-    elif args.target == "sqrtlaw":
+    else:   # sqrtlaw; argparse restricts the choices
         c = args.c if args.c is not None \
             else solve_sqrt_law_coefficient(channel, 0.1)
         n_grid = [10_000, 100_000]
-        rows = mc_sqrt_law(channel, config, c, n_grid, mc,
-                           threads=args.threads)
+        rows = mc_sqrt_law(channel, c, n_grid, mc)
         last = rows[-1]
         out["params"]["c"] = c
         out.update(point_estimate=last.one_minus_sum, std_error=last.std_error,
@@ -302,8 +299,6 @@ def _mc_payload(args: argparse.Namespace) -> dict:
                            "one_minus_sum": r.one_minus_sum,
                            "std_error": r.std_error, "bound": r.bound,
                            "bound_limit": r.bound_limit} for r in rows])
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParameterError(f"unknown mc target {args.target}")
     return out
 
 
@@ -340,8 +335,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key = value parameter file")
     p.add_argument("--seed", type=int, default=0, help="root RNG seed")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for mc; output is identical for "
-                        "any value")
+                   help="accepted for compatibility; has no effect "
+                        "(every run is serial)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 

@@ -46,12 +46,12 @@ Reproducibility contract
   5. two-phase mode only, ``standard_normal(2)``: real and imaginary
      parts of ``s^H z_p`` in units of ``sqrt(s2 ||s||^2 / 2)``;
 
-* trials are processed in fixed chunks of :data:`CHUNK` regardless of
-  ``threads``, and per-chunk results are reduced in chunk order,
+* trials run serially in fixed chunks of :data:`CHUNK`, and per-chunk
+  results are reduced in chunk order,
 
-so results are bit-identical for any worker count and a run split across
-workers merges to exactly the serial answer.  Binomial tallies report
-``sqrt(p (1-p) / trials)`` standard errors; mean estimates report the
+so results depend only on the parameters and seed, and runs over disjoint
+trial ranges merge to exactly the full run's answer.  Binomial tallies
+report ``sqrt(p (1-p) / trials)`` standard errors; mean estimates report the
 sample standard deviation over trials divided by ``sqrt(trials)``.
 Standard errors are reported as NaN below 100 trials, where a normal
 confidence interval is not meaningful.
@@ -60,23 +60,22 @@ confidence interval is not meaningful.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .channel import (STREAM_FADING_W, STREAM_NOISE, STREAM_TRIAL,
-                      AttackParams, ChannelParams, Phase, PilotHypothesis,
-                      SignalBlock, SystemConfig, _require, complex_normal,
-                      derive_rng, make_pilot)
+                      AttackParams, ChannelParams, ParameterError, Phase,
+                      PilotHypothesis, SignalBlock, SystemConfig, _require,
+                      complex_normal, derive_rng, make_pilot)
 from .detection import (Conditioning, ErrorProbabilities,
                         analytic_error_probs, sqrt_law_bound, tau_dagger,
                         tau_eps)
 from .pilot import (DENSE_PILOT_MAX_LEN, _estimator_coefficient,
-                    _pilot_energy, kl_pilot_exact, mmse_estimate, mmse_limit,
-                    pilot_covariances)
+                    _pilot_energy, _square, kl_pilot_exact, mmse_estimate,
+                    mmse_limit, pilot_covariances)
 
 CHUNK = 512
 
@@ -132,22 +131,15 @@ def _std_error_binomial(p: float, trials: int) -> float:
     return math.sqrt(p * (1 - p) / trials)
 
 
-def _chunks(trials: int) -> list[range]:
-    return [range(lo, min(lo + CHUNK, trials)) for lo in range(0, trials, CHUNK)]
-
-
-def _run_chunked(trials: int, threads: int, worker: Callable[[range], object]) -> list:
+def _run_chunked(trials: int, worker: Callable[[range], object]) -> list:
     """Apply worker to fixed trial chunks; results come back in chunk order."""
-    chunks = _chunks(trials)
-    if threads <= 1 or len(chunks) == 1:
-        return [worker(ch) for ch in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, chunks))
+    return [worker(range(lo, min(lo + CHUNK, trials)))
+            for lo in range(0, trials, CHUNK)]
 
 
 def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
                         config: SystemConfig, mc: McConfig,
-                        tau: float | None = None, threads: int = 1,
+                        tau: float | None = None,
                         two_phase_pilot_len: int | None = None,
                         ) -> tuple[ErrorProbabilities, tuple[McResult, McResult]]:
     """Empirical communication-phase error probabilities by exact simulation.
@@ -217,26 +209,21 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
             md += t1 < thr
         return fa, md
 
-    parts = _run_chunked(mc.trials, threads, worker)
-    fa = sum(p[0] for p in parts)
-    md = sum(p[1] for p in parts)
+    fa, md = map(sum, zip(*_run_chunked(mc.trials, worker)))
     p_f, p_m = fa / mc.trials, md / mc.trials
 
-    ref = analytic_error_probs(channel, attack, _with_block_len(config, n),
-                               tau_fixed, Conditioning.H1_TRUE)
+    if config.block_len != n:
+        config = replace(config, block_len=n)
+    ref = analytic_error_probs(channel, attack, config, tau_fixed,
+                               Conditioning.H1_TRUE)
     probs = ErrorProbabilities(p_f, p_m)
     results = (McResult(p_f, _std_error_binomial(p_f, mc.trials), mc.trials, ref.p_f),
                McResult(p_m, _std_error_binomial(p_m, mc.trials), mc.trials, ref.p_m))
     return probs, results
 
 
-def _with_block_len(config: SystemConfig, n: int) -> SystemConfig:
-    return config if config.block_len == n else replace(config, block_len=n)
-
-
 def mc_pilot_kl(channel: ChannelParams, attack: AttackParams, l: int,
-                mc: McConfig, pilot_power: float = 1.0,
-                threads: int = 1) -> McResult:
+                mc: McConfig) -> McResult:
     """Estimate the pilot-phase divergence as an average log-likelihood ratio.
 
     The closed form :func:`~covertpilot.pilot.kl_pilot_exact` is the
@@ -248,10 +235,15 @@ def mc_pilot_kl(channel: ChannelParams, attack: AttackParams, l: int,
     """
     _require(l <= DENSE_PILOT_MAX_LEN,
              f"dense density evaluation is limited to length {DENSE_PILOT_MAX_LEN}")
-    pilot = make_pilot(l, pilot_power)
+    pilot = make_pilot(l)
+    reference = kl_pilot_exact(channel, attack, pilot)  # rejects huge eps
     covs = pilot_covariances(channel, attack, pilot)
-    c0 = cho_factor(covs.sigma0, lower=True)
-    c1 = cho_factor(covs.sigma1, lower=True)
+    try:
+        c0 = cho_factor(covs.sigma0, lower=True)
+        c1 = cho_factor(covs.sigma1, lower=True)
+    except LinAlgError:
+        raise ParameterError("dense density evaluation needs Sigma_0 and "
+                             "Sigma_1 numerically positive definite") from None
     logdet0 = 2 * float(np.sum(np.log(np.diag(c0[0]).real)))
     logdet1 = 2 * float(np.sum(np.log(np.diag(c1[0]).real)))
     a_w = math.sqrt(channel.alpha_w_sq)
@@ -268,17 +260,16 @@ def mc_pilot_kl(channel: ChannelParams, attack: AttackParams, l: int,
         q1 = np.einsum("ij,ji->i", rows.conj(), cho_solve(c1, rows.T)).real
         return (logdet1 - logdet0) + (q1 - q0)
 
-    llr = np.concatenate(_run_chunked(mc.trials, threads, worker))
+    llr = np.concatenate(_run_chunked(mc.trials, worker))
     point = float(np.mean(llr))
     se = float(np.std(llr, ddof=1) / math.sqrt(mc.trials)) if mc.trials >= 100 \
         else float("nan")
-    return McResult(point, se, mc.trials,
-                    kl_pilot_exact(channel, attack, pilot))
+    return McResult(point, se, mc.trials, reference)
 
 
 def mc_estimator_error(channel: ChannelParams, attack: AttackParams,
                        l_grid: Sequence[int], mc: McConfig,
-                       pilot_power: float = 1.0) -> list[EstimatorErrorRow]:
+                       ) -> list[EstimatorErrorRow]:
     """Mean-squared distance of the finite-length estimate to its limit.
 
     For each pilot length, trials draw fresh noise and run the estimator
@@ -291,9 +282,11 @@ def mc_estimator_error(channel: ChannelParams, attack: AttackParams,
     a_w = math.sqrt(channel.alpha_w_sq)
     lim0 = mmse_limit(channel, attack, PilotHypothesis.H0)
     lim1 = mmse_limit(channel, attack, PilotHypothesis.H1)
+    _require(math.isfinite(_square(abs(lim1))),
+             "|(1+eps) h_w|^2 must be finite; epsilon is too large")
     rows = []
     for l in l_grid:
-        pilot = make_pilot(int(l), pilot_power)
+        pilot = make_pilot(int(l))
         err0 = np.empty(mc.trials)
         err1 = np.empty(mc.trials)
         for i in range(mc.trials):
@@ -313,9 +306,8 @@ def mc_estimator_error(channel: ChannelParams, attack: AttackParams,
     return rows
 
 
-def mc_sqrt_law(channel: ChannelParams, config: SystemConfig, c: float,
-                n_grid: Sequence[int], mc: McConfig,
-                threads: int = 1) -> list[SqrtLawRow]:
+def mc_sqrt_law(channel: ChannelParams, c: float, n_grid: Sequence[int],
+                mc: McConfig) -> list[SqrtLawRow]:
     """Empirical detectability of a silent pilot attack at power c/sqrt(n).
 
     Per blocklength: simulate the optimal test with a perfect channel
@@ -353,9 +345,7 @@ def mc_sqrt_law(channel: ChannelParams, config: SystemConfig, c: float,
                 md += t1 < tau
             return fa, md
 
-        parts = _run_chunked(mc.trials, threads, worker)
-        fa = sum(p[0] for p in parts)
-        md = sum(p[1] for p in parts)
+        fa, md = map(sum, zip(*_run_chunked(mc.trials, worker)))
         p_f, p_m = fa / mc.trials, md / mc.trials
         se = math.hypot(_std_error_binomial(p_f, mc.trials),
                         _std_error_binomial(p_m, mc.trials))

@@ -67,6 +67,14 @@ class CovertnessMargin:
     kl_bound: float
 
 
+def _square(x: float) -> float:
+    """``x ** 2`` by libm ``pow`` (as ``**``), but inf on overflow."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _pilot_energy(pilot: SignalBlock) -> float:
     _require(pilot.phase is Phase.ESTIMATION, "expected an estimation-phase block")
     return float(np.vdot(pilot.samples, pilot.samples).real)
@@ -82,8 +90,10 @@ def pilot_covariances(channel: ChannelParams, attack: AttackParams,
     outer = np.outer(s, s.conj())
     kappa = channel.alpha_w_sq * channel.sigma_h_sq
     eye = channel.sigma_w_sq * np.eye(L)
-    return PilotCovariances(kappa * outer + eye,
-                            kappa * (1 + attack.epsilon) ** 2 * outer + eye)
+    scale = kappa * _square(1 + attack.epsilon)
+    _require(math.isfinite(scale),
+             "alpha_w^2 sigma_h^2 (1+eps)^2 must be finite")
+    return PilotCovariances(kappa * outer + eye, scale * outer + eye)
 
 
 def kl_pilot_exact(channel: ChannelParams, attack: AttackParams,
@@ -98,21 +108,26 @@ def kl_pilot_exact(channel: ChannelParams, attack: AttackParams,
         q = a * eps * (2 + eps) * S / (1 + a * (1+eps)^2 * S)
 
     so the divergence is ``-log(1 - q) - q``.  No L x L matrix is ever
-    built; exact for any pilot length.
+    built; exact for any pilot length, up to an eps so large that ``1 - q``
+    drowns in the rounding of ``q`` (a :class:`ParameterError`).
     """
     _require(attack.epsilon >= 0, "epsilon must be >= 0")
     S = _pilot_energy(pilot)
     a = channel.alpha_w_sq * channel.sigma_h_sq / channel.sigma_w_sq
     eps = attack.epsilon
-    q = a * eps * (2 + eps) * S / (1 + a * (1 + eps) ** 2 * S)
+    den = 1 + a * _square(1 + eps) * S
+    q = a * eps * (2 + eps) * S / den
+    _require(math.isclose(1 - q, (1 + a * S) / den, rel_tol=1e-6),
+             "kl_pilot_exact needs 1 - q = (1 + a S) / (1 + a (1+eps)^2 S) "
+             "resolved in double precision; epsilon is too large")
     return -math.log1p(-q) - q
 
 
 def kl_pilot_limit(epsilon: float) -> float:
     """Long-pilot limit of :func:`kl_pilot_exact`, in nats.
 
-    Equals ``2 log(1+eps) - 1 + (1+eps)^{-2}`` and is bounded above by
-    ``2 eps^2`` for all eps >= 0 (the covertness bound).
+    Equals ``2 log(1+eps) - 1 + (1+eps)^{-2}`` (which cancels to about 1e-16
+    near 0) and is at most ``2 eps^2`` for all eps >= 0 (the covertness bound).
     """
     if epsilon < 0:
         raise ParameterError("epsilon must be >= 0")
@@ -128,8 +143,10 @@ def covertness_margin(epsilon: float, delta_1: float) -> CovertnessMargin:
     """
     _require(0 <= delta_1 < 1, "delta_1 must lie in [0, 1)")
     _require(epsilon >= 0, "epsilon must be >= 0")
-    kl_bound = 2 * epsilon ** 2
-    assert kl_pilot_limit(epsilon) <= kl_bound + 1e-15
+    kl_bound = 2 * _square(epsilon)
+    _require(math.isfinite(kl_bound), "kl_bound = 2 eps^2 must be finite")
+    if kl_pilot_limit(epsilon) > kl_bound + 1e-15:
+        raise ArithmeticError(f"kl_pilot_limit({epsilon!r}) exceeds 2 eps^2")
     return CovertnessMargin(covert=epsilon <= delta_1 / math.sqrt(2),
                             kl_bound=kl_bound)
 

@@ -200,9 +200,9 @@ def test_criterion_6_sqrt_law_dichotomy(channel, config):
     detect_ok = sums[-1] < 0.5 and all(b < a for a, b in zip(sums, sums[1:]))
 
     c = solve_sqrt_law_coefficient(channel, 0.1)
-    rows = mc_sqrt_law(channel, config, c, [10_000],
+    rows = mc_sqrt_law(channel, c, [10_000],
                        McConfig(trials=4000, base_seed=25))
-    rows += mc_sqrt_law(channel, config, c, [100_000],
+    rows += mc_sqrt_law(channel, c, [100_000],
                         McConfig(trials=1500, base_seed=26))
     covert_ok = all(r.one_minus_sum <= 0.1 + 3 * r.std_error for r in rows)
 

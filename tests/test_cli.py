@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from covertpilot import cli
 
 
@@ -207,6 +209,20 @@ class TestMc:
         doc = json.loads(out.read_text())
         assert abs(doc["point_estimate"] - (-1.0)) <= 0.15
         assert len(doc["table"]) == 9
+
+    @pytest.mark.parametrize("argv, constraint", [
+        (["--target", "pilot-kl", "--epsilon", "1e200"], "1 - q"),
+        (["--target", "pilot-kl", "--epsilon", "1e150"], "1 - q"),
+        (["--target", "estimator", "--epsilon", "1e200"],
+         "|(1+eps) h_w|^2"),
+        (["--target", "pilot-kl", "--sigma-w-sq", "1e-18"],
+         "numerically positive definite"),
+    ])
+    def test_out_of_domain_inputs_exit_1(self, argv, constraint, capsys):
+        # each ends in a named ParameterError, never in a traceback
+        assert run_cli(["mc", "--trials", "100"] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and constraint in err
 
     def test_byte_determinism_across_threads(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

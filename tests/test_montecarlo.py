@@ -108,10 +108,10 @@ class TestCommDetection:
         se = math.hypot(rf.std_error, rm.std_error)
         assert abs(probs.sum - analytic) <= 3 * se + 1e-9
 
-    def test_determinism_across_threads(self, channel, config, attack):
+    def test_same_seed_gives_equal_results(self, channel, config, attack):
         mc = McConfig(trials=700, base_seed=4, n=300)
-        a, _ = mc_comm_error_probs(channel, attack, config, mc, threads=1)
-        b, _ = mc_comm_error_probs(channel, attack, config, mc, threads=4)
+        a, _ = mc_comm_error_probs(channel, attack, config, mc)
+        b, _ = mc_comm_error_probs(channel, attack, config, mc)
         assert a == b
 
     def test_split_runs_merge_to_serial(self, channel, config, attack):
@@ -142,12 +142,12 @@ class TestCommDetection:
         assert serial.p_f == fa / (2 * CHUNK)
         assert serial.p_m == md / (2 * CHUNK)
 
-    def test_two_phase_determinism_across_threads(self, channel, config,
-                                                  attack):
+    def test_two_phase_same_seed_gives_equal_results(self, channel, config,
+                                                     attack):
         mc = McConfig(trials=1300, base_seed=19, n=300)
-        a = mc_comm_error_probs(channel, attack, config, mc, threads=1,
+        a = mc_comm_error_probs(channel, attack, config, mc,
                                 two_phase_pilot_len=16)
-        b = mc_comm_error_probs(channel, attack, config, mc, threads=3,
+        b = mc_comm_error_probs(channel, attack, config, mc,
                                 two_phase_pilot_len=16)
         assert a == b
 
@@ -220,10 +220,10 @@ class TestPilotKl:
         # at this scaling the reference is far from the quadratic bound
         assert res.analytic_reference < kl_pilot_limit(0.5)
 
-    def test_threads_do_not_change_result(self, channel, attack):
+    def test_same_seed_gives_equal_results(self, channel, attack):
         mc = McConfig(trials=1500, base_seed=11)
-        a = mc_pilot_kl(channel, attack, 16, mc, threads=1)
-        b = mc_pilot_kl(channel, attack, 16, mc, threads=3)
+        a = mc_pilot_kl(channel, attack, 16, mc)
+        b = mc_pilot_kl(channel, attack, 16, mc)
         assert a == b
 
     def test_rejects_long_pilot(self, channel, attack):
@@ -280,34 +280,34 @@ class TestEstimatorError:
 
 
 class TestSqrtLaw:
-    def test_stays_under_calibrated_bound(self, channel, config):
+    def test_stays_under_calibrated_bound(self, channel):
         c = solve_sqrt_law_coefficient(channel, 0.05)
-        rows = mc_sqrt_law(channel, config, c, [10_000, 40_000],
+        rows = mc_sqrt_law(channel, c, [10_000, 40_000],
                            McConfig(trials=1500, base_seed=15))
         for r in rows:
             assert r.one_minus_sum <= 0.05 + 3 * r.std_error
 
-    def test_tiny_coefficient_keeps_blind_sum(self, channel, config):
-        rows = mc_sqrt_law(channel, config, 1e-4, [1000, 10_000],
+    def test_tiny_coefficient_keeps_blind_sum(self, channel):
+        rows = mc_sqrt_law(channel, 1e-4, [1000, 10_000],
                            McConfig(trials=400, base_seed=16))
         for r in rows:
             assert r.p_f + r.p_m >= 0.95
 
-    def test_super_sqrt_schedule_becomes_detectable(self, channel, config):
+    def test_super_sqrt_schedule_becomes_detectable(self, channel):
         # lambda_t = n^{-1/4} corresponds to c(n) = n^{1/4} in the c/sqrt(n)
         # parameterization; emulate by calling per-n with matched c
         sums = []
         for n in (1000, 10_000, 100_000):
             c = float(n) ** 0.25
-            row = mc_sqrt_law(channel, config, c, [n],
+            row = mc_sqrt_law(channel, c, [n],
                               McConfig(trials=300, base_seed=17))[0]
             assert row.lambda_t == pytest.approx(float(n) ** -0.25)
             sums.append(row.p_f + row.p_m)
         assert sums[-1] <= 0.01
         assert sums[0] >= sums[-1]
 
-    def test_reduced_sampler_matches_full_vectors(self, channel, config):
-        row = mc_sqrt_law(channel, config, 1.0, [AGREE_N],
+    def test_reduced_sampler_matches_full_vectors(self, channel):
+        row = mc_sqrt_law(channel, 1.0, [AGREE_N],
                           McConfig(trials=AGREE_REDUCED, base_seed=31))[0]
         reduced = (round(row.p_f * AGREE_REDUCED),
                    round(row.p_m * AGREE_REDUCED))
@@ -315,8 +315,8 @@ class TestSqrtLaw:
                                           seed=32)
         assert_tallies_agree(reduced, full, AGREE_REDUCED, AGREE_FULL)
 
-    def test_thread_determinism(self, channel, config):
+    def test_same_seed_gives_equal_results(self, channel):
         mc = McConfig(trials=600, base_seed=18)
-        a = mc_sqrt_law(channel, config, 0.3, [2000], mc, threads=1)
-        b = mc_sqrt_law(channel, config, 0.3, [2000], mc, threads=3)
+        a = mc_sqrt_law(channel, 0.3, [2000], mc)
+        b = mc_sqrt_law(channel, 0.3, [2000], mc)
         assert a == b

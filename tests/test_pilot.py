@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertpilot import (AttackParams, ChannelParams, ParameterError, Phase,
                          PilotHypothesis, SignalBlock, covertness_margin,
@@ -101,6 +106,66 @@ class TestCovertnessMargin:
 
     def test_bound_value(self):
         assert covertness_margin(0.2, 0.5).kl_bound == pytest.approx(0.08)
+
+    def test_bound_check_runs_under_optimize(self):
+        # python -O strips assert statements; the bound check must survive
+        import covertpilot
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(covertpilot.__file__)))
+        code = ("import covertpilot.pilot as p\n"
+                "p.kl_pilot_limit = lambda eps: 1.0\n"
+                "p.covertness_margin(0.1, 0.3)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert "ArithmeticError: kl_pilot_limit(0.1) exceeds" in proc.stderr
+
+
+# Rounding slack of the closed forms near eps = 0, where
+# 2 log(1+eps) - 1 + (1+eps)^-2 cancels to about 1e-16.
+CANCELLATION = 1e-15
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(eps=st.floats(min_value=0.0, max_value=1e300),
+       L=st.integers(min_value=1, max_value=16),
+       delta_1=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_closed_forms_in_range_or_parameter_error(channel, eps, L, delta_1):
+    # every finite eps >= 0 gives a documented value or a ParameterError,
+    # never an OverflowError, a math domain error or a NaN
+    attack = AttackParams(eps, 0.3)
+    pilot = make_pilot(L)
+
+    limit = kl_pilot_limit(eps)
+    assert math.isfinite(limit)
+    assert -CANCELLATION <= limit <= 2 * eps * eps + CANCELLATION
+
+    try:
+        exact = kl_pilot_exact(channel, attack, pilot)
+    except ParameterError:
+        pass
+    else:
+        assert math.isfinite(exact)
+        assert 0.0 <= exact <= limit + CANCELLATION
+
+    try:
+        margin = covertness_margin(eps, delta_1)
+    except ParameterError:
+        assert eps > 9e153           # 2 eps^2 overflows
+    else:
+        assert math.sqrt(margin.kl_bound / 2) == pytest.approx(eps, rel=1e-15)
+        assert margin.covert == (eps <= delta_1 / math.sqrt(2))
+
+    try:
+        covs = pilot_covariances(channel, attack, pilot)
+    except ParameterError:
+        pass
+    else:
+        for m in (covs.sigma0, covs.sigma1):
+            assert np.all(np.isfinite(m))
+            assert np.array_equal(m, m.conj().T)
+        assert np.all(np.diag(covs.sigma1).real >= np.diag(covs.sigma0).real)
 
 
 class TestMmse:
