@@ -14,14 +14,16 @@ Conventions
   ``E|z|^2 = s2``.
 * Synthesized data blocks satisfy the short-term power constraint
   exactly: ``(1/n) * ||x||^2 == power`` per block, not just on average.
-* All randomness flows through :func:`derive_rng`.  A draw depends only
-  on ``(seed, path)``, never on call order, thread count, or scheduling,
-  so parallel sweeps are reproducible.  Stream ids used by the synthesis
+* All randomness derives from ``SeedSequence(seed, spawn_key=path)``.
+  :func:`derive_rng` turns a path into a generator; the radiometer Monte
+  Carlo estimators key one counter-based ``Philox`` stream per run from
+  the path ``(STREAM_TRIAL,)`` and give trial ``i`` its own counter range
+  (see :mod:`covertpilot.montecarlo`).  A draw depends only on the seed,
+  its path and, for a counter-based trial, the trial index, never on call
+  order, thread count, or scheduling.  Stream ids used by the synthesis
   functions are the module constants ``STREAM_NOISE``, ``STREAM_ALICE``,
   ``STREAM_TROJAN``, ``STREAM_FADING_W``, ``STREAM_FADING_E``; callers
   can re-derive any component of a synthesized block from the same seed.
-  ``STREAM_TRIAL`` is the one stream of a reduced-sampler Monte Carlo
-  trial (see :mod:`covertpilot.montecarlo`).
 * Powers and variances are linear (watts), never dB.
 """
 

@@ -392,6 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point returning the process exit code."""
     args = build_parser().parse_args(argv)
     try:
+        _require(args.seed >= 0, "seed must be >= 0")
         return args.func(args)
     except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

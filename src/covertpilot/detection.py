@@ -291,8 +291,13 @@ def sqrt_law_bound(channel: ChannelParams, c: float, n: int) -> SqrtLawBound:
 
 def _sqrt_law_limit(channel: ChannelParams, c: float) -> float:
     s2 = channel.sigma_w_sq
+    try:
+        square = (channel.gain_w * c) ** 2
+    except OverflowError:
+        raise ParameterError("the square-root-law limit needs a finite "
+                             "(alpha_w^2 |h_w|^2 c)^2; c is too large") from None
     return channel.gain_w * c / (math.sqrt(2 * math.pi) * s2) \
-        * math.exp(-(channel.gain_w * c) ** 2 / (8 * s2 ** 2))
+        * math.exp(-square / (8 * s2 ** 2))
 
 
 def solve_sqrt_law_coefficient(channel: ChannelParams, target: float) -> float:

@@ -23,34 +23,47 @@ span of the first two axes leaves the law of ``z`` unchanged, so with
 where ``z1, z2 ~ CN(0, s2)``, ``R = ||z_rest||^2 ~ Gamma(n - 2, scale s2)``
 and ``rho``, the correlation of ``x_a`` and ``x_t``, has
 ``|rho|^2 ~ Beta(1, n - 1)`` and a uniform phase, all independent.  This
-is the law of the full simulation, not an approximation, drawn with about
-eight scalars per trial instead of ``6n`` normals.  In the two-phase mode
+is the law of the full simulation, not an approximation, drawn from at most
+nine uniforms per trial instead of ``6n`` normals.  In the two-phase mode
 the pilot observation enters the estimate only through
 ``s^H z_p ~ CN(0, s2 ||s||^2)``.  The full-vector simulation is kept in
 the test suite as the reference the reduced sampler is checked against.
 
 Reproducibility contract
 ------------------------
-* trial ``i`` of a run with ``base_seed`` draws all of its randomness
-  from streams ``derive_rng(base_seed, i, STREAM_*)``; a reduced-sampler
-  trial uses the single stream ``derive_rng(base_seed, i, STREAM_TRIAL)``
-  and draws, in this order:
+* The radiometer estimators draw from one counter-based stream per run:
+  numpy's ``Philox`` keyed by the two words
+  ``SeedSequence(base_seed, spawn_key=(STREAM_TRIAL,)).generate_state(2,
+  np.uint64)``.  Trial ``i`` owns the counter blocks ``[3i, 3i + 3)``,
+  i.e. the twelve 64-bit words ``[12i, 12i + 12)`` of that stream, so a
+  chunk starting at trial ``lo`` positions the generator with
+  ``advance(3 lo)`` and takes all of its words in one ``random_raw`` call.
+* Each word ``w`` becomes the uniform ``((w >> 12) + 0.5) 2^-52``, which
+  lies strictly inside (0, 1) and for which ``1 - u`` is exact.  Trial
+  ``i``'s uniforms ``u[0..11]`` are mapped by inversion, as array code:
 
-  1. ``standard_normal(4)``: real and imaginary parts of ``z1``, then of
-     ``z2``, in units of ``sqrt(s2 / 2)`` (``mc_sqrt_law``:
-     ``standard_normal(2)`` for ``z1`` only);
-  2. ``gamma(n - 2, s2)``: ``R`` (``mc_sqrt_law``: ``gamma(n - 1, s2)``,
-     its last draw);
-  3. ``beta(1, n - 1)``: ``|rho|^2``;
-  4. ``random()``: the phase of ``rho`` as a fraction of a turn;
-  5. two-phase mode only, ``standard_normal(2)``: real and imaginary
-     parts of ``s^H z_p`` in units of ``sqrt(s2 ||s||^2 / 2)``;
+  - ``u[0], u[1]``: ``z1 = sqrt(-s2 log u[0]) exp(2 pi i u[1])``
+    (Box-Muller);
+  - ``u[2], u[3]``: ``z2``, the same way (comm-detection only);
+  - ``u[4]``: the remainder ``R = s2 gammaincinv(k, u[4])`` with
+    ``k = n - 2`` (``mc_sqrt_law``: ``n - 1``); ``k = 0`` gives ``R = 0``;
+  - ``u[5]``: ``|rho|^2 = -expm1(log1p(-u[5]) / (n - 1))``, the inverse of
+    the Beta(1, n - 1) distribution function (comm-detection only);
+  - ``u[6]``: the phase of ``rho`` as a fraction of a turn (comm-detection
+    only);
+  - ``u[7], u[8]``: two-phase mode only, ``s^H z_p`` by Box-Muller with
+    variance ``s2 ||s||^2``;
+  - ``u[9..11]``: unused, held back so that the layout stays fixed.
 
-* trials run serially in fixed chunks of :data:`CHUNK`, and per-chunk
+  ``mc_sqrt_law`` restarts the stream at trial 0 for every block length.
+* ``mc_pilot_kl`` and ``mc_estimator_error`` draw trial ``i`` from the
+  streams ``derive_rng(base_seed, i, STREAM_*)``.
+* Trials run serially in fixed chunks of :data:`CHUNK`, and per-chunk
   results are reduced in chunk order,
 
-so results depend only on the parameters and seed, and runs over disjoint
-trial ranges merge to exactly the full run's answer.  Binomial tallies
+so results depend only on the parameters and seed, trial ``i`` depends
+only on ``(base_seed, i)``, and runs over disjoint trial ranges merge to
+exactly the full run's answer.  Binomial tallies
 report ``sqrt(p (1-p) / trials)`` standard errors; mean estimates report the
 sample standard deviation over trials divided by ``sqrt(trials)``.
 Standard errors are reported as NaN below 100 trials, where a normal
@@ -65,6 +78,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.special import gammaincinv
 
 from .channel import (STREAM_FADING_W, STREAM_NOISE, STREAM_TRIAL,
                       AttackParams, ChannelParams, ParameterError, Phase,
@@ -78,6 +92,8 @@ from .pilot import (DENSE_PILOT_MAX_LEN, _estimator_coefficient,
                     mmse_limit, pilot_covariances)
 
 CHUNK = 512
+BLOCKS_PER_TRIAL = 3                      # Philox counter blocks of one trial
+WORDS_PER_TRIAL = 4 * BLOCKS_PER_TRIAL    # four 64-bit words per block
 
 
 @dataclass(frozen=True)
@@ -137,6 +153,56 @@ def _run_chunked(trials: int, worker: Callable[[range], object]) -> list:
             for lo in range(0, trials, CHUNK)]
 
 
+def _trial_key(base_seed: int) -> np.ndarray:
+    """The two-word ``Philox`` key of a radiometer run."""
+    return np.random.SeedSequence(base_seed, spawn_key=(STREAM_TRIAL,)) \
+        .generate_state(2, np.uint64)
+
+
+def _trial_words(key: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Raw words of trials ``[lo, hi)``, one row of WORDS_PER_TRIAL per trial."""
+    bits = np.random.Philox(key=key)
+    bits.advance(BLOCKS_PER_TRIAL * lo)
+    return bits.random_raw((hi - lo, WORDS_PER_TRIAL))
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """``((w >> 12) + 0.5) 2^-52``: strictly inside (0, 1), with exact ``1 - u``."""
+    return ((words >> np.uint64(12)) + 0.5) * 2.0 ** -52
+
+
+def _complex_normal(u_mod: np.ndarray, u_arg: np.ndarray,
+                    var: float) -> np.ndarray:
+    """CN(0, var) by Box-Muller: ``|z|^2 = -var log u_mod``, phase ``2 pi u_arg``."""
+    return np.sqrt(-var * np.log(u_mod)) * np.exp(2j * np.pi * u_arg)
+
+
+def _gamma_remainder(u: np.ndarray, shape: int, s2: float) -> np.ndarray:
+    """Gamma(shape, scale s2) by inversion; shape 0 is the point mass at 0."""
+    if shape == 0:
+        return np.zeros_like(u)
+    return s2 * gammaincinv(shape, u)
+
+
+def _radiometer_tally(base_seed: int, trials: int,
+                      statistics: Callable[[np.ndarray], tuple]
+                      ) -> tuple[int, int]:
+    """False alarms and misses of a radiometer run, reduced in chunk order.
+
+    ``statistics`` maps one chunk's uniforms, shape (trials, WORDS_PER_TRIAL),
+    to the statistic without and with the trojan and the threshold(s).
+    """
+    key = _trial_key(base_seed)
+
+    def worker(chunk: range) -> tuple[int, int]:
+        u = _uniforms(_trial_words(key, chunk.start, chunk.stop))
+        t0, t1, thr = statistics(u)
+        return int(np.count_nonzero(t0 > thr)), int(np.count_nonzero(t1 < thr))
+
+    fa, md = map(sum, zip(*_run_chunked(trials, worker)))
+    return fa, md
+
+
 def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
                         config: SystemConfig, mc: McConfig,
                         tau: float | None = None,
@@ -171,45 +237,31 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
     tau_fixed = tau if tau is not None else tau_eps(channel, attack)
     root_a = a_w * math.sqrt(n * config.lambda_a)
     d = a_w * h * math.sqrt(n * attack.lambda_t)
-    sd = math.sqrt(s2 / 2)
     if two_phase_pilot_len is not None:
         energy = _pilot_energy(make_pilot(two_phase_pilot_len))
         weight = _estimator_coefficient(channel, energy)
         pilot_mean = a_w * h * (1 + attack.epsilon) * energy
-        pilot_sd = math.sqrt(s2 * energy / 2)
 
-    def draw(i: int) -> tuple:
-        rng = derive_rng(mc.base_seed, i, STREAM_TRIAL)
-        g = rng.standard_normal(4) * sd
-        rest = rng.gamma(n - 2, s2)
-        rho_sq = rng.beta(1, n - 1)
-        angle = 2 * math.pi * rng.random()
+    def statistics(u: np.ndarray) -> tuple:
+        z1 = _complex_normal(u[:, 0], u[:, 1], s2)
+        z2 = _complex_normal(u[:, 2], u[:, 3], s2)
+        rest = _gamma_remainder(u[:, 4], n - 2, s2)
+        log_q = np.log1p(-u[:, 5]) / (n - 1)          # log(1 - |rho|^2)
+        rho = np.sqrt(-np.expm1(log_q)) * np.exp(2j * np.pi * u[:, 6])
         if two_phase_pilot_len is None:
-            return g, rest, rho_sq, angle, h_hat_limit
-        gp = rng.standard_normal(2) * pilot_sd
-        return g, rest, rho_sq, angle, weight * (pilot_mean
-                                                 + complex(gp[0], gp[1]))
-
-    def worker(chunk: range) -> tuple[int, int]:
-        trials = [draw(i) for i in chunk]
-        if two_phase_pilot_len is None or tau is not None:
-            thresholds = [tau_fixed] * len(trials)
+            h_hat = h_hat_limit
         else:
-            thresholds = tau_dagger(channel, [t[-1] for t in trials],
-                                    attack.lambda_t, n).tolist()
-        fa = md = 0
-        for (g, rest, rho_sq, angle, h_hat), thr in zip(trials, thresholds):
-            u = root_a * (h - h_hat) + complex(g[0], g[1])
-            w = complex(g[2], g[3])
-            rho = math.sqrt(rho_sq) * complex(math.cos(angle), math.sin(angle))
-            t0 = (abs(u) ** 2 + abs(w) ** 2 + rest) / n
-            t1 = (abs(u + d * rho) ** 2
-                  + abs(w + d * math.sqrt(1 - rho_sq)) ** 2 + rest) / n
-            fa += t0 > thr
-            md += t1 < thr
-        return fa, md
+            h_hat = weight * (pilot_mean
+                              + _complex_normal(u[:, 7], u[:, 8], s2 * energy))
+        thr = tau_fixed if two_phase_pilot_len is None or tau is not None \
+            else tau_dagger(channel, h_hat, attack.lambda_t, n)
+        a = root_a * (h - h_hat) + z1
+        t0 = (np.abs(a) ** 2 + np.abs(z2) ** 2 + rest) / n
+        t1 = (np.abs(a + d * rho) ** 2
+              + np.abs(z2 + d * np.exp(log_q / 2)) ** 2 + rest) / n
+        return t0, t1, thr
 
-    fa, md = map(sum, zip(*_run_chunked(mc.trials, worker)))
+    fa, md = _radiometer_tally(mc.base_seed, mc.trials, statistics)
     p_f, p_m = fa / mc.trials, md / mc.trials
 
     if config.block_len != n:
@@ -322,34 +374,26 @@ def mc_sqrt_law(channel: ChannelParams, c: float, n_grid: Sequence[int],
     _require(c > 0, "c must be > 0")
     a_w = math.sqrt(channel.alpha_w_sq)
     s2 = channel.sigma_w_sq
-    sd = math.sqrt(s2 / 2)
     h = channel.h_w
     rows = []
     for n in n_grid:
         n = int(n)
+        bound = sqrt_law_bound(channel, c, n)    # rejects c and n before drawing
         lt = c / math.sqrt(n)
         tau = tau_dagger(channel, h, lt, n)
         d = a_w * h * math.sqrt(n * lt)
 
-        def worker(chunk: range) -> tuple[int, int]:
+        def statistics(u: np.ndarray) -> tuple:
             # reduced sampler with x_t on the first axis: z1, then R
-            fa = md = 0
-            for i in chunk:
-                rng = derive_rng(mc.base_seed, i, STREAM_TRIAL)
-                g = rng.standard_normal(2) * sd
-                rest = rng.gamma(n - 1, s2)
-                z1 = complex(g[0], g[1])
-                t0 = (abs(z1) ** 2 + rest) / n
-                t1 = (abs(d + z1) ** 2 + rest) / n
-                fa += t0 > tau
-                md += t1 < tau
-            return fa, md
+            z1 = _complex_normal(u[:, 0], u[:, 1], s2)
+            rest = _gamma_remainder(u[:, 4], n - 1, s2)
+            return (np.abs(z1) ** 2 + rest) / n, \
+                (np.abs(d + z1) ** 2 + rest) / n, tau
 
-        fa, md = map(sum, zip(*_run_chunked(mc.trials, worker)))
+        fa, md = _radiometer_tally(mc.base_seed, mc.trials, statistics)
         p_f, p_m = fa / mc.trials, md / mc.trials
         se = math.hypot(_std_error_binomial(p_f, mc.trials),
                         _std_error_binomial(p_m, mc.trials))
-        bound = sqrt_law_bound(channel, c, n)
         rows.append(SqrtLawRow(n=n, lambda_t=lt, p_f=p_f, p_m=p_m,
                                one_minus_sum=1 - p_f - p_m, std_error=se,
                                bound=bound.finite_n, bound_limit=bound.limit))

@@ -217,6 +217,9 @@ class TestMc:
          "|(1+eps) h_w|^2"),
         (["--target", "pilot-kl", "--sigma-w-sq", "1e-18"],
          "numerically positive definite"),
+        (["--target", "comm-detection", "--seed", "-1"],
+         "seed must be >= 0"),
+        (["--target", "sqrtlaw", "--c", "1e300"], "c is too large"),
     ])
     def test_out_of_domain_inputs_exit_1(self, argv, constraint, capsys):
         # each ends in a named ParameterError, never in a traceback
@@ -241,6 +244,12 @@ class TestVerify:
         assert "FAIL" not in out
         for suite in ("kl", "mmse", "threshold", "regimes", "sqrtlaw"):
             assert f"{suite}/" in out
+
+    def test_negative_seed_exits_1(self, capsys):
+        assert run_cli(["verify", "--suite", "regimes", "--seed", "-3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "seed must be >= 0" in err
 
     def test_failing_suite_exits_3(self, capsys, monkeypatch):
         from covertpilot import verification

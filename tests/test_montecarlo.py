@@ -1,8 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import beta, chndtr, gammainc, gammaincinv
 
 from covertpilot import (AttackParams, McConfig, ParameterError, SignalBlock,
                          derive_rng, gaussian_input, kl_pilot_limit,
@@ -14,7 +17,9 @@ from covertpilot.channel import (STREAM_ALICE, STREAM_NOISE,
                                  STREAM_PILOT_NOISE, STREAM_TRIAL,
                                  STREAM_TROJAN, Phase, PilotHypothesis,
                                  complex_normal)
-from covertpilot.montecarlo import CHUNK
+from covertpilot.montecarlo import (BLOCKS_PER_TRIAL, CHUNK, WORDS_PER_TRIAL,
+                                    _radiometer_tally, _trial_key,
+                                    _trial_words, _uniforms)
 
 
 # Full-vector reference simulations: every trial synthesizes the length-n
@@ -85,6 +90,32 @@ def assert_tallies_agree(reduced, full, trials_reduced, trials_full):
 AGREE_N, AGREE_REDUCED, AGREE_FULL = 40, 20_000, 5_000
 
 
+def exact_comm_error_probs(channel, attack, config, n, tau):
+    """Exact (P_F, P_M) of the injected-limit radiometer test at block length n.
+
+    ``(2/s2) n t0`` is noncentral chi2(2n, 2|c|^2/s2).  Given rho, ``(2/s2)
+    n t1`` is noncentral chi2(2n, lambda(u)) with
+    ``lambda(u) = 2(|c|^2 + |d|^2 + 2|c||d| u) / s2``, where
+    ``u = Re(rho e^{i phi})`` has density proportional to
+    ``(1 - u^2)^(n - 3/2)`` on [-1, 1]; P_M integrates over u.
+    """
+    s2 = channel.sigma_w_sq
+    a_w = math.sqrt(channel.alpha_w_sq)
+    h = channel.h_w
+    c = abs(a_w * (h - (1 + attack.epsilon) * h)) \
+        * math.sqrt(n * config.lambda_a)
+    d = abs(a_w * h) * math.sqrt(n * attack.lambda_t)
+    x = 2 * n * tau / s2
+    p_f = 1 - chndtr(x, 2 * n, 2 * c ** 2 / s2)
+
+    def miss_given_u(u):
+        lam = 2 * (c ** 2 + d ** 2 + 2 * c * d * u) / s2
+        return chndtr(x, 2 * n, lam) * (1 - u * u) ** (n - 1.5)
+
+    p_m = quad(miss_given_u, -1, 1)[0] / beta(0.5, n - 0.5)
+    return p_f, p_m
+
+
 class TestCommDetection:
     def test_huge_threshold_never_alarms(self, channel, config, attack):
         mc = McConfig(trials=200, base_seed=1, n=500)
@@ -116,8 +147,9 @@ class TestCommDetection:
 
     def test_split_runs_merge_to_serial(self, channel, config, attack):
         # two workers with disjoint trial ranges reproduce the serial tally
-        # because every trial owns its seed path; the oracle recomputes each
-        # trial from its stream in the documented draw order
+        # because trial i owns the counter blocks [3i, 3i + 3); the oracle
+        # draws each trial alone and maps its words as documented, with the
+        # package's numpy operations on length-1 arrays
         n = 300
         mc_all = McConfig(trials=2 * CHUNK, base_seed=5, n=n)
         serial, _ = mc_comm_error_probs(channel, attack, config, mc_all)
@@ -126,19 +158,27 @@ class TestCommDetection:
         s2 = channel.sigma_w_sq
         a_w = math.sqrt(channel.alpha_w_sq)
         h_hat = (1 + attack.epsilon) * channel.h_w
-        c = a_w * (channel.h_w - h_hat) * math.sqrt(n * config.lambda_a)
+        c = a_w * math.sqrt(n * config.lambda_a) * (channel.h_w - h_hat)
         d = a_w * channel.h_w * math.sqrt(n * attack.lambda_t)
+        key = np.random.SeedSequence(5, spawn_key=(STREAM_TRIAL,)) \
+            .generate_state(2, np.uint64)
         fa = md = 0
         for i in range(2 * CHUNK):
-            rng = derive_rng(5, i, STREAM_TRIAL)
-            re1, im1, re2, im2 = rng.standard_normal(4) * math.sqrt(s2 / 2)
-            rest = rng.gamma(n - 2, s2)
-            rho_sq = rng.beta(1, n - 1)
-            rho = math.sqrt(rho_sq) * np.exp(2j * np.pi * rng.random())
-            u, w = c + complex(re1, im1), complex(re2, im2)
-            fa += (abs(u) ** 2 + abs(w) ** 2 + rest) / n > tau
-            md += (abs(u + d * rho) ** 2
-                   + abs(w + d * math.sqrt(1 - rho_sq)) ** 2 + rest) / n < tau
+            bits = np.random.Philox(key=key)
+            bits.advance(3 * i)
+            u = ((bits.random_raw(12) >> np.uint64(12)) + 0.5) * 2.0 ** -52
+            col = [u[k:k + 1] for k in range(12)]
+            z1 = np.sqrt(-s2 * np.log(col[0])) * np.exp(2j * np.pi * col[1])
+            z2 = np.sqrt(-s2 * np.log(col[2])) * np.exp(2j * np.pi * col[3])
+            rest = s2 * gammaincinv(n - 2, col[4])
+            log_q = np.log1p(-col[5]) / (n - 1)
+            rho = np.sqrt(-np.expm1(log_q)) * np.exp(2j * np.pi * col[6])
+            a = c + z1
+            t0 = (np.abs(a) ** 2 + np.abs(z2) ** 2 + rest) / n
+            t1 = (np.abs(a + d * rho) ** 2
+                  + np.abs(z2 + d * np.exp(log_q / 2)) ** 2 + rest) / n
+            fa += int(t0[0] > tau)
+            md += int(t1[0] < tau)
         assert serial.p_f == fa / (2 * CHUNK)
         assert serial.p_m == md / (2 * CHUNK)
 
@@ -176,6 +216,39 @@ class TestCommDetection:
                                       AGREE_FULL, seed=30, pilot_len=4)
         assert_tallies_agree(reduced, full, AGREE_REDUCED, AGREE_FULL)
 
+    def test_matches_exact_finite_n_probabilities(self, channel, config,
+                                                  attack):
+        # the exact law resolves the input-correlation term rho, which the
+        # full-vector agreement tests at n = 40 cannot
+        n, trials = AGREE_N, 100_000
+        config = replace(config, pilot_len=4, block_len=n)
+        probs, _ = mc_comm_error_probs(channel, attack, config,
+                                       McConfig(trials=trials, base_seed=33,
+                                                n=n))
+        exact = exact_comm_error_probs(channel, attack, config, n,
+                                       tau_eps(channel, attack))
+        assert exact[1] == pytest.approx(0.0831, abs=5e-5)
+        for p_mc, p in zip((probs.p_f, probs.p_m), exact):
+            assert abs(p_mc - p) <= 4 * math.sqrt(p * (1 - p) / trials), \
+                (p_mc, p)
+
+    def test_two_symbol_block_gives_finite_probabilities(self, channel,
+                                                         config, attack):
+        # n = 2 leaves no remainder (Gamma shape 0), where scipy's
+        # gammaincinv would return NaN
+        config = replace(config, pilot_len=1, block_len=2)
+        mc = McConfig(trials=600, base_seed=34, n=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for pilot_len in (None, 1):
+                probs, results = mc_comm_error_probs(
+                    channel, attack, config, mc,
+                    two_phase_pilot_len=pilot_len)
+                assert all(math.isfinite(r.std_error)
+                           and math.isfinite(r.analytic_reference)
+                           for r in results)
+                assert 0 <= probs.p_f <= 1 and 0 <= probs.p_m <= 1
+
     def test_two_phase_simulation_reproduces_saturated_regimes(self, channel,
                                                                config):
         # with a long finite pilot the full two-phase run lands in the same
@@ -197,6 +270,38 @@ class TestCommDetection:
         mc = McConfig(trials=50, base_seed=7, n=200)
         _, (rf, rm) = mc_comm_error_probs(channel, attack, config, mc)
         assert math.isnan(rf.std_error) and math.isnan(rm.std_error)
+
+
+class TestTrialKernel:
+    def test_chunked_words_equal_one_serial_stream(self):
+        trials = 2 * CHUNK + 7
+        key = _trial_key(5)
+        serial = np.random.Philox(key=key).random_raw(trials * WORDS_PER_TRIAL)
+        chunked = [_trial_words(key, lo, min(lo + CHUNK, trials))
+                   for lo in range(0, trials, CHUNK)]
+        assert WORDS_PER_TRIAL == 4 * BLOCKS_PER_TRIAL
+        assert np.array_equal(np.concatenate(chunked).ravel(), serial)
+
+        seen = []
+
+        def record(u):
+            # every statistic below the threshold: no alarm, all misses
+            seen.append(u)
+            return u[:, 0], u[:, 0], 1.0
+
+        assert _radiometer_tally(5, trials, record) == (0, trials)
+        assert [len(u) for u in seen] == [CHUNK, CHUNK, 7]
+        assert np.array_equal(np.concatenate(seen).ravel(), _uniforms(serial))
+
+    @pytest.mark.parametrize("a", [1, 38, 254, 9998, 10 ** 6])
+    def test_gammaincinv_round_trip(self, a):
+        words = np.concatenate([np.array([0, 2 ** 64 - 1], dtype=np.uint64),
+                                _trial_words(_trial_key(0), 0, 100).ravel()])
+        u = _uniforms(words)
+        assert 0 < u.min() and u.max() < 1
+        x = gammaincinv(a, u)
+        assert np.all(np.isfinite(x))
+        assert np.max(np.abs(gammainc(a, x) - u)) <= 1e-12
 
 
 class TestPilotKl:
