@@ -11,9 +11,10 @@ the attack plants a multiplicative error the monitor cannot see.
 import math
 
 from covertpilot import (AttackParams, ChannelParams, McConfig, Phase,
-                         PilotHypothesis, SignalBlock, make_pilot,
+                         PilotHypothesis, SignalBlock, derive_rng, make_pilot,
                          mc_estimator_error, mmse_estimate, mmse_limit,
-                         synthesize_received, SystemConfig, link_capacity)
+                         SystemConfig, link_capacity)
+from covertpilot.channel import complex_normal
 
 channel = ChannelParams(alpha_w_sq=0.1, alpha_e_sq=0.1, sigma_w_sq=0.1,
                         sigma_e_sq=0.1, sigma_h_sq=1.0, h_w=1 + 0j, h_e=1 + 0j)
@@ -43,9 +44,11 @@ print(f"{'limit':>6} {1.0:>20.6f} {1 + attack.epsilon:>21.6f}")
 ##############################################################################
 # With noise, one realization: the estimate lands near the corrupted limit.
 
-rec = synthesize_received(config, channel, attack, Phase.ESTIMATION,
-                          pilot_hypothesis=PilotHypothesis.H1, seed=7)
-h_hat = mmse_estimate(channel, make_pilot(config.pilot_len), rec, attack).h_hat
+pilot = make_pilot(config.pilot_len)
+y = a_w * channel.h_w * (1 + attack.epsilon) * pilot.samples \
+    + complex_normal(derive_rng(7), config.pilot_len, channel.sigma_w_sq)
+rec = SignalBlock(y, Phase.ESTIMATION, pilot_hypothesis=PilotHypothesis.H1)
+h_hat = mmse_estimate(channel, pilot, rec, attack).h_hat
 print(f"\none noisy run, L = {config.pilot_len}: h_hat = {h_hat:.4f}, "
       f"corrupted limit = {mmse_limit(channel, attack, PilotHypothesis.H1)}")
 

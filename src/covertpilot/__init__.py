@@ -11,34 +11,32 @@ cross-validate every analytic claim, plus a CLI for sweeps and
 verification suites.
 """
 
-from .channel import (AttackParams, ChannelParams, CommHypothesis,
-                      ParameterError, Phase, PilotHypothesis, SignalBlock,
-                      SystemConfig, alice_input, derive_rng, gaussian_input,
-                      link_capacity, make_pilot, sample_fading,
-                      synthesize_received, trojan_input)
+from .channel import (AttackParams, ChannelParams, ParameterError, Phase,
+                      PilotHypothesis, SignalBlock, SystemConfig, derive_rng,
+                      gaussian_input, link_capacity, make_pilot,
+                      sample_fading)
 from .detection import (Conditioning, Regime, RegimeError,
                         analytic_error_probs, classify_regime,
-                        radiometer_statistic, solve_sqrt_law_coefficient,
-                        sqrt_law_bound, tail_bound_sum, tau_dagger, tau_eps)
+                        solve_sqrt_law_coefficient, sqrt_law_bound,
+                        tail_bound_sum, tau_dagger, tau_eps)
 from .montecarlo import (McConfig, mc_comm_error_probs, mc_estimator_error,
                          mc_pilot_kl, mc_sqrt_law)
 from .pilot import (covertness_margin, kl_pilot_exact, kl_pilot_limit,
-                    mmse_estimate, mmse_limit, pilot_covariances)
+                    mmse_estimate, mmse_limit)
 from .rates import (attack_feasibility, power_scaling_table,
                     solve_lambda_star, willie_sinr)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackParams", "ChannelParams", "CommHypothesis", "Conditioning",
-    "McConfig", "ParameterError", "Phase", "PilotHypothesis", "Regime",
-    "RegimeError", "SignalBlock", "SystemConfig", "alice_input",
-    "analytic_error_probs", "attack_feasibility", "classify_regime",
-    "covertness_margin", "derive_rng", "gaussian_input", "kl_pilot_exact",
-    "kl_pilot_limit", "link_capacity", "make_pilot", "mc_comm_error_probs",
+    "AttackParams", "ChannelParams", "Conditioning", "McConfig",
+    "ParameterError", "Phase", "PilotHypothesis", "Regime", "RegimeError",
+    "SignalBlock", "SystemConfig", "analytic_error_probs",
+    "attack_feasibility", "classify_regime", "covertness_margin",
+    "derive_rng", "gaussian_input", "kl_pilot_exact", "kl_pilot_limit",
+    "link_capacity", "make_pilot", "mc_comm_error_probs",
     "mc_estimator_error", "mc_pilot_kl", "mc_sqrt_law", "mmse_estimate",
-    "mmse_limit", "pilot_covariances", "power_scaling_table",
-    "radiometer_statistic", "sample_fading", "solve_lambda_star",
-    "solve_sqrt_law_coefficient", "sqrt_law_bound", "synthesize_received",
-    "tail_bound_sum", "tau_dagger", "tau_eps", "trojan_input", "willie_sinr",
+    "mmse_limit", "power_scaling_table", "sample_fading", "solve_lambda_star",
+    "solve_sqrt_law_coefficient", "sqrt_law_bound", "tail_bound_sum",
+    "tau_dagger", "tau_eps", "willie_sinr",
 ]

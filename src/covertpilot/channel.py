@@ -15,15 +15,16 @@ Conventions
 * Synthesized data blocks satisfy the short-term power constraint
   exactly: ``(1/n) * ||x||^2 == power`` per block, not just on average.
 * All randomness derives from ``SeedSequence(seed, spawn_key=path)``.
-  :func:`derive_rng` turns a path into a generator; the radiometer Monte
-  Carlo estimators key one counter-based ``Philox`` stream per run from
-  the path ``(STREAM_TRIAL,)`` and give trial ``i`` its own counter range
+  :func:`derive_rng` turns a path into a generator, which
+  :func:`sample_fading` draws from (paths ``(STREAM_FADING_W,)`` and
+  ``(STREAM_FADING_E,)`` for :meth:`ChannelParams.sample`); every Monte
+  Carlo estimator keys one counter-based ``Philox`` stream per run from
+  the path ``(STREAM_TRIAL,)`` and gives trial ``i`` its own counter range
   (see :mod:`covertpilot.montecarlo`).  A draw depends only on the seed,
   its path and, for a counter-based trial, the trial index, never on call
-  order, thread count, or scheduling.  Stream ids used by the synthesis
-  functions are the module constants ``STREAM_NOISE``, ``STREAM_ALICE``,
-  ``STREAM_TROJAN``, ``STREAM_FADING_W``, ``STREAM_FADING_E``; callers
-  can re-derive any component of a synthesized block from the same seed.
+  order, thread count, or scheduling.  :func:`complex_normal` and
+  :func:`gaussian_input` are the synthesis primitives the test suite
+  builds its full-vector reference simulation from.
 * Powers and variances are linear (watts), never dB.
 """
 
@@ -41,14 +42,11 @@ class ParameterError(ValueError):
     """A parameter is outside the domain an operation is defined on."""
 
 
-# Sub-stream labels for derive_rng; fixed so that results are reproducible
-# across versions and so callers can reconstruct individual components.
-STREAM_NOISE = 0
-STREAM_ALICE = 1
-STREAM_TROJAN = 2
+# Sub-stream labels of SeedSequence paths; fixed so that results are
+# reproducible across versions.  Labels 0-2 and 5 belong to the full-vector
+# reference simulation of the test suite.
 STREAM_FADING_W = 3
 STREAM_FADING_E = 4
-STREAM_PILOT_NOISE = 5
 STREAM_TRIAL = 6
 
 
@@ -70,13 +68,6 @@ class Phase(Enum):
 
 class PilotHypothesis(Enum):
     """Estimation-phase hypotheses: pilot unmodified (H0) or scaled by 1+eps (H1)."""
-
-    H0 = "h0"
-    H1 = "h1"
-
-
-class CommHypothesis(Enum):
-    """Communication-phase hypotheses: trojan silent (H0) or transmitting (H1)."""
 
     H0 = "h0"
     H1 = "h1"
@@ -295,68 +286,3 @@ def make_pilot(pilot_len: int, pilot_power: float = 1.0) -> SignalBlock:
     _require(pilot_power > 0, "pilot_power must be > 0")
     s = np.full(pilot_len, math.sqrt(pilot_power), dtype=np.complex128)
     return SignalBlock(s, Phase.ESTIMATION)
-
-
-def alice_input(config: SystemConfig, seed: int) -> SignalBlock:
-    """Legitimate data block of exact power lambda_a (stream STREAM_ALICE)."""
-    x = gaussian_input(config.block_len, config.lambda_a,
-                       derive_rng(seed, STREAM_ALICE))
-    return SignalBlock(x, Phase.COMMUNICATION)
-
-
-def trojan_input(config: SystemConfig, attack: AttackParams,
-                 seed: int) -> SignalBlock:
-    """Trojan data block of exact power lambda_t (stream STREAM_TROJAN)."""
-    x = gaussian_input(config.block_len, attack.lambda_t,
-                       derive_rng(seed, STREAM_TROJAN))
-    return SignalBlock(x, Phase.COMMUNICATION)
-
-
-def synthesize_received(config: SystemConfig, channel: ChannelParams,
-                        attack: AttackParams, phase: Phase,
-                        pilot_hypothesis: PilotHypothesis | None = None,
-                        comm_hypothesis: CommHypothesis | None = None,
-                        seed: int = 0,
-                        pilot: SignalBlock | None = None) -> SignalBlock:
-    """Synthesize the monitoring receiver's observation for one block.
-
-    Estimation phase (``pilot_hypothesis`` required)::
-
-        y = alpha_w * h_w * (1 + eps * 1{H1}) * s  +  z
-
-    Communication phase (``comm_hypothesis`` required)::
-
-        y = alpha_w * h_w * x_a  (+ alpha_w * h_w * x_t under H1)  +  z
-
-    with ``z`` i.i.d. CN(0, sigma_w_sq) from stream ``STREAM_NOISE`` and
-    ``x_a``/``x_t`` exact-power Gaussian inputs from ``STREAM_ALICE`` /
-    ``STREAM_TROJAN``.  Pure function of its arguments: identical inputs
-    give bit-identical blocks.
-    """
-    a_w = math.sqrt(channel.alpha_w_sq)
-    if phase is Phase.ESTIMATION:
-        _require(pilot_hypothesis is not None,
-                 "estimation phase needs a pilot hypothesis")
-        _require(comm_hypothesis is None,
-                 "estimation phase carries no communication hypothesis")
-        s = pilot if pilot is not None else make_pilot(config.pilot_len)
-        _require(s.phase is Phase.ESTIMATION, "pilot block must be estimation phase")
-        scale = 1.0 + (attack.epsilon if pilot_hypothesis is PilotHypothesis.H1
-                       else 0.0)
-        z = complex_normal(derive_rng(seed, STREAM_NOISE), len(s),
-                           channel.sigma_w_sq)
-        y = a_w * channel.h_w * scale * s.samples + z
-        return SignalBlock(y, Phase.ESTIMATION, pilot_hypothesis=pilot_hypothesis)
-
-    _require(comm_hypothesis is not None,
-             "communication phase needs a communication hypothesis")
-    _require(pilot is None, "communication phase takes no pilot")
-    n = config.block_len
-    x_a = alice_input(config, seed)
-    z = complex_normal(derive_rng(seed, STREAM_NOISE), n, channel.sigma_w_sq)
-    y = a_w * channel.h_w * x_a.samples + z
-    if comm_hypothesis is CommHypothesis.H1:
-        x_t = trojan_input(config, attack, seed)
-        y = y + a_w * channel.h_w * x_t.samples
-    return SignalBlock(y, Phase.COMMUNICATION,
-                       pilot_hypothesis=pilot_hypothesis)

@@ -45,7 +45,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincc
 from scipy.optimize import brentq
 
-from .channel import (AttackParams, ChannelParams, ParameterError, SignalBlock,
+from .channel import (AttackParams, ChannelParams, ParameterError,
                       SystemConfig, _require)
 
 
@@ -115,18 +115,6 @@ class SqrtLawBound(NamedTuple):
 
     finite_n: float
     limit: float
-
-
-def radiometer_statistic(received: SignalBlock | np.ndarray,
-                         x_a: SignalBlock | np.ndarray,
-                         h_hat: complex, channel: ChannelParams) -> float:
-    """Residual power after cancelling the legitimate signal with h_hat."""
-    y = received.samples if isinstance(received, SignalBlock) else np.asarray(received)
-    x = x_a.samples if isinstance(x_a, SignalBlock) else np.asarray(x_a)
-    _require(y.shape == x.shape and y.ndim == 1 and y.size >= 1,
-             "received and x_a must be equal-length vectors")
-    v = y - math.sqrt(channel.alpha_w_sq) * h_hat * x
-    return float(np.mean(np.abs(v) ** 2))
 
 
 def _threshold(b, x, s2):
@@ -308,7 +296,13 @@ def solve_sqrt_law_coefficient(channel: ChannelParams, target: float) -> float:
     """
     _require(0 < target < 1, "target must lie in (0, 1)")
     _require(channel.gain_w > 0, "needs a nonzero link gain")
-    m = channel.gain_w ** 2 / (8 * channel.sigma_w_sq ** 2)
+    try:
+        m = channel.gain_w ** 2 / (8 * channel.sigma_w_sq ** 2)
+    except (OverflowError, ZeroDivisionError):   # a square over- or underflows
+        m = math.nan
+    _require(0 < m < math.inf,
+             "solving for c needs (alpha_w^2 |h_w|^2)^2 / (8 sigma_w^4) "
+             "finite and > 0")
     c_peak = 1 / math.sqrt(2 * m)
     peak = _sqrt_law_limit(channel, c_peak)
     if target >= peak:

@@ -1,10 +1,13 @@
 """Monte Carlo estimation of every analytic quantity in the package.
 
-Each estimator is the independent cross-check for the corresponding
-closed form.  ``mc_pilot_kl`` and ``mc_estimator_error`` simulate actual
-pilot observation vectors.  The radiometer estimators
-(``mc_comm_error_probs``, ``mc_sqrt_law``) use an exact reduced-dimension
-sampler instead of length-n vectors.
+Each estimator is the cross-check for the corresponding closed form.
+None simulates length-n vectors: each draws the few scalars its statistic
+depends on, which gives the law of the full simulation exactly.  The pilot
+estimators (``mc_pilot_kl``, ``mc_estimator_error``) need only ``s^H y``:
+the two received-pilot covariances differ along the pilot alone, so both
+the log-likelihood ratio and the MMSE estimate see ``y`` through that one
+inner product.  The radiometer estimators (``mc_comm_error_probs``,
+``mc_sqrt_law``) use the reduced sampler below.
 
 Reduced sampler
 ---------------
@@ -26,12 +29,13 @@ and ``rho``, the correlation of ``x_a`` and ``x_t``, has
 is the law of the full simulation, not an approximation, drawn from at most
 nine uniforms per trial instead of ``6n`` normals.  In the two-phase mode
 the pilot observation enters the estimate only through
-``s^H z_p ~ CN(0, s2 ||s||^2)``.  The full-vector simulation is kept in
-the test suite as the reference the reduced sampler is checked against.
+``s^H z_p ~ CN(0, s2 ||s||^2)``.  The full-vector and dense-matrix
+simulations are kept in the test suite as the references every estimator
+is checked against.
 
 Reproducibility contract
 ------------------------
-* The radiometer estimators draw from one counter-based stream per run:
+* Every estimator draws from one counter-based stream per run:
   numpy's ``Philox`` keyed by the two words
   ``SeedSequence(base_seed, spawn_key=(STREAM_TRIAL,)).generate_state(2,
   np.uint64)``.  Trial ``i`` owns the counter blocks ``[3i, 3i + 3)``,
@@ -56,8 +60,14 @@ Reproducibility contract
   - ``u[9..11]``: unused, held back so that the layout stays fixed.
 
   ``mc_sqrt_law`` restarts the stream at trial 0 for every block length.
-* ``mc_pilot_kl`` and ``mc_estimator_error`` draw trial ``i`` from the
-  streams ``derive_rng(base_seed, i, STREAM_*)``.
+  The pilot estimators use the first words only:
+
+  - ``mc_pilot_kl``: ``u[0]``, the modulus ``|s^H y|^2 = -v log u[0]`` of
+    a Box-Muller draw of ``s^H y`` with ``v = (kappa_0 S + s2) S`` (its
+    phase does not enter the likelihood ratio);
+  - ``mc_estimator_error``: ``u[0], u[1]``, ``s^H z`` by Box-Muller with
+    variance ``s2 S``, shared by both hypotheses; the stream restarts at
+    trial 0 for every pilot length.
 * Trials run serially in fixed chunks of :data:`CHUNK`, and per-chunk
   results are reduced in chunk order,
 
@@ -77,19 +87,15 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import gammaincinv
 
-from .channel import (STREAM_FADING_W, STREAM_NOISE, STREAM_TRIAL,
-                      AttackParams, ChannelParams, ParameterError, Phase,
-                      PilotHypothesis, SignalBlock, SystemConfig, _require,
-                      complex_normal, derive_rng, make_pilot)
+from .channel import (STREAM_TRIAL, AttackParams, ChannelParams,
+                      PilotHypothesis, SystemConfig, _require, make_pilot)
 from .detection import (Conditioning, ErrorProbabilities,
                         analytic_error_probs, sqrt_law_bound, tau_dagger,
                         tau_eps)
-from .pilot import (DENSE_PILOT_MAX_LEN, _estimator_coefficient,
-                    _pilot_energy, _square, kl_pilot_exact, mmse_estimate,
-                    mmse_limit, pilot_covariances)
+from .pilot import (_estimator_coefficient, _pilot_energy, _square,
+                    kl_pilot_exact, mmse_limit)
 
 CHUNK = 512
 BLOCKS_PER_TRIAL = 3                      # Philox counter blocks of one trial
@@ -147,14 +153,8 @@ def _std_error_binomial(p: float, trials: int) -> float:
     return math.sqrt(p * (1 - p) / trials)
 
 
-def _run_chunked(trials: int, worker: Callable[[range], object]) -> list:
-    """Apply worker to fixed trial chunks; results come back in chunk order."""
-    return [worker(range(lo, min(lo + CHUNK, trials)))
-            for lo in range(0, trials, CHUNK)]
-
-
 def _trial_key(base_seed: int) -> np.ndarray:
-    """The two-word ``Philox`` key of a radiometer run."""
+    """The two-word ``Philox`` key of a Monte Carlo run."""
     return np.random.SeedSequence(base_seed, spawn_key=(STREAM_TRIAL,)) \
         .generate_state(2, np.uint64)
 
@@ -184,22 +184,34 @@ def _gamma_remainder(u: np.ndarray, shape: int, s2: float) -> np.ndarray:
     return s2 * gammaincinv(shape, u)
 
 
+def _pilot_estimate(channel: ChannelParams, scale: float, energy: float,
+                    noise: np.ndarray) -> np.ndarray:
+    """Linear-MMSE estimates of the gain from ``y = alpha_w scale h_w s + z``, given ``s^H z``."""
+    mean = math.sqrt(channel.alpha_w_sq) * channel.h_w * scale * energy
+    return _estimator_coefficient(channel, energy) * (mean + noise)
+
+
+def _per_chunk(base_seed: int, trials: int,
+               fn: Callable[[np.ndarray], object]) -> list:
+    """``fn`` of each chunk's uniforms, shape (trials, WORDS_PER_TRIAL), in chunk order."""
+    key = _trial_key(base_seed)
+    return [fn(_uniforms(_trial_words(key, lo, min(lo + CHUNK, trials))))
+            for lo in range(0, trials, CHUNK)]
+
+
 def _radiometer_tally(base_seed: int, trials: int,
                       statistics: Callable[[np.ndarray], tuple]
                       ) -> tuple[int, int]:
     """False alarms and misses of a radiometer run, reduced in chunk order.
 
-    ``statistics`` maps one chunk's uniforms, shape (trials, WORDS_PER_TRIAL),
-    to the statistic without and with the trojan and the threshold(s).
+    ``statistics`` maps one chunk's uniforms to the statistic without and
+    with the trojan and the threshold(s).
     """
-    key = _trial_key(base_seed)
-
-    def worker(chunk: range) -> tuple[int, int]:
-        u = _uniforms(_trial_words(key, chunk.start, chunk.stop))
+    def tally(u: np.ndarray) -> tuple[int, int]:
         t0, t1, thr = statistics(u)
         return int(np.count_nonzero(t0 > thr)), int(np.count_nonzero(t1 < thr))
 
-    fa, md = map(sum, zip(*_run_chunked(trials, worker)))
+    fa, md = map(sum, zip(*_per_chunk(base_seed, trials, tally)))
     return fa, md
 
 
@@ -230,17 +242,21 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
     """
     n = mc.n if mc.n is not None else config.block_len
     _require(n >= 2, "block length n must be >= 2")
+    _require(math.isfinite(n * channel.gain_w * attack.lambda_t
+                           / channel.sigma_w_sq),
+             "the scaled trojan energy n alpha_w^2 |h_w|^2 lambda_t / "
+             "sigma_w^2 must be finite")
     a_w = math.sqrt(channel.alpha_w_sq)
     s2 = channel.sigma_w_sq
     h = channel.h_w
     h_hat_limit = (1 + attack.epsilon) * h
     tau_fixed = tau if tau is not None else tau_eps(channel, attack)
+    _require(math.isfinite(n * float(tau_fixed) / s2),
+             "the scaled threshold n tau / sigma_w^2 must be finite")
     root_a = a_w * math.sqrt(n * config.lambda_a)
     d = a_w * h * math.sqrt(n * attack.lambda_t)
     if two_phase_pilot_len is not None:
         energy = _pilot_energy(make_pilot(two_phase_pilot_len))
-        weight = _estimator_coefficient(channel, energy)
-        pilot_mean = a_w * h * (1 + attack.epsilon) * energy
 
     def statistics(u: np.ndarray) -> tuple:
         z1 = _complex_normal(u[:, 0], u[:, 1], s2)
@@ -251,8 +267,9 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
         if two_phase_pilot_len is None:
             h_hat = h_hat_limit
         else:
-            h_hat = weight * (pilot_mean
-                              + _complex_normal(u[:, 7], u[:, 8], s2 * energy))
+            h_hat = _pilot_estimate(
+                channel, 1 + attack.epsilon, energy,
+                _complex_normal(u[:, 7], u[:, 8], s2 * energy))
         thr = tau_fixed if two_phase_pilot_len is None or tau is not None \
             else tau_dagger(channel, h_hat, attack.lambda_t, n)
         a = root_a * (h - h_hat) + z1
@@ -280,39 +297,31 @@ def mc_pilot_kl(channel: ChannelParams, attack: AttackParams, l: int,
 
     The closed form :func:`~covertpilot.pilot.kl_pilot_exact` is the
     expectation of ``log(p_clean / p_scaled)`` under the clean-pilot
-    observation law, so each trial draws a fading gain and noise, forms
-    ``y = alpha_w h s + z``, and evaluates both Gaussian densities through
-    dense Cholesky factorizations (pilot length capped at 256); no
-    rank-one algebra is shared with the closed-form path.
+    observation law.  The two covariances differ only along the pilot, so
+    the ratio depends on ``y`` only through ``s^H y``, which under a clean
+    pilot is ``CN(0, (kappa_0 S + s2) S)`` with
+    ``kappa_k = alpha_w^2 sigma_h^2 (1+eps)^{2k}``.  Drawing it by
+    Box-Muller from ``u[0]`` gives, per trial,
+
+        LLR = log1p(S (kappa_1 - kappa_0) / (s2 + kappa_0 S)) + q log u[0],
+        q = S (kappa_1 - kappa_0) / (s2 + kappa_1 S).
+
+    This shares the rank-one algebra of the closed form, so its independent
+    check is the dense-matrix likelihood ratio of full pilot vectors in the
+    test suite.
     """
-    _require(l <= DENSE_PILOT_MAX_LEN,
-             f"dense density evaluation is limited to length {DENSE_PILOT_MAX_LEN}")
     pilot = make_pilot(l)
     reference = kl_pilot_exact(channel, attack, pilot)  # rejects huge eps
-    covs = pilot_covariances(channel, attack, pilot)
-    try:
-        c0 = cho_factor(covs.sigma0, lower=True)
-        c1 = cho_factor(covs.sigma1, lower=True)
-    except LinAlgError:
-        raise ParameterError("dense density evaluation needs Sigma_0 and "
-                             "Sigma_1 numerically positive definite") from None
-    logdet0 = 2 * float(np.sum(np.log(np.diag(c0[0]).real)))
-    logdet1 = 2 * float(np.sum(np.log(np.diag(c1[0]).real)))
-    a_w = math.sqrt(channel.alpha_w_sq)
+    S = _pilot_energy(pilot)
+    s2 = channel.sigma_w_sq
+    kappa0 = channel.alpha_w_sq * channel.sigma_h_sq
+    kappa1 = kappa0 * _square(1 + attack.epsilon)
+    gap = S * kappa0 * attack.epsilon * (2 + attack.epsilon)  # S (kappa1 - kappa0)
+    logdet = math.log1p(gap / (s2 + kappa0 * S))
+    q = gap / (s2 + kappa1 * S)
 
-    def worker(chunk: range) -> np.ndarray:
-        rows = np.empty((len(chunk), l), dtype=np.complex128)
-        for k, i in enumerate(chunk):
-            h = complex_normal(derive_rng(mc.base_seed, i, STREAM_FADING_W),
-                               1, channel.sigma_h_sq)[0]
-            z = complex_normal(derive_rng(mc.base_seed, i, STREAM_NOISE),
-                               l, channel.sigma_w_sq)
-            rows[k] = a_w * h * pilot.samples + z
-        q0 = np.einsum("ij,ji->i", rows.conj(), cho_solve(c0, rows.T)).real
-        q1 = np.einsum("ij,ji->i", rows.conj(), cho_solve(c1, rows.T)).real
-        return (logdet1 - logdet0) + (q1 - q0)
-
-    llr = np.concatenate(_run_chunked(mc.trials, worker))
+    llr = np.concatenate(_per_chunk(mc.base_seed, mc.trials,
+                                    lambda u: logdet + q * np.log(u[:, 0])))
     point = float(np.mean(llr))
     se = float(np.std(llr, ddof=1) / math.sqrt(mc.trials)) if mc.trials >= 100 \
         else float("nan")
@@ -327,34 +336,31 @@ def mc_estimator_error(channel: ChannelParams, attack: AttackParams,
     For each pilot length, trials draw fresh noise and run the estimator
     on clean and scaled pilot observations (same noise for both), then
     average ``|h_hat(L) - h_hat_inf|^2`` against the respective limits.
-    The noise term of the estimate has variance proportional to
-    ``S / (1 + a S)^2 ~ 1/S``, so the MSE halves when the pilot energy
-    doubles (log-log slope -1).
+    The estimate ``c s^H y`` sees the noise only through
+    ``s^H z ~ CN(0, s2 S)``, drawn by Box-Muller from ``u[0], u[1]``; every
+    pilot length restarts the stream at trial 0.  The noise term of the
+    estimate has variance proportional to ``S / (1 + a S)^2 ~ 1/S``, so the
+    MSE halves when the pilot energy doubles (log-log slope -1).
     """
-    a_w = math.sqrt(channel.alpha_w_sq)
     lim0 = mmse_limit(channel, attack, PilotHypothesis.H0)
     lim1 = mmse_limit(channel, attack, PilotHypothesis.H1)
     _require(math.isfinite(_square(abs(lim1))),
              "|(1+eps) h_w|^2 must be finite; epsilon is too large")
     rows = []
     for l in l_grid:
-        pilot = make_pilot(int(l))
-        err0 = np.empty(mc.trials)
-        err1 = np.empty(mc.trials)
-        for i in range(mc.trials):
-            z = complex_normal(derive_rng(mc.base_seed, i, STREAM_NOISE),
-                               int(l), channel.sigma_w_sq)
-            y0 = a_w * channel.h_w * pilot.samples + z
-            y1 = a_w * channel.h_w * (1 + attack.epsilon) * pilot.samples + z
-            rec0 = SignalBlock(y0, Phase.ESTIMATION,
-                               pilot_hypothesis=PilotHypothesis.H0)
-            rec1 = SignalBlock(y1, Phase.ESTIMATION,
-                               pilot_hypothesis=PilotHypothesis.H1)
-            err0[i] = abs(mmse_estimate(channel, pilot, rec0).h_hat - lim0) ** 2
-            err1[i] = abs(mmse_estimate(channel, pilot, rec1, attack).h_hat
-                          - lim1) ** 2
-        rows.append(EstimatorErrorRow(int(l), float(np.mean(err0)),
-                                      float(np.mean(err1))))
+        energy = _pilot_energy(make_pilot(int(l)))
+
+        def errors(u: np.ndarray) -> np.ndarray:
+            noise = _complex_normal(u[:, 0], u[:, 1],
+                                    channel.sigma_w_sq * energy)
+            return np.stack([
+                np.abs(_pilot_estimate(channel, scale, energy, noise) - lim) ** 2
+                for scale, lim in ((1.0, lim0), (1 + attack.epsilon, lim1))])
+
+        err = np.concatenate(_per_chunk(mc.base_seed, mc.trials, errors),
+                             axis=1)
+        rows.append(EstimatorErrorRow(int(l), float(np.mean(err[0])),
+                                      float(np.mean(err[1]))))
     return rows
 
 

@@ -8,10 +8,10 @@ identity,
     Sigma_1 = alpha_w^2 sigma_h^2 (1+eps)^2 s s^H + sigma_w^2 I (scaled pilot)
 
 so the divergence between the two hypotheses and the linear-MMSE channel
-estimate both reduce to scalar closed forms in ``||s||^2``.  The dense
-L x L covariances are only ever materialized for small pilots (Monte
-Carlo density evaluation and test oracles); the scalar path is exact for
-any length.
+estimate both reduce to scalar closed forms in ``||s||^2``, exact for any
+pilot length.  The dense L x L covariances exist only in the test suite,
+as the oracle these closed forms and the Monte Carlo estimators are
+checked against.
 
 Units: divergences are in nats; rates elsewhere in the package are in
 bits/channel use.
@@ -26,25 +26,6 @@ import numpy as np
 
 from .channel import (AttackParams, ChannelParams, ParameterError, Phase,
                       PilotHypothesis, SignalBlock, _require)
-
-# Dense covariances above this length serve no purpose: the scalar closed
-# forms are exact and O(1).
-DENSE_PILOT_MAX_LEN = 256
-
-
-@dataclass(frozen=True)
-class PilotCovariances:
-    """Dense received-pilot covariances under the clean and scaled hypotheses."""
-
-    sigma0: np.ndarray
-    sigma1: np.ndarray
-
-    def __post_init__(self):
-        for name in ("sigma0", "sigma1"):
-            m = np.asarray(getattr(self, name), dtype=np.complex128)
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
-
 
 @dataclass(frozen=True)
 class EstimateReport:
@@ -80,22 +61,6 @@ def _pilot_energy(pilot: SignalBlock) -> float:
     return float(np.vdot(pilot.samples, pilot.samples).real)
 
 
-def pilot_covariances(channel: ChannelParams, attack: AttackParams,
-                      pilot: SignalBlock) -> PilotCovariances:
-    """Materialize Sigma_0 and Sigma_1 for a short pilot (length <= 256)."""
-    L = len(pilot)
-    _require(L <= DENSE_PILOT_MAX_LEN,
-             f"dense covariances are limited to length {DENSE_PILOT_MAX_LEN}")
-    s = pilot.samples
-    outer = np.outer(s, s.conj())
-    kappa = channel.alpha_w_sq * channel.sigma_h_sq
-    eye = channel.sigma_w_sq * np.eye(L)
-    scale = kappa * _square(1 + attack.epsilon)
-    _require(math.isfinite(scale),
-             "alpha_w^2 sigma_h^2 (1+eps)^2 must be finite")
-    return PilotCovariances(kappa * outer + eye, scale * outer + eye)
-
-
 def kl_pilot_exact(channel: ChannelParams, attack: AttackParams,
                    pilot: SignalBlock) -> float:
     """Divergence (nats) between the two pilot hypotheses at finite length.
@@ -126,12 +91,16 @@ def kl_pilot_exact(channel: ChannelParams, attack: AttackParams,
 def kl_pilot_limit(epsilon: float) -> float:
     """Long-pilot limit of :func:`kl_pilot_exact`, in nats.
 
-    Equals ``2 log(1+eps) - 1 + (1+eps)^{-2}`` (which cancels to about 1e-16
-    near 0) and is at most ``2 eps^2`` for all eps >= 0 (the covertness bound).
+    Equals ``2 log(1+eps) - 1 + (1+eps)^{-2}`` and is at most ``2 eps^2``
+    for all eps >= 0 (the covertness bound).  ``1 - (1+eps)^{-2}`` is
+    evaluated as ``eps (2+eps) / (1+eps)^2``, which does not cancel near 0;
+    where ``(1+eps)^2`` overflows that fraction is 1 to double precision.
     """
     if epsilon < 0:
         raise ParameterError("epsilon must be >= 0")
-    return 2 * math.log1p(epsilon) - 1 + (1 + epsilon) ** -2
+    den = _square(1 + epsilon)
+    frac = epsilon * (2 + epsilon) / den if math.isfinite(den) else 1.0
+    return 2 * math.log1p(epsilon) - frac
 
 
 def covertness_margin(epsilon: float, delta_1: float) -> CovertnessMargin:

@@ -18,11 +18,12 @@ from covertpilot import (AttackParams, ChannelParams, Conditioning, McConfig,
                          analytic_error_probs, kl_pilot_exact,
                          kl_pilot_limit, make_pilot, mc_comm_error_probs,
                          mc_estimator_error, mc_sqrt_law, mmse_estimate,
-                         pilot_covariances, solve_sqrt_law_coefficient,
-                         tau_dagger, tau_eps, power_scaling_table)
+                         solve_sqrt_law_coefficient, tau_dagger, tau_eps,
+                         power_scaling_table)
 from covertpilot import cli
 from covertpilot.channel import Phase, PilotHypothesis, SignalBlock
 from covertpilot.verification import random_detection_config
+from reference import pilot_covariances
 
 LOG2_1P3 = 0.37851162325372981
 EDGE = 1 / math.sqrt(20)           # pilot covertness limit delta_1 / sqrt(2)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from covertpilot import (AttackParams, ChannelParams, CommHypothesis,
-                         ParameterError, Phase, PilotHypothesis, SystemConfig,
-                         alice_input, derive_rng, gaussian_input, make_pilot,
-                         sample_fading, synthesize_received, trojan_input)
-from covertpilot.channel import STREAM_NOISE, STREAM_TROJAN, complex_normal
+from covertpilot import (AttackParams, ChannelParams, ParameterError, Phase,
+                         PilotHypothesis, SystemConfig, derive_rng,
+                         gaussian_input, make_pilot, sample_fading)
+from covertpilot.channel import complex_normal
+from reference import (STREAM_NOISE, STREAM_TROJAN, CommHypothesis,
+                       alice_input, synthesize_received, trojan_input)
 
 
 class TestSampleFading:

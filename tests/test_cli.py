@@ -215,17 +215,31 @@ class TestMc:
         (["--target", "pilot-kl", "--epsilon", "1e150"], "1 - q"),
         (["--target", "estimator", "--epsilon", "1e200"],
          "|(1+eps) h_w|^2"),
-        (["--target", "pilot-kl", "--sigma-w-sq", "1e-18"],
-         "numerically positive definite"),
+        (["--target", "sqrtlaw", "--sigma-w-sq", "1e-300"],
+         "(alpha_w^2 |h_w|^2)^2 / (8 sigma_w^4)"),
         (["--target", "comm-detection", "--seed", "-1"],
          "seed must be >= 0"),
         (["--target", "sqrtlaw", "--c", "1e300"], "c is too large"),
+        (["--target", "comm-detection", "--lambda-t", "1e308"],
+         "n alpha_w^2 |h_w|^2 lambda_t / sigma_w^2"),
+        (["--target", "comm-detection", "--lambda-t", "1e300",
+          "--epsilon", "1e3"], "n tau / sigma_w^2"),
     ])
     def test_out_of_domain_inputs_exit_1(self, argv, constraint, capsys):
         # each ends in a named ParameterError, never in a traceback
         assert run_cli(["mc", "--trials", "100"] + argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and constraint in err
+
+    def test_tiny_noise_pilot_kl_exits_0(self, tmp_path):
+        # no dense covariance is factorized, so a nearly noiseless pilot
+        # observation is an ordinary operating point
+        out = tmp_path / "r.json"
+        assert run_cli(["mc", "--trials", "100", "--target", "pilot-kl",
+                        "--sigma-w-sq", "1e-18", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert abs(doc["point_estimate"] - doc["analytic_reference"]) \
+            <= 3 * doc["std_error"]
 
     def test_byte_determinism_across_threads(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -4,15 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from covertpilot import (AttackParams, ChannelParams, CommHypothesis,
-                         Conditioning, ParameterError, Phase, Regime,
-                         RegimeError, alice_input, analytic_error_probs,
-                         attack_feasibility, classify_regime, derive_rng,
-                         radiometer_statistic, solve_lambda_star,
+from covertpilot import (AttackParams, ChannelParams, Conditioning,
+                         ParameterError, Phase, Regime, RegimeError,
+                         analytic_error_probs, attack_feasibility,
+                         classify_regime, derive_rng, solve_lambda_star,
                          solve_sqrt_law_coefficient, sqrt_law_bound,
-                         synthesize_received, tail_bound_sum, tau_dagger,
-                         tau_eps)
-from covertpilot.channel import STREAM_NOISE, complex_normal
+                         tail_bound_sum, tau_dagger, tau_eps)
+from covertpilot.channel import complex_normal
+from reference import (STREAM_NOISE, CommHypothesis, alice_input,
+                       radiometer_statistic, synthesize_received)
 
 TAU_REF = 0.1192456710036019   # tau(eps) at eps=0.1, lambda_t=0.3 (40-digit eval)
 

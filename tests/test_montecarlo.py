@@ -4,78 +4,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.special import beta, chndtr, gammainc, gammaincinv
+from scipy.special import gammainc, gammaincinv
 
-from covertpilot import (AttackParams, McConfig, ParameterError, SignalBlock,
-                         derive_rng, gaussian_input, kl_pilot_limit,
-                         make_pilot, mc_comm_error_probs, mc_estimator_error,
-                         mc_pilot_kl, mc_sqrt_law, mmse_estimate, mmse_limit,
-                         radiometer_statistic, solve_sqrt_law_coefficient,
-                         tau_dagger, tau_eps)
-from covertpilot.channel import (STREAM_ALICE, STREAM_NOISE,
-                                 STREAM_PILOT_NOISE, STREAM_TRIAL,
-                                 STREAM_TROJAN, Phase, PilotHypothesis,
-                                 complex_normal)
+from covertpilot import (AttackParams, McConfig, kl_pilot_exact,
+                         kl_pilot_limit, make_pilot, mc_comm_error_probs,
+                         mc_estimator_error, mc_pilot_kl, mc_sqrt_law,
+                         mmse_limit, solve_sqrt_law_coefficient, tau_eps)
+from covertpilot.channel import STREAM_TRIAL, PilotHypothesis
 from covertpilot.montecarlo import (BLOCKS_PER_TRIAL, CHUNK, WORDS_PER_TRIAL,
                                     _radiometer_tally, _trial_key,
                                     _trial_words, _uniforms)
-
-
-# Full-vector reference simulations: every trial synthesizes the length-n
-# blocks x_a, x_t and z (6n normals) and applies the radiometer to them.
-# The package's reduced sampler must reproduce their laws exactly.
-
-def full_vector_comm_tally(channel, attack, config, n, trials, seed,
-                           pilot_len=None):
-    """(false alarms, misses) of the communication-phase test, by full vectors.
-
-    Without ``pilot_len`` the receiver cancels with the injected limit
-    ``(1+eps) h_w`` and thresholds at ``tau_eps``; with it, each trial
-    re-simulates the scaled pilot, estimates ``h_hat`` with
-    ``mmse_estimate`` and thresholds at ``tau_dagger(h_hat)``.
-    """
-    a_w = math.sqrt(channel.alpha_w_sq)
-    h = channel.h_w
-    pilot = make_pilot(pilot_len) if pilot_len is not None else None
-    fa = md = 0
-    for i in range(trials):
-        x_a = gaussian_input(n, config.lambda_a,
-                             derive_rng(seed, i, STREAM_ALICE))
-        x_t = gaussian_input(n, attack.lambda_t,
-                             derive_rng(seed, i, STREAM_TROJAN))
-        z = complex_normal(derive_rng(seed, i, STREAM_NOISE), n,
-                           channel.sigma_w_sq)
-        if pilot is None:
-            h_hat, thr = (1 + attack.epsilon) * h, tau_eps(channel, attack)
-        else:
-            zp = complex_normal(derive_rng(seed, i, STREAM_PILOT_NOISE),
-                                len(pilot), channel.sigma_w_sq)
-            y_p = a_w * h * (1 + attack.epsilon) * pilot.samples + zp
-            rec = SignalBlock(y_p, Phase.ESTIMATION,
-                              pilot_hypothesis=PilotHypothesis.H1)
-            h_hat = mmse_estimate(channel, pilot, rec, attack).h_hat
-            thr = tau_dagger(channel, h_hat, attack.lambda_t, n)
-        y0 = a_w * h * x_a + z
-        fa += radiometer_statistic(y0, x_a, h_hat, channel) > thr
-        md += radiometer_statistic(y0 + a_w * h * x_t, x_a, h_hat,
-                                   channel) < thr
-    return fa, md
-
-
-def full_vector_sqrt_law_tally(channel, c, n, trials, seed):
-    """(false alarms, misses) of the silent-pilot test at power c/sqrt(n)."""
-    a_w = math.sqrt(channel.alpha_w_sq)
-    lt = c / math.sqrt(n)
-    tau = tau_dagger(channel, channel.h_w, lt, n)
-    fa = md = 0
-    for i in range(trials):
-        z = complex_normal(derive_rng(seed, i, STREAM_NOISE), n,
-                           channel.sigma_w_sq)
-        x_t = gaussian_input(n, lt, derive_rng(seed, i, STREAM_TROJAN))
-        fa += np.mean(np.abs(z) ** 2) > tau
-        md += np.mean(np.abs(a_w * channel.h_w * x_t + z) ** 2) < tau
-    return fa, md
+from reference import (dense_pilot_llr, exact_comm_error_probs,
+                       full_vector_comm_tally, full_vector_estimator_errors,
+                       full_vector_sqrt_law_tally)
 
 
 def assert_tallies_agree(reduced, full, trials_reduced, trials_full):
@@ -88,32 +29,6 @@ def assert_tallies_agree(reduced, full, trials_reduced, trials_full):
 
 
 AGREE_N, AGREE_REDUCED, AGREE_FULL = 40, 20_000, 5_000
-
-
-def exact_comm_error_probs(channel, attack, config, n, tau):
-    """Exact (P_F, P_M) of the injected-limit radiometer test at block length n.
-
-    ``(2/s2) n t0`` is noncentral chi2(2n, 2|c|^2/s2).  Given rho, ``(2/s2)
-    n t1`` is noncentral chi2(2n, lambda(u)) with
-    ``lambda(u) = 2(|c|^2 + |d|^2 + 2|c||d| u) / s2``, where
-    ``u = Re(rho e^{i phi})`` has density proportional to
-    ``(1 - u^2)^(n - 3/2)`` on [-1, 1]; P_M integrates over u.
-    """
-    s2 = channel.sigma_w_sq
-    a_w = math.sqrt(channel.alpha_w_sq)
-    h = channel.h_w
-    c = abs(a_w * (h - (1 + attack.epsilon) * h)) \
-        * math.sqrt(n * config.lambda_a)
-    d = abs(a_w * h) * math.sqrt(n * attack.lambda_t)
-    x = 2 * n * tau / s2
-    p_f = 1 - chndtr(x, 2 * n, 2 * c ** 2 / s2)
-
-    def miss_given_u(u):
-        lam = 2 * (c ** 2 + d ** 2 + 2 * c * d * u) / s2
-        return chndtr(x, 2 * n, lam) * (1 - u * u) ** (n - 1.5)
-
-    p_m = quad(miss_given_u, -1, 1)[0] / beta(0.5, n - 0.5)
-    return p_f, p_m
 
 
 class TestCommDetection:
@@ -331,9 +246,30 @@ class TestPilotKl:
         b = mc_pilot_kl(channel, attack, 16, mc)
         assert a == b
 
-    def test_rejects_long_pilot(self, channel, attack):
-        with pytest.raises(ParameterError):
-            mc_pilot_kl(channel, attack, 512, McConfig(trials=100, base_seed=0))
+    def test_long_pilot_matches_exact_formula(self, channel, attack):
+        res = mc_pilot_kl(channel, attack, 4096,
+                          McConfig(trials=100, base_seed=0))
+        assert res.analytic_reference == kl_pilot_exact(channel, attack,
+                                                        make_pilot(4096))
+        assert abs(res.point_estimate - res.analytic_reference) \
+            <= 3 * res.std_error
+
+    def test_matches_dense_reference(self, channel):
+        # the rank-one sampler against dense Cholesky likelihood ratios of
+        # full pilot vectors: mean and spread of the LLR, 4 se each
+        attack = AttackParams(0.5, 0.3)
+        trials, dense_trials = 100_000, 5000
+        res = mc_pilot_kl(channel, attack, 16,
+                          McConfig(trials=trials, base_seed=35))
+        llr = dense_pilot_llr(channel, attack, 16, dense_trials, seed=36)
+        mean, sd = float(np.mean(llr)), float(np.std(llr, ddof=1))
+        se_mean = math.hypot(res.std_error, sd / math.sqrt(dense_trials))
+        assert abs(res.point_estimate - mean) <= 4 * se_mean
+        # the sample sd has variance about (m4 - sd^4) / (4 n sd^2)
+        m4 = float(np.mean((llr - mean) ** 4))
+        var_sd = (m4 - sd ** 4) / (4 * sd ** 2)
+        se_sd = math.sqrt(var_sd / trials + var_sd / dense_trials)
+        assert abs(res.std_error * math.sqrt(trials) - sd) <= 4 * se_sd
 
     def test_agreement_regression_over_seeds(self, channel):
         # estimator is unbiased for the closed form: across independent
@@ -382,6 +318,19 @@ class TestEstimatorError:
                     - mmse_limit(quiet, attack, PilotHypothesis.H1)) ** 2
         assert rows[0].mse_clean == pytest.approx(bias0, rel=1e-6)
         assert rows[0].mse_scaled == pytest.approx(bias1, rel=1e-6)
+
+    @pytest.mark.parametrize("l", [16, 64])
+    def test_matches_full_vectors(self, channel, attack, l):
+        trials, full_trials = 20_000, 4000
+        row, = mc_estimator_error(channel, attack, [l],
+                                  McConfig(trials=trials, base_seed=37))
+        err = full_vector_estimator_errors(channel, attack, l, full_trials,
+                                           seed=38)
+        for mse, full in zip((row.mse_clean, row.mse_scaled), err):
+            sd = float(np.std(full, ddof=1))
+            se = sd * math.sqrt(1 / trials + 1 / full_trials)
+            assert abs(mse - float(np.mean(full))) <= 4 * se, \
+                (mse, float(np.mean(full)), se)
 
 
 class TestSqrtLaw:
