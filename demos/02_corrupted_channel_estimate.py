@@ -10,8 +10,8 @@ the attack plants a multiplicative error the monitor cannot see.
 
 import math
 
-from covertpilot import (AttackParams, ChannelParams, McConfig, Phase,
-                         PilotHypothesis, SignalBlock, derive_rng, make_pilot,
+from covertpilot import (AttackParams, ChannelParams, McConfig,
+                         PilotHypothesis, derive_rng, make_pilot,
                          mc_estimator_error, mmse_estimate, mmse_limit,
                          SystemConfig, link_capacity)
 from covertpilot.channel import complex_normal
@@ -32,10 +32,8 @@ print(f"{'L':>6} {'bias factor (clean)':>20} {'bias factor (scaled)':>21}")
 a_w = math.sqrt(channel.alpha_w_sq)
 for L in (8, 32, 128, 1024):
     pilot = make_pilot(L)
-    clean = SignalBlock(a_w * channel.h_w * pilot.samples, Phase.ESTIMATION,
-                        pilot_hypothesis=PilotHypothesis.H0)
-    scaled = SignalBlock(a_w * channel.h_w * 1.1 * pilot.samples,
-                         Phase.ESTIMATION, pilot_hypothesis=PilotHypothesis.H1)
+    clean = a_w * channel.h_w * pilot
+    scaled = a_w * channel.h_w * 1.1 * pilot
     b0 = mmse_estimate(channel, pilot, clean).bias_factor
     b1 = mmse_estimate(channel, pilot, scaled, attack).bias_factor
     print(f"{L:>6} {b0:>20.6f} {b1:>21.6f}")
@@ -45,10 +43,9 @@ print(f"{'limit':>6} {1.0:>20.6f} {1 + attack.epsilon:>21.6f}")
 # With noise, one realization: the estimate lands near the corrupted limit.
 
 pilot = make_pilot(config.pilot_len)
-y = a_w * channel.h_w * (1 + attack.epsilon) * pilot.samples \
+y = a_w * channel.h_w * (1 + attack.epsilon) * pilot \
     + complex_normal(derive_rng(7), config.pilot_len, channel.sigma_w_sq)
-rec = SignalBlock(y, Phase.ESTIMATION, pilot_hypothesis=PilotHypothesis.H1)
-h_hat = mmse_estimate(channel, pilot, rec, attack).h_hat
+h_hat = mmse_estimate(channel, pilot, y, attack).h_hat
 print(f"\none noisy run, L = {config.pilot_len}: h_hat = {h_hat:.4f}, "
       f"corrupted limit = {mmse_limit(channel, attack, PilotHypothesis.H1)}")
 

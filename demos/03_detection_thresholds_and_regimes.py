@@ -13,9 +13,9 @@ better than guessing.
 import math
 from dataclasses import replace
 
-from covertpilot import (AttackParams, ChannelParams, Conditioning, McConfig,
-                         SystemConfig, analytic_error_probs, classify_regime,
-                         link_capacity, mc_comm_error_probs, solve_lambda_star,
+from covertpilot import (AttackParams, ChannelParams, McConfig, SystemConfig,
+                         analytic_error_probs, classify_regime, link_capacity,
+                         mc_comm_error_probs, solve_lambda_star,
                          tail_bound_sum, tau_dagger, tau_eps)
 
 channel = ChannelParams(alpha_w_sq=0.1, alpha_e_sq=0.1, sigma_w_sq=0.1,
@@ -48,15 +48,16 @@ for lt in (0.1, 0.3, star.lambda_star * 1.05, 1.0):
           f"(gap below = {cls.delta_1_gap:+.5f})")
 
 ##############################################################################
-# Exact error probabilities vs blocklength at a comfortably blind point,
-# with the concentration bound on how far the sum can sit below 1.
+# Noise-only chi-square error probabilities vs blocklength at a
+# comfortably blind point, with the concentration bound on how far the sum
+# can sit below 1.
 
 deep = AttackParams(0.1, 0.12)
 tau = tau_eps(channel, deep)
 print(f"\n{'n':>8} {'P_F + P_M':>12} {'lower bound':>12}")
 for n in (1000, 4000, 16_000, 64_000):
     cfg = replace(config, block_len=n)
-    s = analytic_error_probs(channel, deep, cfg, tau, Conditioning.H1_TRUE).sum
+    s = analytic_error_probs(channel, deep, cfg, tau).sum
     print(f"{n:>8} {s:>12.6f} {1 - tail_bound_sum(channel, deep, cfg):>12.6f}")
 
 ##############################################################################

@@ -5,20 +5,19 @@ A trojan embedded in a legitimate transmitter scales the known pilot by
 then rides the resulting cancellation residual to communicate covertly at
 a positive rate.  The package provides the closed-form covertness and
 detection analysis (divergence bounds, optimal radiometer thresholds,
-exact chi-square error probabilities, regime classification, achievable
-rates, square-root-law scaling) together with Monte Carlo estimators that
-cross-validate every analytic claim, plus a CLI for sweeps and
-verification suites.
+chi-square error probabilities under the paper's noise-only
+approximation, regime classification, achievable rates, square-root-law
+scaling) together with Monte Carlo estimators that cross-validate every
+analytic claim, plus a CLI for sweeps and verification suites.
 """
 
-from .channel import (AttackParams, ChannelParams, ParameterError, Phase,
-                      PilotHypothesis, SignalBlock, SystemConfig, derive_rng,
+from .channel import (AttackParams, ChannelParams, ParameterError,
+                      PilotHypothesis, SystemConfig, derive_rng,
                       gaussian_input, link_capacity, make_pilot,
                       sample_fading)
-from .detection import (Conditioning, Regime, RegimeError,
-                        analytic_error_probs, classify_regime,
-                        solve_sqrt_law_coefficient, sqrt_law_bound,
-                        tail_bound_sum, tau_dagger, tau_eps)
+from .detection import (Regime, RegimeError, analytic_error_probs,
+                        classify_regime, solve_sqrt_law_coefficient,
+                        sqrt_law_bound, tail_bound_sum, tau_dagger, tau_eps)
 from .montecarlo import (McConfig, mc_comm_error_probs, mc_estimator_error,
                          mc_pilot_kl, mc_sqrt_law)
 from .pilot import (covertness_margin, kl_pilot_exact, kl_pilot_limit,
@@ -29,9 +28,9 @@ from .rates import (attack_feasibility, power_scaling_table,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackParams", "ChannelParams", "Conditioning", "McConfig",
-    "ParameterError", "Phase", "PilotHypothesis", "Regime", "RegimeError",
-    "SignalBlock", "SystemConfig", "analytic_error_probs",
+    "AttackParams", "ChannelParams", "McConfig", "ParameterError",
+    "PilotHypothesis", "Regime", "RegimeError", "SystemConfig",
+    "analytic_error_probs",
     "attack_feasibility", "classify_regime", "covertness_margin",
     "derive_rng", "gaussian_input", "kl_pilot_exact", "kl_pilot_limit",
     "link_capacity", "make_pilot", "mc_comm_error_probs",

@@ -7,6 +7,10 @@ fading gain; an embedded trojan may covertly scale that pilot by
 Gaussian data block of power ``lambda_a`` and the trojan may add its own
 Gaussian block of power ``lambda_t``.
 
+Signals are plain 1-d complex arrays (:func:`make_pilot` returns the
+pilot).  No phase or hypothesis tag travels with them: the attack
+parameters decide what a block is, a clean pilot being ``epsilon = 0``.
+
 Conventions
 -----------
 * ``CN(0, s2)`` denotes the circularly-symmetric complex Gaussian whose
@@ -59,11 +63,6 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     bit-identical draws regardless of which worker or call site asks.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
-
-
-class Phase(Enum):
-    ESTIMATION = "estimation"
-    COMMUNICATION = "communication"
 
 
 class PilotHypothesis(Enum):
@@ -210,34 +209,6 @@ class AttackParams:
                      f"{name} must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class SignalBlock:
-    """A complex sample vector tagged with its phase and pilot hypothesis.
-
-    Synthesized inputs are immutable.
-    """
-
-    samples: np.ndarray
-    phase: Phase
-    pilot_hypothesis: PilotHypothesis | None = None
-
-    def __post_init__(self):
-        # own copy so freezing never flips write flags on a caller's buffer
-        arr = np.array(self.samples, dtype=np.complex128, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
-        _require(arr.ndim == 1 and arr.size >= 1,
-                 "samples must be a nonempty 1-d vector")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    @property
-    def block_power(self) -> float:
-        """(1/n) * ||samples||^2."""
-        return float(np.mean(np.abs(self.samples) ** 2))
-
-
 def sample_fading(sigma_h_sq: float, seed: int, size: int | None = None,
                   _stream: int | None = None) -> complex | np.ndarray:
     """Draw CN(0, sigma_h_sq) fading gains, reproducibly.
@@ -275,14 +246,14 @@ def gaussian_input(n: int, power: float, rng: np.random.Generator) -> np.ndarray
     return g * math.sqrt(n * power / np.vdot(g, g).real)
 
 
-def make_pilot(pilot_len: int, pilot_power: float = 1.0) -> SignalBlock:
+def make_pilot(pilot_len: int, pilot_power: float = 1.0) -> np.ndarray:
     """Constant-amplitude real pilot: every sample equals sqrt(pilot_power).
 
-    ``||s||^2 = pilot_len * pilot_power`` grows without bound in the pilot
-    length, which is all the estimation-phase analysis requires; the
-    per-symbol power is a free design choice (default 1).
+    Returned as a 1-d complex array.  ``||s||^2 = pilot_len * pilot_power``
+    grows without bound in the pilot length, which is all the
+    estimation-phase analysis requires; the per-symbol power is a free
+    design choice (default 1).
     """
     _require(pilot_len >= 1, "pilot_len must be >= 1")
     _require(pilot_power > 0, "pilot_power must be > 0")
-    s = np.full(pilot_len, math.sqrt(pilot_power), dtype=np.complex128)
-    return SignalBlock(s, Phase.ESTIMATION)
+    return np.full(pilot_len, math.sqrt(pilot_power), dtype=np.complex128)

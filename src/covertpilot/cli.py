@@ -44,8 +44,10 @@ linear (watt) units::
 
 ``feasible`` is 1/0; ``failing_condition`` is empty for feasible cells
 and otherwise the first failing condition in the order pilot_covert,
-blind_comm, no_disruption, eve_ic.  Infeasible cells report zero rates so
-plots can distinguish "zero rate" from "infeasible".  One broadcast call
+blind_comm, no_disruption.  ``cond_eve_ic`` never makes a cell
+infeasible: it only selects the rate ``r_t_ic`` reports.  Infeasible cells
+report zero rates so plots can distinguish "zero rate" from
+"infeasible".  One broadcast call
 evaluates the whole grid.  Every subcommand runs serially, so output bytes
 depend only on the parameters and seed; ``--threads`` has no effect.
 """
@@ -180,15 +182,12 @@ def build_scenario(values: dict) -> tuple[ChannelParams, SystemConfig, AttackPar
 
 
 def _first_failing(report) -> str:
+    """The first failed condition of an infeasible cell."""
     if not report.cond_pilot_covert:
         return "pilot_covert"
     if not report.cond_blind_comm:
         return "blind_comm"
-    if not report.cond_no_disruption:
-        return "no_disruption"
-    if not report.cond_eve_ic:
-        return "eve_ic"
-    return ""
+    return "no_disruption"
 
 
 def sweep_cell_line(eps: float, lt: float, rep: FeasibilityReport) -> str:

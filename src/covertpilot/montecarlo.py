@@ -91,9 +91,8 @@ from scipy.special import gammaincinv
 
 from .channel import (STREAM_TRIAL, AttackParams, ChannelParams,
                       PilotHypothesis, SystemConfig, _require, make_pilot)
-from .detection import (Conditioning, ErrorProbabilities,
-                        analytic_error_probs, sqrt_law_bound, tau_dagger,
-                        tau_eps)
+from .detection import (ErrorProbabilities, analytic_error_probs,
+                        sqrt_law_bound, tau_dagger, tau_eps)
 from .pilot import (_estimator_coefficient, _pilot_energy, _square,
                     kl_pilot_exact, mmse_limit)
 
@@ -217,14 +216,14 @@ def _radiometer_tally(base_seed: int, trials: int,
 
 def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
                         config: SystemConfig, mc: McConfig,
-                        tau: float | None = None,
                         two_phase_pilot_len: int | None = None,
                         ) -> tuple[ErrorProbabilities, tuple[McResult, McResult]]:
     """Empirical communication-phase error probabilities by exact simulation.
 
-    Default conditioning is the attack's intended chain: the pilot attack
-    went undetected, the receiver cancels with the corrupted estimate
-    ``h_hat = (1+eps) h_w``, and the threshold is ``tau(eps)``.  Each trial
+    By default the run follows the attack's intended chain at its
+    injected limit: the pilot attack went undetected, the receiver cancels
+    with the corrupted estimate ``h_hat = (1+eps) h_w``, and the threshold
+    is ``tau(eps)`` (``epsilon = 0`` is the clean pilot).  Each trial
     draws the radiometer statistic under both communication hypotheses
     with the reduced sampler of this module (sharing draws across the two,
     which leaves each marginal untouched), and tallies false alarms and
@@ -250,8 +249,8 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
     s2 = channel.sigma_w_sq
     h = channel.h_w
     h_hat_limit = (1 + attack.epsilon) * h
-    tau_fixed = tau if tau is not None else tau_eps(channel, attack)
-    _require(math.isfinite(n * float(tau_fixed) / s2),
+    tau_limit = tau_eps(channel, attack)
+    _require(math.isfinite(n * float(tau_limit) / s2),
              "the scaled threshold n tau / sigma_w^2 must be finite")
     root_a = a_w * math.sqrt(n * config.lambda_a)
     d = a_w * h * math.sqrt(n * attack.lambda_t)
@@ -265,13 +264,12 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
         log_q = np.log1p(-u[:, 5]) / (n - 1)          # log(1 - |rho|^2)
         rho = np.sqrt(-np.expm1(log_q)) * np.exp(2j * np.pi * u[:, 6])
         if two_phase_pilot_len is None:
-            h_hat = h_hat_limit
+            h_hat, thr = h_hat_limit, tau_limit
         else:
             h_hat = _pilot_estimate(
                 channel, 1 + attack.epsilon, energy,
                 _complex_normal(u[:, 7], u[:, 8], s2 * energy))
-        thr = tau_fixed if two_phase_pilot_len is None or tau is not None \
-            else tau_dagger(channel, h_hat, attack.lambda_t, n)
+            thr = tau_dagger(channel, h_hat, attack.lambda_t, n)
         a = root_a * (h - h_hat) + z1
         t0 = (np.abs(a) ** 2 + np.abs(z2) ** 2 + rest) / n
         t1 = (np.abs(a + d * rho) ** 2
@@ -283,8 +281,7 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
 
     if config.block_len != n:
         config = replace(config, block_len=n)
-    ref = analytic_error_probs(channel, attack, config, tau_fixed,
-                               Conditioning.H1_TRUE)
+    ref = analytic_error_probs(channel, attack, config, tau_limit)
     probs = ErrorProbabilities(p_f, p_m)
     results = (McResult(p_f, _std_error_binomial(p_f, mc.trials), mc.trials, ref.p_f),
                McResult(p_m, _std_error_binomial(p_m, mc.trials), mc.trials, ref.p_m))

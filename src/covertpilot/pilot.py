@@ -13,6 +13,11 @@ pilot length.  The dense L x L covariances exist only in the test suite,
 as the oracle these closed forms and the Monte Carlo estimators are
 checked against.
 
+Pilots and received pilot blocks are 1-d complex arrays.  Whether a block
+was scaled is not tagged on it: the attack parameters passed along say so,
+and :func:`mmse_estimate` without them (or with ``epsilon = 0``) treats the
+pilot as clean.
+
 Units: divergences are in nats; rates elsewhere in the package are in
 bits/channel use.
 """
@@ -24,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (AttackParams, ChannelParams, ParameterError, Phase,
-                      PilotHypothesis, SignalBlock, _require)
+from .channel import (AttackParams, ChannelParams, ParameterError,
+                      PilotHypothesis, _require)
+
 
 @dataclass(frozen=True)
 class EstimateReport:
@@ -39,7 +45,6 @@ class EstimateReport:
 
     h_hat: complex
     bias_factor: float
-    hypothesis: PilotHypothesis
 
 
 @dataclass(frozen=True)
@@ -56,13 +61,14 @@ def _square(x: float) -> float:
         return math.inf
 
 
-def _pilot_energy(pilot: SignalBlock) -> float:
-    _require(pilot.phase is Phase.ESTIMATION, "expected an estimation-phase block")
-    return float(np.vdot(pilot.samples, pilot.samples).real)
+def _pilot_energy(pilot: np.ndarray) -> float:
+    _require(np.ndim(pilot) == 1 and np.size(pilot) >= 1,
+             "pilot must be a nonempty 1-d vector")
+    return float(np.vdot(pilot, pilot).real)
 
 
 def kl_pilot_exact(channel: ChannelParams, attack: AttackParams,
-                   pilot: SignalBlock) -> float:
+                   pilot: np.ndarray) -> float:
     """Divergence (nats) between the two pilot hypotheses at finite length.
 
     Evaluates ``-log|Sigma_1^{-1} Sigma_0| - L + tr(Sigma_1^{-1} Sigma_0)``
@@ -127,8 +133,8 @@ def _estimator_coefficient(channel: ChannelParams, pilot_energy: float) -> float
     return num / den
 
 
-def mmse_estimate(channel: ChannelParams, pilot: SignalBlock,
-                  received: SignalBlock,
+def mmse_estimate(channel: ChannelParams, pilot: np.ndarray,
+                  received: np.ndarray,
                   attack: AttackParams | None = None) -> EstimateReport:
     """MMSE estimate of the fading gain from a received pilot block.
 
@@ -136,27 +142,23 @@ def mmse_estimate(channel: ChannelParams, pilot: SignalBlock,
     unaware of any scaling), so when the received block was actually
     scaled the estimate is biased toward ``(1+eps) h_w``:
 
-        h_hat = c s^H y,   noiseless part = (1 + eps 1{H1}) g h_w,
+        h_hat = c s^H y,   noiseless part = (1 + eps) g h_w,
         g = a S / (1 + a S),  a = alpha_w^2 sigma_h^2 / sigma_w^2.
 
-    ``attack`` supplies eps for the bias decomposition and is required
-    when the received block carries the scaled hypothesis.
+    ``pilot`` and ``received`` are 1-d arrays of equal length.  ``attack``
+    supplies the eps of a scaled pilot for the bias decomposition;
+    ``None`` means the pilot was clean (eps = 0).
     """
-    _require(len(received) == len(pilot), "received/pilot length mismatch")
-    _require(received.phase is Phase.ESTIMATION,
-             "mmse_estimate expects an estimation-phase block")
     S = _pilot_energy(pilot)
+    received = np.asarray(received)
+    _require(received.ndim == 1 and received.size == len(pilot),
+             "received must be a 1-d block of the pilot's length")
     c = _estimator_coefficient(channel, S)
-    h_hat = complex(c * np.vdot(pilot.samples, received.samples))
-
-    hyp = received.pilot_hypothesis or PilotHypothesis.H0
-    if hyp is PilotHypothesis.H1 and attack is None:
-        raise ParameterError("scaled-pilot block needs attack parameters for "
-                             "the bias decomposition")
-    eps = attack.epsilon if (attack is not None and hyp is PilotHypothesis.H1) else 0.0
+    h_hat = complex(c * np.vdot(pilot, received))
+    eps = 0.0 if attack is None else attack.epsilon
     a = channel.alpha_w_sq * channel.sigma_h_sq / channel.sigma_w_sq
     g = a * S / (1 + a * S)
-    return EstimateReport(h_hat=h_hat, bias_factor=(1 + eps) * g, hypothesis=hyp)
+    return EstimateReport(h_hat=h_hat, bias_factor=(1 + eps) * g)
 
 
 def mmse_limit(channel: ChannelParams, attack: AttackParams,

@@ -33,9 +33,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .channel import AttackParams, ChannelParams, SystemConfig, _require
-from .detection import (Conditioning, _log2, analytic_error_probs,
-                        regime_gaps, sqrt_law_bound, statistic_levels,
-                        tau_dagger, tau_eps)
+from .detection import (_log2, analytic_error_probs, regime_gaps,
+                        sqrt_law_bound, statistic_levels, tau_dagger, tau_eps)
 
 
 class FeasibilityReport(NamedTuple):
@@ -179,8 +178,8 @@ def power_scaling_table(channel: ChannelParams, config: SystemConfig,
                         n_grid: list[int]) -> list[ScalingRow]:
     """Tabulate detection performance along lambda_t(n) = c * n^-exponent, eps = 0.
 
-    For each blocklength the row holds the power, the exact error
-    probabilities of the optimal test (clean-pilot conditioning, threshold
+    For each blocklength the row holds the power, the noise-only error
+    probabilities of the optimal test (clean pilot, no residual, threshold
     tau_dagger), the square-root-law bound evaluated at the equivalent
     coefficient ``c_n = lambda_t(n) sqrt(n)``, and the rogue-link rate
     ``log2(1 + gain_e lambda_t(n) / sigma_e_sq)``, which is first-order
@@ -195,8 +194,7 @@ def power_scaling_table(channel: ChannelParams, config: SystemConfig,
         attack = AttackParams(0.0, lt)
         cfg_n = replace(config, block_len=int(n))
         tau = tau_dagger(channel, channel.h_w, lt, int(n))
-        probs = analytic_error_probs(channel, attack, cfg_n, tau,
-                                     Conditioning.H0_TRUE)
+        probs = analytic_error_probs(channel, attack, cfg_n, tau)
         bound = sqrt_law_bound(channel, lt * math.sqrt(n), int(n))
         r_t = rate_ic(channel, attack)
         rows.append(ScalingRow(n=int(n), lambda_t=lt, p_f=probs.p_f,

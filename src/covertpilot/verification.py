@@ -15,10 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import (AttackParams, ChannelParams, Phase, PilotHypothesis,
-                      SignalBlock, SystemConfig, link_capacity, make_pilot)
-from .detection import (Conditioning, Regime, analytic_error_probs,
-                        classify_regime, tail_bound_sum, tau_dagger, tau_eps)
+from .channel import (AttackParams, ChannelParams, PilotHypothesis,
+                      SystemConfig, link_capacity, make_pilot)
+from .detection import (Regime, analytic_error_probs, classify_regime,
+                        tail_bound_sum, tau_dagger, tau_eps)
 from .montecarlo import McConfig, mc_comm_error_probs
 from .pilot import kl_pilot_exact, kl_pilot_limit, mmse_estimate, mmse_limit
 from .rates import power_scaling_table
@@ -74,9 +74,8 @@ def verify_mmse(seed: int = 0) -> list[CheckResult]:
     for l in (4, 32, 128):
         pilot = make_pilot(l)
         s_en = l * 1.0
-        y = a_w * channel.h_w * (1 + attack.epsilon) * pilot.samples
-        rec = SignalBlock(y, Phase.ESTIMATION, pilot_hypothesis=PilotHypothesis.H1)
-        rep = mmse_estimate(channel, pilot, rec, attack)
+        y = a_w * channel.h_w * (1 + attack.epsilon) * pilot
+        rep = mmse_estimate(channel, pilot, y, attack)
         expect = (1 + attack.epsilon) * a * s_en / (1 + a * s_en) * channel.h_w
         worst = max(worst, abs(rep.h_hat - expect) / abs(expect))
     out.append(CheckResult("noiseless_bias", worst <= 1e-12,
@@ -85,9 +84,8 @@ def verify_mmse(seed: int = 0) -> list[CheckResult]:
     errs = []
     for l in (64, 128, 256):
         pilot = make_pilot(l)
-        y = a_w * channel.h_w * pilot.samples
-        rec = SignalBlock(y, Phase.ESTIMATION, pilot_hypothesis=PilotHypothesis.H0)
-        errs.append(abs(mmse_estimate(channel, pilot, rec).h_hat
+        y = a_w * channel.h_w * pilot
+        errs.append(abs(mmse_estimate(channel, pilot, y).h_hat
                         - mmse_limit(channel, attack, PilotHypothesis.H0)))
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     halving = all(1.8 <= r <= 2.2 for r in ratios)
@@ -129,8 +127,7 @@ def verify_threshold(seed: int = 0) -> list[CheckResult]:
         t_star = tau_dagger(channel, channel.h_w, lam_t, n)
         grid = np.linspace(0.3 * t_star, 3.0 * t_star, 10_000)
         sums = analytic_error_probs(channel, AttackParams(0.0, lam_t),
-                                    replace(config, block_len=n), grid,
-                                    Conditioning.H0_TRUE).sum
+                                    replace(config, block_len=n), grid).sum
         t_grid = grid[int(np.argmin(sums))]
         step = grid[1] - grid[0]
         worst_steps = max(worst_steps, abs(t_grid - t_star) / step)
@@ -153,8 +150,8 @@ def verify_regimes(seed: int = 0) -> list[CheckResult]:
 
     cfg = replace(config, block_len=4000)
     deep = AttackParams(0.1, 0.1)
-    analytic = analytic_error_probs(channel, deep, cfg, tau_eps(channel, deep),
-                                    Conditioning.H1_TRUE).sum
+    analytic = analytic_error_probs(channel, deep, cfg,
+                                    tau_eps(channel, deep)).sum
     mc = McConfig(trials=2000, base_seed=seed)
     probs, (rf, rm) = mc_comm_error_probs(channel, deep, cfg, mc)
     se = 3 * math.hypot(rf.std_error, rm.std_error) + 1e-12
@@ -165,8 +162,8 @@ def verify_regimes(seed: int = 0) -> list[CheckResult]:
 
     silent = AttackParams(0.0, 0.3)
     probs0, _ = mc_comm_error_probs(channel, silent, cfg, mc)
-    a0 = analytic_error_probs(channel, silent, cfg, tau_eps(channel, silent),
-                              Conditioning.H1_TRUE).sum
+    a0 = analytic_error_probs(channel, silent, cfg,
+                              tau_eps(channel, silent)).sum
     out.append(CheckResult("detectable_vanishes",
                            probs0.sum <= 0.01 and a0 <= 0.01,
                            f"analytic {a0:.2e}, mc {probs0.sum:.2e}"))
@@ -182,8 +179,7 @@ def verify_regimes(seed: int = 0) -> list[CheckResult]:
             continue
         bound = tail_bound_sum(channel, att, config)
         actual = 1 - analytic_error_probs(channel, att, config,
-                                          tau_eps(channel, att),
-                                          Conditioning.H1_TRUE).sum
+                                          tau_eps(channel, att)).sum
         worst = max(worst, actual - bound)
         ok = ok and actual <= bound + 1e-12
     out.append(CheckResult("tail_bound_dominates", ok,

@@ -18,10 +18,9 @@ from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import beta, chndtr
 
-from covertpilot import (AttackParams, ChannelParams, Phase, PilotHypothesis,
-                         SignalBlock, SystemConfig, derive_rng,
-                         gaussian_input, make_pilot, mmse_estimate,
-                         mmse_limit, tau_dagger, tau_eps)
+from covertpilot import (AttackParams, ChannelParams, PilotHypothesis,
+                         SystemConfig, derive_rng, gaussian_input, make_pilot,
+                         mmse_estimate, mmse_limit, tau_dagger, tau_eps)
 from covertpilot.channel import STREAM_FADING_W, _require, complex_normal
 from covertpilot.pilot import _square
 
@@ -40,34 +39,33 @@ class CommHypothesis(Enum):
     H1 = "h1"
 
 
-def alice_input(config: SystemConfig, seed: int) -> SignalBlock:
+def alice_input(config: SystemConfig, seed: int) -> np.ndarray:
     """Legitimate data block of exact power lambda_a (stream STREAM_ALICE)."""
-    x = gaussian_input(config.block_len, config.lambda_a,
-                       derive_rng(seed, STREAM_ALICE))
-    return SignalBlock(x, Phase.COMMUNICATION)
+    return gaussian_input(config.block_len, config.lambda_a,
+                          derive_rng(seed, STREAM_ALICE))
 
 
 def trojan_input(config: SystemConfig, attack: AttackParams,
-                 seed: int) -> SignalBlock:
+                 seed: int) -> np.ndarray:
     """Trojan data block of exact power lambda_t (stream STREAM_TROJAN)."""
-    x = gaussian_input(config.block_len, attack.lambda_t,
-                       derive_rng(seed, STREAM_TROJAN))
-    return SignalBlock(x, Phase.COMMUNICATION)
+    return gaussian_input(config.block_len, attack.lambda_t,
+                          derive_rng(seed, STREAM_TROJAN))
 
 
 def synthesize_received(config: SystemConfig, channel: ChannelParams,
-                        attack: AttackParams, phase: Phase,
+                        attack: AttackParams,
                         pilot_hypothesis: PilotHypothesis | None = None,
                         comm_hypothesis: CommHypothesis | None = None,
                         seed: int = 0,
-                        pilot: SignalBlock | None = None) -> SignalBlock:
+                        pilot: np.ndarray | None = None) -> np.ndarray:
     """Synthesize the monitoring receiver's observation for one block.
 
-    Estimation phase (``pilot_hypothesis`` required)::
+    Exactly one hypothesis is given, and it picks the phase.  Estimation
+    phase (``pilot_hypothesis``)::
 
         y = alpha_w * h_w * (1 + eps * 1{H1}) * s  +  z
 
-    Communication phase (``comm_hypothesis`` required)::
+    Communication phase (``comm_hypothesis``)::
 
         y = alpha_w * h_w * x_a  (+ alpha_w * h_w * x_t under H1)  +  z
 
@@ -76,41 +74,31 @@ def synthesize_received(config: SystemConfig, channel: ChannelParams,
     ``STREAM_TROJAN``.  Pure function of its arguments: identical inputs
     give bit-identical blocks.
     """
+    _require((pilot_hypothesis is None) != (comm_hypothesis is None),
+             "give exactly one of pilot_hypothesis and comm_hypothesis")
     a_w = math.sqrt(channel.alpha_w_sq)
-    if phase is Phase.ESTIMATION:
-        _require(pilot_hypothesis is not None,
-                 "estimation phase needs a pilot hypothesis")
-        _require(comm_hypothesis is None,
-                 "estimation phase carries no communication hypothesis")
+    if pilot_hypothesis is not None:
         s = pilot if pilot is not None else make_pilot(config.pilot_len)
-        _require(s.phase is Phase.ESTIMATION, "pilot block must be estimation phase")
         scale = 1.0 + (attack.epsilon if pilot_hypothesis is PilotHypothesis.H1
                        else 0.0)
         z = complex_normal(derive_rng(seed, STREAM_NOISE), len(s),
                            channel.sigma_w_sq)
-        y = a_w * channel.h_w * scale * s.samples + z
-        return SignalBlock(y, Phase.ESTIMATION, pilot_hypothesis=pilot_hypothesis)
+        return a_w * channel.h_w * scale * s + z
 
-    _require(comm_hypothesis is not None,
-             "communication phase needs a communication hypothesis")
-    _require(pilot is None, "communication phase takes no pilot")
+    _require(pilot is None, "the communication phase takes no pilot")
     n = config.block_len
     x_a = alice_input(config, seed)
     z = complex_normal(derive_rng(seed, STREAM_NOISE), n, channel.sigma_w_sq)
-    y = a_w * channel.h_w * x_a.samples + z
+    y = a_w * channel.h_w * x_a + z
     if comm_hypothesis is CommHypothesis.H1:
-        x_t = trojan_input(config, attack, seed)
-        y = y + a_w * channel.h_w * x_t.samples
-    return SignalBlock(y, Phase.COMMUNICATION,
-                       pilot_hypothesis=pilot_hypothesis)
+        y = y + a_w * channel.h_w * trojan_input(config, attack, seed)
+    return y
 
 
-def radiometer_statistic(received: SignalBlock | np.ndarray,
-                         x_a: SignalBlock | np.ndarray,
+def radiometer_statistic(received: np.ndarray, x_a: np.ndarray,
                          h_hat: complex, channel: ChannelParams) -> float:
     """Residual power after cancelling the legitimate signal with h_hat."""
-    y = received.samples if isinstance(received, SignalBlock) else np.asarray(received)
-    x = x_a.samples if isinstance(x_a, SignalBlock) else np.asarray(x_a)
+    y, x = np.asarray(received), np.asarray(x_a)
     _require(y.shape == x.shape and y.ndim == 1 and y.size >= 1,
              "received and x_a must be equal-length vectors")
     v = y - math.sqrt(channel.alpha_w_sq) * h_hat * x
@@ -132,10 +120,9 @@ class PilotCovariances:
 
 
 def pilot_covariances(channel: ChannelParams, attack: AttackParams,
-                      pilot: SignalBlock) -> PilotCovariances:
+                      pilot: np.ndarray) -> PilotCovariances:
     """Materialize Sigma_0 and Sigma_1 as dense L x L matrices."""
-    s = pilot.samples
-    outer = np.outer(s, s.conj())
+    outer = np.outer(pilot, pilot.conj())
     kappa = channel.alpha_w_sq * channel.sigma_h_sq
     eye = channel.sigma_w_sq * np.eye(len(pilot))
     scale = kappa * _square(1 + attack.epsilon)
@@ -164,7 +151,7 @@ def dense_pilot_llr(channel, attack, l, trials, seed):
                            channel.sigma_h_sq)[0]
         z = complex_normal(derive_rng(seed, i, STREAM_NOISE), l,
                            channel.sigma_w_sq)
-        rows[i] = a_w * h * pilot.samples + z
+        rows[i] = a_w * h * pilot + z
     q0 = np.einsum("ij,ji->i", rows.conj(), cho_solve(c0, rows.T)).real
     q1 = np.einsum("ij,ji->i", rows.conj(), cho_solve(c1, rows.T)).real
     return (logdet1 - logdet0) + (q1 - q0)
@@ -185,14 +172,10 @@ def full_vector_estimator_errors(channel, attack, l, trials, seed):
     for i in range(trials):
         z = complex_normal(derive_rng(seed, i, STREAM_NOISE), l,
                            channel.sigma_w_sq)
-        y0 = a_w * channel.h_w * pilot.samples + z
-        y1 = a_w * channel.h_w * (1 + attack.epsilon) * pilot.samples + z
-        rec0 = SignalBlock(y0, Phase.ESTIMATION,
-                           pilot_hypothesis=PilotHypothesis.H0)
-        rec1 = SignalBlock(y1, Phase.ESTIMATION,
-                           pilot_hypothesis=PilotHypothesis.H1)
-        err[0, i] = abs(mmse_estimate(channel, pilot, rec0).h_hat - lim0) ** 2
-        err[1, i] = abs(mmse_estimate(channel, pilot, rec1, attack).h_hat
+        y0 = a_w * channel.h_w * pilot + z
+        y1 = a_w * channel.h_w * (1 + attack.epsilon) * pilot + z
+        err[0, i] = abs(mmse_estimate(channel, pilot, y0).h_hat - lim0) ** 2
+        err[1, i] = abs(mmse_estimate(channel, pilot, y1, attack).h_hat
                         - lim1) ** 2
     return err
 
@@ -224,10 +207,8 @@ def full_vector_comm_tally(channel, attack, config, n, trials, seed,
         else:
             zp = complex_normal(derive_rng(seed, i, STREAM_PILOT_NOISE),
                                 len(pilot), channel.sigma_w_sq)
-            y_p = a_w * h * (1 + attack.epsilon) * pilot.samples + zp
-            rec = SignalBlock(y_p, Phase.ESTIMATION,
-                              pilot_hypothesis=PilotHypothesis.H1)
-            h_hat = mmse_estimate(channel, pilot, rec, attack).h_hat
+            y_p = a_w * h * (1 + attack.epsilon) * pilot + zp
+            h_hat = mmse_estimate(channel, pilot, y_p, attack).h_hat
             thr = tau_dagger(channel, h_hat, attack.lambda_t, n)
         y0 = a_w * h * x_a + z
         fa += radiometer_statistic(y0, x_a, h_hat, channel) > thr

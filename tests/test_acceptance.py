@@ -14,14 +14,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from covertpilot import (AttackParams, ChannelParams, Conditioning, McConfig,
+from covertpilot import (AttackParams, ChannelParams, McConfig,
                          analytic_error_probs, kl_pilot_exact,
                          kl_pilot_limit, make_pilot, mc_comm_error_probs,
                          mc_estimator_error, mc_sqrt_law, mmse_estimate,
                          solve_sqrt_law_coefficient, tau_dagger, tau_eps,
                          power_scaling_table)
 from covertpilot import cli
-from covertpilot.channel import Phase, PilotHypothesis, SignalBlock
 from covertpilot.verification import random_detection_config
 from reference import pilot_covariances
 
@@ -109,10 +108,8 @@ def test_criterion_3_estimator_consistency(channel):
     for L in (4, 16, 64, 256):
         for eps in (0.0, 0.1, 0.25):
             pilot = make_pilot(L)
-            hyp = PilotHypothesis.H1 if eps > 0 else PilotHypothesis.H0
-            y = a_w * channel.h_w * (1 + eps) * pilot.samples
-            rec = SignalBlock(y, Phase.ESTIMATION, pilot_hypothesis=hyp)
-            rep = mmse_estimate(channel, pilot, rec, AttackParams(eps, 0.1))
+            y = a_w * channel.h_w * (1 + eps) * pilot
+            rep = mmse_estimate(channel, pilot, y, AttackParams(eps, 0.1))
             expect = (1 + eps) * a * L / (1 + a * L) * channel.h_w
             worst = max(worst, abs(rep.h_hat - expect) / abs(expect))
     bias_ok = worst <= 1e-12
@@ -142,8 +139,7 @@ def test_criterion_4_threshold_optimality(config):
         t_star = tau_dagger(ch, ch.h_w, lam_t, n)
         grid = np.linspace(0.3 * t_star, 3.0 * t_star, 10_000)
         sums = analytic_error_probs(ch, AttackParams(0.0, lam_t),
-                                    replace(config, block_len=n), grid,
-                                    Conditioning.H0_TRUE).sum
+                                    replace(config, block_len=n), grid).sum
         step = grid[1] - grid[0]
         worst_steps = max(worst_steps,
                           abs(grid[int(np.argmin(sums))] - t_star) / step)
@@ -161,16 +157,14 @@ def test_criterion_5_blind_regime_saturation(channel, config):
 
     attack = AttackParams(0.1, 0.3)
     analytic = analytic_error_probs(channel, attack, cfg,
-                                    tau_eps(channel, attack),
-                                    Conditioning.H1_TRUE).sum
+                                    tau_eps(channel, attack)).sum
     mc = McConfig(trials=10_000, base_seed=23, n=n)
     probs, (rf, rm) = mc_comm_error_probs(channel, attack, cfg, mc)
     se3 = 3 * math.hypot(rf.std_error, rm.std_error)
 
     silent = AttackParams(0.0, 0.3)
     analytic0 = analytic_error_probs(channel, silent, cfg,
-                                     tau_eps(channel, silent),
-                                     Conditioning.H1_TRUE).sum
+                                     tau_eps(channel, silent)).sum
     probs0, _ = mc_comm_error_probs(channel, silent, cfg,
                                     McConfig(trials=10_000, base_seed=24, n=n))
     elapsed = time.perf_counter() - t0

@@ -1,7 +1,11 @@
-"""The benchmark's traced mode wraps package functions by name; they must exist."""
+"""Package names: the ones the benchmark's traced mode wraps must exist, and
+the ones that left the package must stay gone."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import covertpilot
@@ -12,6 +16,9 @@ TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 TEST_ONLY = ("CommHypothesis", "alice_input", "trojan_input",
              "synthesize_received", "radiometer_statistic",
              "pilot_covariances", "PilotCovariances")
+
+# Hypothesis tags that duplicated what the attack parameters already fix.
+REMOVED_TAGS = ("Conditioning", "Phase", "SignalBlock")
 
 
 def traced_names():
@@ -39,3 +46,20 @@ def test_test_only_names_left_the_package():
     for name in TEST_ONLY:
         assert name not in covertpilot.__all__, name
         assert not hasattr(covertpilot, name), name
+
+
+def test_hypothesis_tags_are_gone():
+    modules = [covertpilot] + [
+        importlib.import_module(f"covertpilot.{info.name}")
+        for info in pkgutil.iter_modules(covertpilot.__path__)
+        if info.name != "__main__"]
+    for mod in modules:
+        for name in REMOVED_TAGS:
+            assert not hasattr(mod, name), f"{mod.__name__}.{name}"
+    params = inspect.signature(covertpilot.analytic_error_probs).parameters
+    assert list(params) == ["channel", "attack", "config", "tau"]
+    assert "tau" not in inspect.signature(
+        covertpilot.mc_comm_error_probs).parameters
+    from covertpilot.pilot import EstimateReport
+    assert [f.name for f in dataclasses.fields(EstimateReport)] == [
+        "h_hat", "bias_factor"]

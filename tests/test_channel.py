@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from covertpilot import (AttackParams, ChannelParams, ParameterError, Phase,
+from covertpilot import (AttackParams, ChannelParams, ParameterError,
                          PilotHypothesis, SystemConfig, derive_rng,
                          gaussian_input, make_pilot, sample_fading)
 from covertpilot.channel import complex_normal
@@ -40,11 +40,11 @@ class TestMakePilot:
                              [(4, 1.0, 4.0), (100, 0.5, 50.0), (1, 2.0, 2.0)])
     def test_energy(self, length, power, energy):
         pilot = make_pilot(length, power)
-        assert np.vdot(pilot.samples, pilot.samples).real == pytest.approx(
+        assert np.vdot(pilot, pilot).real == pytest.approx(
             energy, abs=1e-12)
 
     def test_single_sample_amplitude(self):
-        assert make_pilot(1, 2.0).samples[0] == pytest.approx(math.sqrt(2))
+        assert make_pilot(1, 2.0)[0] == pytest.approx(math.sqrt(2))
 
     def test_rejects_bad_args(self):
         with pytest.raises(ParameterError):
@@ -60,10 +60,11 @@ class TestExactPower:
             assert np.mean(np.abs(x) ** 2) == pytest.approx(power, rel=1e-12)
 
     def test_alice_and_trojan_blocks(self, channel, config, attack):
-        assert alice_input(config, 3).block_power == pytest.approx(
-            config.lambda_a, rel=1e-12)
-        assert trojan_input(config, attack, 3).block_power == pytest.approx(
-            attack.lambda_t, rel=1e-12)
+        x_a, x_t = alice_input(config, 3), trojan_input(config, attack, 3)
+        assert np.mean(np.abs(x_a) ** 2) == pytest.approx(config.lambda_a,
+                                                          rel=1e-12)
+        assert np.mean(np.abs(x_t) ** 2) == pytest.approx(attack.lambda_t,
+                                                          rel=1e-12)
 
     def test_zero_power_block(self):
         assert np.all(gaussian_input(8, 0.0, derive_rng(0)) == 0)
@@ -78,64 +79,69 @@ class TestNoise:
 class TestSynthesize:
     def test_pilot_zero_noise_limit(self, config, attack):
         quiet = ChannelParams(0.1, 0.1, 1e-30, 0.1, 1.0, 0.7 - 0.2j, 1 + 0j)
-        y = synthesize_received(config, quiet, attack, Phase.ESTIMATION,
+        y = synthesize_received(config, quiet, attack,
                                 pilot_hypothesis=PilotHypothesis.H0, seed=5)
-        expected = math.sqrt(0.1) * (0.7 - 0.2j) * make_pilot(config.pilot_len).samples
-        assert np.max(np.abs(y.samples - expected)) < 1e-10
+        expected = math.sqrt(0.1) * (0.7 - 0.2j) * make_pilot(config.pilot_len)
+        assert np.max(np.abs(y - expected)) < 1e-10
 
     def test_eps_zero_hypotheses_coincide(self, channel, config):
         silent = AttackParams(0.0, 0.5)
-        y0 = synthesize_received(config, channel, silent, Phase.ESTIMATION,
+        y0 = synthesize_received(config, channel, silent,
                                  pilot_hypothesis=PilotHypothesis.H0, seed=9)
-        y1 = synthesize_received(config, channel, silent, Phase.ESTIMATION,
+        y1 = synthesize_received(config, channel, silent,
                                  pilot_hypothesis=PilotHypothesis.H1, seed=9)
-        assert np.array_equal(y0.samples, y1.samples)
+        assert np.array_equal(y0, y1)
 
     def test_pilot_scaling_applied(self, channel, config, attack):
-        y0 = synthesize_received(config, channel, attack, Phase.ESTIMATION,
+        y0 = synthesize_received(config, channel, attack,
                                  pilot_hypothesis=PilotHypothesis.H0, seed=9)
-        y1 = synthesize_received(config, channel, attack, Phase.ESTIMATION,
+        y1 = synthesize_received(config, channel, attack,
                                  pilot_hypothesis=PilotHypothesis.H1, seed=9)
-        s = make_pilot(config.pilot_len).samples
-        diff = y1.samples - y0.samples
+        s = make_pilot(config.pilot_len)
+        diff = y1 - y0
         expected = math.sqrt(0.1) * channel.h_w * attack.epsilon * s
         assert np.max(np.abs(diff - expected)) < 1e-12
 
     def test_comm_trojan_power_lln(self, channel, config, attack):
         big = SystemConfig(config.lambda_a, config.r_a, config.delta_1,
                            config.delta_2, config.pilot_len, 10_000)
-        y = synthesize_received(big, channel, attack, Phase.COMMUNICATION,
+        y = synthesize_received(big, channel, attack,
                                 comm_hypothesis=CommHypothesis.H1, seed=17)
         x_a = alice_input(big, 17)
-        resid = y.samples - math.sqrt(0.1) * channel.h_w * x_a.samples
+        resid = y - math.sqrt(0.1) * channel.h_w * x_a
         level = np.mean(np.abs(resid) ** 2)
         expected = channel.gain_w * attack.lambda_t + channel.sigma_w_sq
         assert level == pytest.approx(expected, rel=0.05)
 
     def test_components_reconstruct_exactly(self, channel, config, attack):
-        y = synthesize_received(config, channel, attack, Phase.COMMUNICATION,
+        y = synthesize_received(config, channel, attack,
                                 comm_hypothesis=CommHypothesis.H1, seed=23)
         a_w = math.sqrt(channel.alpha_w_sq)
-        x_a = alice_input(config, 23).samples
-        x_t = trojan_input(config, attack, 23).samples
+        x_a = alice_input(config, 23)
+        x_t = trojan_input(config, attack, 23)
         z = complex_normal(derive_rng(23, STREAM_NOISE), config.block_len,
                            channel.sigma_w_sq)
         rebuilt = (a_w * channel.h_w * x_a + z) + a_w * channel.h_w * x_t
-        assert np.array_equal(y.samples, rebuilt)
+        assert np.array_equal(y, rebuilt)
 
     def test_bit_identical_for_same_seed(self, channel, config, attack):
         kw = dict(comm_hypothesis=CommHypothesis.H1, seed=31)
-        a = synthesize_received(config, channel, attack, Phase.COMMUNICATION, **kw)
-        b = synthesize_received(config, channel, attack, Phase.COMMUNICATION, **kw)
-        assert np.array_equal(a.samples, b.samples)
+        a = synthesize_received(config, channel, attack, **kw)
+        b = synthesize_received(config, channel, attack, **kw)
+        assert np.array_equal(a, b)
 
     def test_phase_hypothesis_consistency(self, channel, config, attack):
+        # the one hypothesis given picks the phase: both or neither is an error
         with pytest.raises(ParameterError):
-            synthesize_received(config, channel, attack, Phase.ESTIMATION,
+            synthesize_received(config, channel, attack,
+                                pilot_hypothesis=PilotHypothesis.H1,
                                 comm_hypothesis=CommHypothesis.H0, seed=0)
         with pytest.raises(ParameterError):
-            synthesize_received(config, channel, attack, Phase.COMMUNICATION,
-                                seed=0)
+            synthesize_received(config, channel, attack, seed=0)
+        with pytest.raises(ParameterError):
+            synthesize_received(config, channel, attack,
+                                comm_hypothesis=CommHypothesis.H0, seed=0,
+                                pilot=make_pilot(4))
 
 
 class TestStreamIndependence:

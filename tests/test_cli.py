@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from covertpilot import cli
+from covertpilot import AttackParams, attack_feasibility, cli
 
 
 def run_cli(args):
@@ -121,6 +123,23 @@ class TestSweep:
         for r in infeasible:
             assert r[3] != ""
             assert float(r[4]) == 0.0 and float(r[5]) == 0.0
+
+    def test_failing_condition_is_a_feasibility_condition(self, tmp_path):
+        # cond_eve_ic only selects the rate r_t_ic reports: in the default
+        # 100 x 100 grid it fails on 900 cells (every lambda_t >= 0.92),
+        # yet infeasibility is always one of the first three conditions
+        out = tmp_path / "s.csv"
+        assert run_cli(["sweep", "--out", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        reasons = Counter(r[3] for r in rows if r[2] == "0")
+        assert reasons == {"pilot_covert": 1000, "blind_comm": 5248,
+                           "no_disruption": 1837}
+        channel, config, _ = cli.build_scenario(dict(cli._DEFAULTS))
+        grid = attack_feasibility(channel, AttackParams(
+            np.linspace(0.0, 0.2475, 100)[:, None],
+            np.linspace(0.01, 1.0, 100)), config)
+        fails_ic = ~np.broadcast_to(grid.cond_eve_ic, (100, 100))
+        assert np.count_nonzero(fails_ic) == 900
 
     def test_bad_rate_config_exits_1(self, tmp_path, capsys):
         code = run_cli(["sweep", "--r-a", "4.5", "--out",

@@ -4,12 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from covertpilot import (AttackParams, ChannelParams, Conditioning,
-                         ParameterError, Phase, Regime, RegimeError,
-                         analytic_error_probs, attack_feasibility,
-                         classify_regime, derive_rng, solve_lambda_star,
-                         solve_sqrt_law_coefficient, sqrt_law_bound,
-                         tail_bound_sum, tau_dagger, tau_eps)
+from covertpilot import (AttackParams, ChannelParams, ParameterError, Regime,
+                         RegimeError, analytic_error_probs,
+                         attack_feasibility, classify_regime, derive_rng,
+                         solve_lambda_star, solve_sqrt_law_coefficient,
+                         sqrt_law_bound, tail_bound_sum, tau_dagger, tau_eps)
 from covertpilot.channel import complex_normal
 from reference import (STREAM_NOISE, CommHypothesis, alice_input,
                        radiometer_statistic, synthesize_received)
@@ -20,12 +19,12 @@ TAU_REF = 0.1192456710036019   # tau(eps) at eps=0.1, lambda_t=0.3 (40-digit eva
 class TestRadiometer:
     def test_perfect_cancellation_gives_zero(self, channel, config, attack):
         x_a = alice_input(config, 4)
-        y = math.sqrt(channel.alpha_w_sq) * channel.h_w * x_a.samples
+        y = math.sqrt(channel.alpha_w_sq) * channel.h_w * x_a
         assert radiometer_statistic(y, x_a, channel.h_w, channel) == 0.0
 
     def test_residual_level_under_trojan_silence(self, channel, config, attack):
         big = replace(config, block_len=100_000)
-        y = synthesize_received(big, channel, attack, Phase.COMMUNICATION,
+        y = synthesize_received(big, channel, attack,
                                 comm_hypothesis=CommHypothesis.H0, seed=8)
         h_hat = (1 + attack.epsilon) * channel.h_w
         t = radiometer_statistic(y, alice_input(big, 8), h_hat, channel)
@@ -36,7 +35,7 @@ class TestRadiometer:
     def test_residual_level_under_trojan_transmission(self, channel, config,
                                                       attack):
         big = replace(config, block_len=100_000)
-        y = synthesize_received(big, channel, attack, Phase.COMMUNICATION,
+        y = synthesize_received(big, channel, attack,
                                 comm_hypothesis=CommHypothesis.H1, seed=8)
         h_hat = (1 + attack.epsilon) * channel.h_w
         t = radiometer_statistic(y, alice_input(big, 8), h_hat, channel)
@@ -89,8 +88,7 @@ class TestThresholds:
         # a scalar call is the 0-d case of the broadcast code; it must not
         # leak 0-d arrays (the mc JSON serializes these values)
         rep = attack_feasibility(channel, attack, config)
-        probs = analytic_error_probs(channel, attack, config, TAU_REF,
-                                     Conditioning.H1_TRUE)
+        probs = analytic_error_probs(channel, attack, config, TAU_REF)
         for v in (tau_eps(channel, attack), tau_eps(channel, AttackParams(0, 0)),
                   tau_dagger(channel, channel.h_w, 0.3, 100),
                   rep.r_t_ic, rep.gamma_w, rep.delta_1_gap, probs.p_f,
@@ -106,22 +104,18 @@ class TestThresholds:
 
 class TestAnalyticErrorProbs:
     def test_extreme_thresholds(self, channel, config, attack):
-        hi = analytic_error_probs(channel, attack, config, 1e9,
-                                  Conditioning.H0_TRUE)
+        hi = analytic_error_probs(channel, attack, config, 1e9)
         assert (hi.p_f, hi.p_m) == (0.0, 1.0)
-        lo = analytic_error_probs(channel, attack, config, 1e-12,
-                                  Conditioning.H0_TRUE)
+        lo = analytic_error_probs(channel, attack, config, 1e-12)
         assert (lo.p_f, lo.p_m) == (1.0, 0.0)
 
     def test_below_residual_floor(self, channel, config, attack):
         # tau under the leakage level: alarm always fires, never misses
-        probs = analytic_error_probs(channel, attack, config, 0.015,
-                                     Conditioning.H1_TRUE)
+        probs = analytic_error_probs(channel, attack, config, 0.015)
         assert (probs.p_f, probs.p_m) == (1.0, 0.0)
 
     def test_sum_field(self, channel, config, attack):
-        probs = analytic_error_probs(channel, attack, config, TAU_REF,
-                                     Conditioning.H1_TRUE)
+        probs = analytic_error_probs(channel, attack, config, TAU_REF)
         assert probs.sum == probs.p_f + probs.p_m
 
     def test_matches_noise_only_simulation(self, channel, attack):
@@ -140,8 +134,7 @@ class TestAnalyticErrorProbs:
             return math.sqrt(max(p_hat * (1 - p_hat), p * (1 - p)) / trials)
 
         for tau in (TAU_REF, res + trojan + channel.sigma_w_sq):
-            probs = analytic_error_probs(channel, attack, cfg, tau,
-                                         Conditioning.H1_TRUE)
+            probs = analytic_error_probs(channel, attack, cfg, tau)
             p_f_hat = np.mean(res + lz > tau)
             p_m_hat = np.mean(res + trojan + lz < tau)
             assert abs(probs.p_f - p_f_hat) <= 3 * se(p_f_hat, probs.p_f)
@@ -155,8 +148,7 @@ class TestAnalyticErrorProbs:
             for lt in (0.05, 0.1, 0.2, 0.4):
                 att = AttackParams(0.0, lt)
                 tau = tau_dagger(channel, channel.h_w, lt, n)
-                sums.append(analytic_error_probs(channel, att, cfg, tau,
-                                                 Conditioning.H0_TRUE).sum)
+                sums.append(analytic_error_probs(channel, att, cfg, tau).sum)
             assert all(b < a for a, b in zip(sums, sums[1:]))
 
 
@@ -235,11 +227,24 @@ class TestTailBound:
             if cls.regime is Regime.DETECTABLE:
                 continue
             actual = 1 - analytic_error_probs(
-                channel, att, config, tau_eps(channel, att),
-                Conditioning.H1_TRUE).sum
+                channel, att, config, tau_eps(channel, att)).sum
             assert actual <= tail_bound_sum(channel, att, config) + 1e-12
             checked += 1
         assert checked > 20
+
+    def test_blind_above_point_of_reference_channel(self, channel, config):
+        # (0.2, 10) puts tau(eps) 2.60 noise units above the upper level; at
+        # n = 10 both the bound and 1 - (P_F + P_M) stay above underflow
+        cfg = replace(config, pilot_len=1, block_len=10)
+        att = AttackParams(0.2, 10.0)
+        cls = classify_regime(channel, att, cfg)
+        assert cls.regime is Regime.BLIND_ABOVE
+        assert cls.delta_1_gap < 0 < cls.delta_2_gap
+        assert cls.delta_2_gap == pytest.approx(2.60, abs=0.005)
+        bound = tail_bound_sum(channel, att, cfg)
+        actual = 1 - analytic_error_probs(channel, att, cfg,
+                                          tau_eps(channel, att)).sum
+        assert 0 < actual <= bound < 1
 
     def test_upper_regime_bound_dominates_exact_tail(self):
         # blind-above branch: exp(-n (1 + d2 - sqrt(1 + 2 d2))) must sit
@@ -286,8 +291,7 @@ class TestThresholdOptimality:
             t_star = tau_dagger(channel, channel.h_w, lam_t, n)
             grid = np.linspace(0.3 * t_star, 3.0 * t_star, 10_000)
             sums = analytic_error_probs(channel, AttackParams(0.0, lam_t),
-                                        replace_config_n(n), grid,
-                                        Conditioning.H0_TRUE).sum
+                                        replace_config_n(n), grid).sum
             step = grid[1] - grid[0]
             assert abs(grid[int(np.argmin(sums))] - t_star) <= step * (1 + 1e-9)
 
@@ -296,9 +300,7 @@ class TestThresholdOptimality:
         cfg = replace_config_n(500)
         att = AttackParams(0.0, 0.2)
         taus = np.array([0.08, 0.11, 0.13, 0.2])
-        vec = analytic_error_probs(channel, att, cfg, taus,
-                                   Conditioning.H0_TRUE).sum
+        vec = analytic_error_probs(channel, att, cfg, taus).sum
         for t, v in zip(taus, vec):
-            assert analytic_error_probs(channel, att, cfg, float(t),
-                                        Conditioning.H0_TRUE).sum == \
+            assert analytic_error_probs(channel, att, cfg, float(t)).sum == \
                 pytest.approx(float(v), rel=1e-12)

@@ -1,0 +1,39 @@
+"""Golden outputs: the bytes of eight pinned CLI commands, by sha256.
+
+Each command runs in-process and its stdout is hashed.  A refactor that
+claims to keep behaviour must keep every hash; a change that moves one on
+purpose updates it here and records the old and new hash in CHANGES.md.
+The hashes were taken with numpy 2.4 and scipy 1.17.
+"""
+
+import hashlib
+
+import pytest
+
+from covertpilot import cli
+
+GOLDEN = {
+    "sweep":
+        "1d072e91978f1e6a9f5696b85bba2b46e94bd03e2eb296856ac8aa737d572689",
+    "rate":
+        "3356bb868b68e9ce7be007e61769ca4d6afad4ae1295e2d0033f75f163c3fe3f",
+    "rate --epsilon 0.0 --lambda-t 0.3":
+        "329ad6c9ce7c783eca1397ec9819cd365c606bef13d092b127b511e85b146c9c",
+    "mc --target comm-detection --trials 600 --seed 11":
+        "ca78b8b097c67ffa647e51b338d17aa5b300cc584573451b047d0c8d31eb5141",
+    "mc --target sqrtlaw --trials 400 --seed 16":
+        "7fff9c01c8a2fb004e7277bc302ed31001617334a4103d053737505b5271b157",
+    "mc --target pilot-kl --trials 2000 --seed 8":
+        "2abc3ec1d698fa2b0d636aa1c9974d70109eba48bd8012d4e0ac9715e9e9b1d2",
+    "mc --target estimator --trials 150 --seed 12":
+        "06af6c951ded7e31849cb2b354370f8cff9c65357928d2a4afeb420c0f0ef8d4",
+    "verify --suite all":
+        "250b413c0e686da3473ecbb47a34353c82e69e474d21a3464f2197c231f0fe29",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_output_bytes_are_pinned(command, capsys):
+    assert cli.main(command.split()) == cli.EXIT_OK
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == GOLDEN[command]

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covertpilot import (AttackParams, ChannelParams, ParameterError, Phase,
-                         PilotHypothesis, SignalBlock, covertness_margin,
-                         kl_pilot_exact, kl_pilot_limit, make_pilot,
-                         mmse_estimate, mmse_limit)
+from covertpilot import (AttackParams, ChannelParams, ParameterError,
+                         PilotHypothesis, covertness_margin, kl_pilot_exact,
+                         kl_pilot_limit, make_pilot, mmse_estimate,
+                         mmse_limit)
 from reference import pilot_covariances, synthesize_received
 
 
@@ -28,8 +28,8 @@ def dense_kl(channel, attack, pilot):
 def dense_lmmse(channel, pilot, received):
     """Generic linear-MMSE oracle: r_{h y} Sigma_0^{-1} y with full inversion."""
     covs = pilot_covariances(channel, AttackParams(0.0, 0.0), pilot)
-    r = math.sqrt(channel.alpha_w_sq) * channel.sigma_h_sq * pilot.samples.conj()
-    return complex(r @ np.linalg.inv(covs.sigma0) @ received.samples)
+    r = math.sqrt(channel.alpha_w_sq) * channel.sigma_h_sq * pilot.conj()
+    return complex(r @ np.linalg.inv(covs.sigma0) @ received)
 
 
 class TestKlExact:
@@ -64,8 +64,7 @@ class TestKlExact:
 
     def test_complex_pilot_supported(self, channel):
         # formulas depend on the pilot only through its energy
-        phases = np.exp(2j * np.pi * np.arange(16) / 16)
-        rotated = SignalBlock(phases, Phase.ESTIMATION)
+        rotated = np.exp(2j * np.pi * np.arange(16) / 16)
         flat = make_pilot(16, 1.0)
         attack = AttackParams(0.3, 0.3)
         assert kl_pilot_exact(channel, attack, rotated) == pytest.approx(
@@ -173,14 +172,12 @@ def test_closed_forms_in_range_or_parameter_error(channel, eps, L, delta_1):
 
 
 class TestMmse:
-    def _noiseless_received(self, channel, pilot, eps, hyp):
-        scale = (1 + eps) if hyp is PilotHypothesis.H1 else 1.0
-        y = math.sqrt(channel.alpha_w_sq) * channel.h_w * scale * pilot.samples
-        return SignalBlock(y, Phase.ESTIMATION, pilot_hypothesis=hyp)
+    def _noiseless_received(self, channel, pilot, eps):
+        return math.sqrt(channel.alpha_w_sq) * channel.h_w * (1 + eps) * pilot
 
     def test_noiseless_bias_clean(self, channel):
         pilot = make_pilot(32)
-        rec = self._noiseless_received(channel, pilot, 0.0, PilotHypothesis.H0)
+        rec = self._noiseless_received(channel, pilot, 0.0)
         rep = mmse_estimate(channel, pilot, rec)
         a = channel.alpha_w_sq * channel.sigma_h_sq / channel.sigma_w_sq
         g = a * 32 / (1 + a * 32)
@@ -190,7 +187,7 @@ class TestMmse:
     def test_noiseless_bias_scaled(self, channel):
         attack = AttackParams(0.25, 0.3)
         pilot = make_pilot(64)
-        rec = self._noiseless_received(channel, pilot, 0.25, PilotHypothesis.H1)
+        rec = self._noiseless_received(channel, pilot, 0.25)
         rep = mmse_estimate(channel, pilot, rec, attack)
         a = channel.alpha_w_sq * channel.sigma_h_sq / channel.sigma_w_sq
         g = a * 64 / (1 + a * 64)
@@ -200,7 +197,7 @@ class TestMmse:
 
     def test_matches_dense_lmmse_oracle(self, channel, config, attack):
         for seed in range(5):
-            rec = synthesize_received(config, channel, attack, Phase.ESTIMATION,
+            rec = synthesize_received(config, channel, attack,
                                       pilot_hypothesis=PilotHypothesis.H1,
                                       seed=seed)
             pilot = make_pilot(config.pilot_len)
@@ -208,18 +205,20 @@ class TestMmse:
             assert mine == pytest.approx(dense_lmmse(channel, pilot, rec),
                                          abs=1e-9)
 
-    def test_requires_attack_for_scaled_block(self, channel):
+    def test_length_mismatch(self, channel):
         pilot = make_pilot(8)
-        rec = self._noiseless_received(channel, pilot, 0.1, PilotHypothesis.H1)
+        rec = self._noiseless_received(channel, make_pilot(9), 0.0)
         with pytest.raises(ParameterError):
             mmse_estimate(channel, pilot, rec)
 
-    def test_length_mismatch(self, channel):
-        pilot = make_pilot(8)
-        rec = self._noiseless_received(channel, make_pilot(9), 0.0,
-                                       PilotHypothesis.H0)
-        with pytest.raises(ParameterError):
-            mmse_estimate(channel, pilot, rec)
+    def test_pilot_must_be_a_vector(self, channel):
+        # pilots are plain arrays, so their shape is checked where they are read
+        attack = AttackParams(0.1, 0.3)
+        for pilot in (np.ones((2, 2), complex), np.ones(0, complex)):
+            with pytest.raises(ParameterError, match="1-d vector"):
+                kl_pilot_exact(channel, attack, pilot)
+            with pytest.raises(ParameterError, match="1-d vector"):
+                mmse_estimate(channel, pilot, np.ones(2, complex))
 
     def test_limit_values(self, channel):
         assert mmse_limit(channel, AttackParams(0.2, 0.3),
@@ -234,8 +233,7 @@ class TestMmse:
         errs = []
         for L in (64, 128, 256, 512):
             pilot = make_pilot(L)
-            rec = self._noiseless_received(channel, pilot, 0.1,
-                                           PilotHypothesis.H1)
+            rec = self._noiseless_received(channel, pilot, 0.1)
             h_hat = mmse_estimate(channel, pilot, rec, attack).h_hat
             errs.append(abs(h_hat - mmse_limit(channel, attack,
                                                PilotHypothesis.H1)))
