@@ -1,4 +1,4 @@
-"""Golden outputs: the bytes of eight pinned CLI commands, by sha256.
+"""Golden outputs: the bytes of nine pinned CLI commands, by sha256.
 
 Each command runs in-process and its stdout is hashed.  A refactor that
 claims to keep behaviour must keep every hash; a change that moves one on
@@ -15,6 +15,9 @@ from covertpilot import cli
 GOLDEN = {
     "sweep":
         "1d072e91978f1e6a9f5696b85bba2b46e94bd03e2eb296856ac8aa737d572689",
+    # every sweep outcome (feasible and each failing condition), lambda_t to 1e-6
+    "sweep --eps-max 0.3 --eps-steps 23 --lt-min 1e-06 --lt-max 8.0 --lt-steps 41":
+        "4287cae4022ed2df59fb4fdd3d98d493fd021c4512ee0e0ed967b0aae39fcadb",
     "rate":
         "3356bb868b68e9ce7be007e61769ca4d6afad4ae1295e2d0033f75f163c3fe3f",
     "rate --epsilon 0.0 --lambda-t 0.3":
