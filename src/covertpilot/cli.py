@@ -47,9 +47,13 @@ and otherwise the first failing condition in the order pilot_covert,
 blind_comm, no_disruption.  ``cond_eve_ic`` never makes a cell
 infeasible: it only selects the rate ``r_t_ic`` reports.  Infeasible cells
 report zero rates so plots can distinguish "zero rate" from
-"infeasible".  One broadcast call
-evaluates the whole grid.  Every subcommand runs serially, so output bytes
-depend only on the parameters and seed; ``--threads`` has no effect.
+"infeasible".  Floats are written as their shortest round-trip ``repr``.
+One broadcast call evaluates the whole grid; then one formatting pass per
+axis and per epsilon row writes it: ``lambda_t`` and both rates depend on
+lambda_t alone and are formatted once per column, ``epsilon`` once per
+row, and the per-cell fields with one ``repr`` call per row.  Every
+subcommand runs serially, so output bytes depend only on the parameters
+and seed; ``--threads`` has no effect.
 """
 
 from __future__ import annotations
@@ -113,6 +117,13 @@ class SweepSpec:
     output_path: str
 
     def __post_init__(self):
+        bounds = {"eps_min": self.eps_min, "eps_max": self.eps_max,
+                  "lt_min": self.lt_min, "lt_max": self.lt_max}
+        bad = [f"{k} = {v!r}" for k, v in bounds.items()
+               if not math.isfinite(v)]
+        if bad:
+            raise ParameterError("grid bounds must be finite: "
+                                 + ", ".join(bad))
         if self.eps_steps < 2 or self.lt_steps < 2:
             raise ParameterError("grids need at least 2 steps")
         if not (self.eps_min < self.eps_max and self.lt_min < self.lt_max):
@@ -181,24 +192,44 @@ def build_scenario(values: dict) -> tuple[ChannelParams, SystemConfig, AttackPar
     return channel, config, attack
 
 
-def _first_failing(report) -> str:
-    """The first failed condition of an infeasible cell."""
-    if not report.cond_pilot_covert:
-        return "pilot_covert"
-    if not report.cond_blind_comm:
-        return "blind_comm"
-    return "no_disruption"
+# failing_condition in its order of precedence
+_CONDITIONS = ("pilot_covert", "blind_comm", "no_disruption")
 
 
-def sweep_cell_line(eps: float, lt: float, rep: FeasibilityReport) -> str:
-    """The CSV row of the point (eps, lt), whose report is ``rep``."""
-    failing = "" if rep.feasible else _first_failing(rep)
-    tin, ic = (rep.r_t_tin, rep.r_t_ic) if rep.feasible else (0.0, 0.0)
-    return ",".join([
-        _fmt(eps), _fmt(lt), "1" if rep.feasible else "0", failing,
-        _fmt(tin), _fmt(ic), _fmt(rep.gamma_w), _fmt(rep.tau_eps),
-        _fmt(rep.delta_1_gap),
-    ])
+def _fmt_row(a) -> list[str]:
+    """``_fmt`` of every element of a 1-d float array, in one C-level ``repr``."""
+    return repr(a.tolist())[1:-1].split(", ")
+
+
+def sweep_cell_line(eps: np.ndarray, lt: np.ndarray,
+                    rep: FeasibilityReport) -> list[str]:
+    """The CSV rows of the grid ``eps`` (a column) x ``lt`` (a row), row-major.
+
+    ``rep`` is the grid's report.  ``lambda_t`` and both rates depend on
+    lambda_t alone and are formatted once per column, ``epsilon`` once per
+    row; ``gamma_w``, ``tau_eps_w`` and ``delta_1_gap`` take one ``repr``
+    per row.  The feasibility masks pick each cell's middle fields.
+    """
+    shape = np.broadcast_shapes(eps.shape, lt.shape)
+    tin = _fmt_row(np.broadcast_to(rep.r_t_tin, lt.shape))
+    ic = _fmt_row(np.broadcast_to(rep.r_t_ic, lt.shape))
+    lts = _fmt_row(lt)
+    # the fields between epsilon and gamma_w: row 0 for a feasible cell,
+    # row k for one whose k-th condition is the first to fail
+    middle = np.array(
+        [[f"{l},1,,{t},{i}" for l, t, i in zip(lts, tin, ic)]]
+        + [[f"{l},0,{name},0.0,0.0" for l in lts] for name in _CONDITIONS],
+        dtype=object)
+    cols = np.arange(shape[1])
+    fields = (rep.feasible, rep.cond_pilot_covert, rep.cond_blind_comm,
+              rep.gamma_w, rep.tau_eps, rep.delta_1_gap)
+    lines = []
+    for e, feasible, c1, c2, *cells in zip(
+            _fmt_row(eps[:, 0]), *(np.broadcast_to(f, shape) for f in fields)):
+        which = np.where(feasible, 0, np.where(c1, np.where(c2, 3, 2), 1))
+        lines += [f"{e},{m},{g},{t},{d}" for m, g, t, d in
+                  zip(middle[which, cols].tolist(), *map(_fmt_row, cells))]
+    return lines
 
 
 def run_sweep(channel: ChannelParams, config: SystemConfig,
@@ -207,10 +238,7 @@ def run_sweep(channel: ChannelParams, config: SystemConfig,
     eps = np.linspace(spec.eps_min, spec.eps_max, spec.eps_steps)[:, None]
     lt = np.linspace(spec.lt_min, spec.lt_max, spec.lt_steps)
     grid = attack_feasibility(channel, AttackParams(eps, lt), config)
-    rows = zip(*np.broadcast_arrays(eps, lt, *grid))   # per epsilon: few floats live
-    return [CSV_HEADER] + [sweep_cell_line(e, l, FeasibilityReport(*rep))
-                           for row in rows
-                           for e, l, *rep in zip(*(c.tolist() for c in row))]
+    return [CSV_HEADER] + sweep_cell_line(eps, lt, grid)
 
 
 def _write_text(path: str | None, text: str) -> None:

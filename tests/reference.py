@@ -7,6 +7,9 @@ length-L pilot observation) from its own ``SeedSequence`` streams and
 evaluates the statistic on the vectors, with dense L x L matrices for the
 pilot likelihoods.  They share no sampling code with the package, so
 agreement within standard errors checks the reduced laws.
+
+The sweep CSV has a cell-by-cell reference too: one ``FeasibilityReport``
+and nine formatted fields per cell, with no value shared between cells.
 """
 
 import math
@@ -19,10 +22,12 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import beta, chndtr
 
 from covertpilot import (AttackParams, ChannelParams, PilotHypothesis,
-                         SystemConfig, derive_rng, gaussian_input, make_pilot,
-                         mmse_estimate, mmse_limit, tau_dagger, tau_eps)
+                         SystemConfig, attack_feasibility, derive_rng,
+                         gaussian_input, make_pilot, mmse_estimate,
+                         mmse_limit, tau_dagger, tau_eps)
 from covertpilot.channel import STREAM_FADING_W, _require, complex_normal
 from covertpilot.pilot import _square
+from covertpilot.rates import FeasibilityReport
 
 # Stream labels of the reference simulation; the values are fixed so that
 # every fixed-seed reference tally stays reproducible.
@@ -256,3 +261,39 @@ def exact_comm_error_probs(channel, attack, config, n, tau):
 
     p_m = quad(miss_given_u, -1, 1)[0] / beta(0.5, n - 0.5)
     return p_f, p_m
+
+
+def _first_failing(report) -> str:
+    """The first failed condition of an infeasible cell."""
+    if not report.cond_pilot_covert:
+        return "pilot_covert"
+    if not report.cond_blind_comm:
+        return "blind_comm"
+    return "no_disruption"
+
+
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def sweep_cell_line(eps: float, lt: float, rep: FeasibilityReport) -> str:
+    """The CSV row of the point (eps, lt), whose report is ``rep``."""
+    failing = "" if rep.feasible else _first_failing(rep)
+    tin, ic = (rep.r_t_tin, rep.r_t_ic) if rep.feasible else (0.0, 0.0)
+    return ",".join([
+        _fmt(eps), _fmt(lt), "1" if rep.feasible else "0", failing,
+        _fmt(tin), _fmt(ic), _fmt(rep.gamma_w), _fmt(rep.tau_eps),
+        _fmt(rep.delta_1_gap),
+    ])
+
+
+def sweep_lines(channel: ChannelParams, config: SystemConfig, spec) -> list[str]:
+    """The rows of ``cli.run_sweep``'s CSV for ``spec``, cell by cell."""
+    eps = np.linspace(spec.eps_min, spec.eps_max, spec.eps_steps)[:, None]
+    lt = np.linspace(spec.lt_min, spec.lt_max, spec.lt_steps)
+    grid = attack_feasibility(channel, AttackParams(eps, lt), config)
+    shape = np.broadcast_shapes(eps.shape, lt.shape)
+    cells = zip(*(np.broadcast_to(c, shape).ravel().tolist()
+                  for c in (eps, lt, *grid)))
+    return [sweep_cell_line(e, l, FeasibilityReport(*rep))
+            for e, l, *rep in cells]

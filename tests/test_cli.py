@@ -3,7 +3,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference
 from covertpilot import AttackParams, attack_feasibility, cli
 
 
@@ -163,6 +166,40 @@ class TestSweep:
         code = run_cli(["sweep", "--lt-min", "0", "--out",
                         str(tmp_path / "s.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize("bound", ["eps_min", "eps_max", "lt_min",
+                                       "lt_max"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_grid_bound_exits_1(self, bound, value, tmp_path,
+                                          capsys):
+        flag = "--" + bound.replace("_", "-")
+        code = run_cli(["sweep", f"{flag}={value}", "--eps-steps", "2",
+                        "--lt-steps", "2", "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"grid bounds must be finite: {bound} = {value}" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not (tmp_path / "s.csv").exists()
+
+    # the default delta_1 / sqrt(2) = 0.2236 is the pilot_covert edge
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=150)
+    @given(eps_min=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+           eps_width=st.floats(1e-3, 0.3), eps_steps=st.integers(2, 40),
+           lt_min=st.floats(1e-6, 49.0), lt_width=st.floats(1e-3, 50.0),
+           lt_steps=st.integers(2, 40))
+    @example(eps_min=0.0, eps_width=0.3, eps_steps=23, lt_min=1e-6,
+             lt_width=8.0, lt_steps=41)
+    def test_rows_match_cell_by_cell_reference(self, eps_min, eps_width,
+                                               eps_steps, lt_min, lt_width,
+                                               lt_steps):
+        spec = cli.SweepSpec(eps_min, eps_min + eps_width, eps_steps,
+                             lt_min, min(lt_min + lt_width, 50.0), lt_steps,
+                             output_path=None)
+        channel, config, _ = cli.build_scenario(dict(cli._DEFAULTS))
+        lines = cli.run_sweep(channel, config, spec)
+        assert lines[0] == cli.CSV_HEADER
+        assert lines[1:] == reference.sweep_lines(channel, config, spec)
 
 
 class TestConfigFile:

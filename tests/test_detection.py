@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from covertpilot import (AttackParams, ChannelParams, ParameterError, Regime,
-                         RegimeError, analytic_error_probs,
-                         attack_feasibility, classify_regime, derive_rng,
+from covertpilot import (AttackParams, ParameterError, Regime, RegimeError,
+                         analytic_error_probs, attack_feasibility,
+                         classify_regime, derive_rng,
                          solve_lambda_star, solve_sqrt_law_coefficient,
                          sqrt_law_bound, tail_bound_sum, tau_dagger, tau_eps)
 from covertpilot.channel import complex_normal
@@ -176,13 +176,13 @@ class TestRegimes:
         assert cls.regime is Regime.DETECTABLE
         assert cls.delta_1_gap < 0 and cls.delta_2_gap < 0
 
-    def test_blind_above_reachable(self, config):
-        # a tiny legitimate noise floor pushes tau above the upper level
-        channel = ChannelParams(0.1, 0.1, 0.004, 0.1, 1.0, 1 + 0j, 1 + 0j)
-        cfg = replace_config_n(1000)
-        att = AttackParams(0.0, 0.001)
-        cls = classify_regime(channel, att, cfg)
-        assert (cls.regime in (Regime.BLIND_ABOVE, Regime.DETECTABLE))
+    def test_blind_above_reachable(self, channel, config):
+        # a strong trojan on a short block lifts tau above the upper level:
+        # at n = 10, (0.1, 10) sits 0.90 noise units above it
+        cfg = replace(config, pilot_len=1, block_len=10)
+        cls = classify_regime(channel, AttackParams(0.1, 10.0), cfg)
+        assert cls.regime is Regime.BLIND_ABOVE
+        assert cls.delta_1_gap < 0 < cls.delta_2_gap
 
     def test_exact_boundary_warns_and_is_detectable(self, channel, config):
         # lambda_t = 0 puts tau exactly on both levels (degenerate boundary)
