@@ -44,8 +44,6 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
-from scipy.optimize import brentq
 
 from .channel import (AttackParams, ChannelParams, ParameterError,
                       SystemConfig, _require)
@@ -190,6 +188,9 @@ def analytic_error_probs(channel: ChannelParams, attack: AttackParams,
     signal, so only P_F at eps = 0 is exact; the simulation of
     :mod:`~covertpilot.montecarlo` keeps those terms.
     """
+    # lazy: `rate` and `sweep` must not pay scipy's 0.6 s import
+    from scipy.special import gammainc, gammaincc
+
     _require(np.all(tau > 0), "tau must be > 0")
     n = config.block_len
     s2 = channel.sigma_w_sq
@@ -298,5 +299,8 @@ def solve_sqrt_law_coefficient(channel: ChannelParams, target: float) -> float:
     peak = _sqrt_law_limit(channel, c_peak)
     if target >= peak:
         raise ParameterError(f"target {target} is not below the peak bound {peak:.6g}")
+    # lazy: `rate` and `sweep` must not pay scipy's 0.6 s import
+    from scipy.optimize import brentq
+
     f = lambda c: _sqrt_law_limit(channel, c) - target
     return float(brentq(f, 1e-12 * c_peak, c_peak, rtol=8.9e-16))

@@ -87,7 +87,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .channel import (STREAM_TRIAL, AttackParams, ChannelParams,
                       PilotHypothesis, SystemConfig, _require, make_pilot)
@@ -178,6 +177,9 @@ def _complex_normal(u_mod: np.ndarray, u_arg: np.ndarray,
 
 def _gamma_remainder(u: np.ndarray, shape: int, s2: float) -> np.ndarray:
     """Gamma(shape, scale s2) by inversion; shape 0 is the point mass at 0."""
+    # lazy: the pilot estimators must not pay scipy's 0.6 s import
+    from scipy.special import gammaincinv
+
     if shape == 0:
         return np.zeros_like(u)
     return s2 * gammaincinv(shape, u)
@@ -315,7 +317,10 @@ def mc_pilot_kl(channel: ChannelParams, attack: AttackParams, l: int,
     kappa1 = kappa0 * _square(1 + attack.epsilon)
     gap = S * kappa0 * attack.epsilon * (2 + attack.epsilon)  # S (kappa1 - kappa0)
     logdet = math.log1p(gap / (s2 + kappa0 * S))
-    q = gap / (s2 + kappa1 * S)
+    den = s2 + kappa1 * S
+    _require(math.isfinite(den), "mc_pilot_kl needs a finite alpha_w^2 "
+             "sigma_h^2 (1+eps)^2 S + sigma_w^2; epsilon is too large")
+    q = gap / den
 
     llr = np.concatenate(_per_chunk(mc.base_seed, mc.trials,
                                     lambda u: logdet + q * np.log(u[:, 0])))

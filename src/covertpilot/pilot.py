@@ -79,19 +79,26 @@ def kl_pilot_exact(channel: ChannelParams, attack: AttackParams,
         q = a * eps * (2 + eps) * S / (1 + a * (1+eps)^2 * S)
 
     so the divergence is ``-log(1 - q) - q``.  No L x L matrix is ever
-    built; exact for any pilot length, up to an eps so large that ``1 - q``
-    drowns in the rounding of ``q`` (a :class:`ParameterError`).
+    built; exact for any pilot length.  Where ``1 - q`` drowns in the
+    rounding of ``q`` (eps from about 1e5 on the reference channel) the
+    log-determinant is taken directly, ``log1p(a (1+eps)^2 S) - log1p(a S)
+    - q``; only an eps for which ``a (1+eps)^2 S`` overflows raises
+    :class:`ParameterError`.
     """
     _require(attack.epsilon >= 0, "epsilon must be >= 0")
     S = _pilot_energy(pilot)
     a = channel.alpha_w_sq * channel.sigma_h_sq / channel.sigma_w_sq
     eps = attack.epsilon
-    den = 1 + a * _square(1 + eps) * S
+    scaled = a * _square(1 + eps) * S
+    den = 1 + scaled
     q = a * eps * (2 + eps) * S / den
-    _require(math.isclose(1 - q, (1 + a * S) / den, rel_tol=1e-6),
-             "kl_pilot_exact needs 1 - q = (1 + a S) / (1 + a (1+eps)^2 S) "
-             "resolved in double precision; epsilon is too large")
-    return -math.log1p(-q) - q
+    if math.isclose(1 - q, (1 + a * S) / den, rel_tol=1e-6):
+        return -math.log1p(-q) - q
+    kl = math.log1p(scaled) - math.log1p(a * S) - q
+    _require(math.isfinite(kl),
+             "kl_pilot_exact needs a finite a (1+eps)^2 S to resolve "
+             "1 - q = (1 + a S) / (1 + a (1+eps)^2 S); epsilon is too large")
+    return kl
 
 
 def kl_pilot_limit(epsilon: float) -> float:

@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .channel import AttackParams, ChannelParams, SystemConfig, _require
 from .detection import (_log2, analytic_error_probs, regime_gaps,
@@ -166,6 +165,9 @@ def solve_lambda_star(channel: ChannelParams, config: SystemConfig,
     while f(hi) < 0:
         hi *= 2
         _require(hi < 1e12, "failed to bracket the critical power")
+    # lazy: `rate` and `sweep` must not pay scipy's 0.6 s import
+    from scipy.optimize import brentq
+
     lam = float(brentq(f, 0.0, hi, rtol=8.9e-16, maxiter=200))
     residual = abs(tau_eps(channel, AttackParams(epsilon, lam)) - floor)
     if residual > 1e-10 * floor:

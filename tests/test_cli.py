@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -51,6 +54,31 @@ class TestRate:
     def test_negative_legit_power_exits_1(self, capsys):
         assert run_cli(["rate", "--lambda-a", "-100"]) == 1
         assert "lambda_a must be > 0" in capsys.readouterr().err
+
+    # every edge value of every flag ends in a report or a named
+    # configuration error; `--flag=value` lets argparse read -inf as a value
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(st.fixed_dictionaries({
+        flag: st.one_of(st.none(), st.sampled_from(
+            ["nan", "inf", "-inf", "0", "-1", "-1e300", "5e-324", "1e300"]))
+        for flag in ("epsilon", "lambda-t", "lambda-a", "sigma-w-sq",
+                     "delta-1", "delta-2")}))
+    def test_edge_values_exit_0_or_1(self, values):
+        argv = ["rate"] + [f"--{flag}={v}" for flag, v in values.items()
+                           if v is not None]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run_cli(argv)
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        if code == 0:
+            assert "feasible = " in out.getvalue()
+        else:
+            assert code == 1
+            assert err.getvalue().startswith("configuration error:")
 
     def test_rate_matches_sweep_rows(self, tmp_path, capsys):
         # eps 0 fails blind_comm; (0.1, 0.1) and (0.1, 0.3) are blind below
@@ -268,7 +296,7 @@ class TestMc:
 
     @pytest.mark.parametrize("argv, constraint", [
         (["--target", "pilot-kl", "--epsilon", "1e200"], "1 - q"),
-        (["--target", "pilot-kl", "--epsilon", "1e150"], "1 - q"),
+        (["--target", "pilot-kl", "--epsilon", "1e154"], "1 - q"),
         (["--target", "estimator", "--epsilon", "1e200"],
          "|(1+eps) h_w|^2"),
         (["--target", "sqrtlaw", "--sigma-w-sq", "1e-300"],
@@ -280,12 +308,25 @@ class TestMc:
          "n alpha_w^2 |h_w|^2 lambda_t / sigma_w^2"),
         (["--target", "comm-detection", "--lambda-t", "1e300",
           "--epsilon", "1e3"], "n tau / sigma_w^2"),
+        (["--target", "pilot-kl", "--epsilon", "1.3e154",
+          "--sigma-w-sq", "1e10"], "(1+eps)^2 S + sigma_w^2"),
     ])
     def test_out_of_domain_inputs_exit_1(self, argv, constraint, capsys):
         # each ends in a named ParameterError, never in a traceback
         assert run_cli(["mc", "--trials", "100"] + argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and constraint in err
+
+    @pytest.mark.parametrize("eps", ["1e6", "1e150"])
+    def test_huge_epsilon_pilot_kl_exits_0(self, eps, tmp_path):
+        # 1 - q no longer resolves, but the divergence is finite, and the
+        # likelihood-ratio estimate agrees with it
+        out = tmp_path / "r.json"
+        assert run_cli(["mc", "--trials", "400", "--target", "pilot-kl",
+                        "--epsilon", eps, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert abs(doc["point_estimate"] - doc["analytic_reference"]) \
+            <= 3 * doc["std_error"]
 
     def test_tiny_noise_pilot_kl_exits_0(self, tmp_path):
         # no dense covariance is factorized, so a nearly noiseless pilot

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertpilot import (AttackParams, ParameterError, Regime, RegimeError,
                          analytic_error_probs, attack_feasibility,
@@ -100,6 +102,24 @@ class TestThresholds:
             tau_dagger(channel, channel.h_w, 0.3, 1)
         with pytest.raises(ParameterError):
             tau_dagger(channel, channel.h_w, -0.1, 100)
+
+
+# b / -expm1(-b / s2) rounds three times, so where the true increase is
+# below that rounding a larger argument may read about one ulp lower
+TAU_ULPS = 4 * 2.0 ** -52
+KNOB = st.floats(0.0, 1e100)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(fixed=KNOB, knobs=st.lists(KNOB, min_size=2, max_size=8),
+       along_eps=st.booleans())
+def test_tau_eps_nondecreasing(channel, fixed, knobs, along_eps):
+    knobs = np.sort(knobs)
+    attack = AttackParams(knobs, fixed) if along_eps \
+        else AttackParams(fixed, knobs)
+    taus = tau_eps(channel, attack)
+    assert np.all(np.isfinite(taus))
+    assert np.all(taus[1:] >= taus[:-1] * (1 - TAU_ULPS))
 
 
 class TestAnalyticErrorProbs:

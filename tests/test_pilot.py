@@ -62,6 +62,18 @@ class TestKlExact:
                 for L in (2, 8, 32, 128, 512, 2048)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    def test_finite_beyond_resolvable_one_minus_q(self, channel):
+        # at eps = 1e6 and 1e10, 1 - q is below the rounding of q, yet the
+        # divergence is an ordinary number below its long-pilot limit
+        for L in (1, 16, 64):
+            pilot = make_pilot(L)
+            vals = [kl_pilot_exact(channel, AttackParams(eps, 0.3), pilot)
+                    for eps in (1e6, 1e10)]
+            assert all(math.isfinite(v) for v in vals)
+            assert vals[0] < vals[1]
+            for eps, v in zip((1e6, 1e10), vals):
+                assert v <= kl_pilot_limit(eps)
+
     def test_complex_pilot_supported(self, channel):
         # formulas depend on the pilot only through its energy
         rotated = np.exp(2j * np.pi * np.arange(16) / 16)
@@ -169,6 +181,31 @@ def test_closed_forms_in_range_or_parameter_error(channel, eps, L, delta_1):
             assert np.all(np.isfinite(m))
             assert np.array_equal(m, m.conj().T)
         assert np.all(np.diag(covs.sigma1).real >= np.diag(covs.sigma0).real)
+
+
+# kl_pilot_exact is a difference of terms as large as the value itself,
+# so a longer pilot may read a few ulps lower where the true increase is
+# smaller than that
+ULPS = 8 * 2.0 ** -52
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(eps=st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e10)),
+       lengths=st.lists(st.integers(1, 4096), min_size=2, max_size=8))
+def test_kl_exact_nondecreasing_in_pilot_length(channel, eps, lengths):
+    attack = AttackParams(eps, 0.3)
+    vals = [kl_pilot_exact(channel, attack, make_pilot(L))
+            for L in sorted(lengths)]
+    assert all(b >= a * (1 - ULPS) for a, b in zip(vals, vals[1:]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(eps=st.one_of(st.floats(0.0, 1e-6), st.floats(0.0, 1e150)))
+def test_kl_limit_below_quadratic_bound(eps):
+    # 2 log1p(eps) - frac subtracts two terms of about 2 eps, so the
+    # rounding error is a few ulps of 2 eps, which near eps = 0 exceeds the
+    # true gap 2 eps^2 - limit, about (8/3) eps^3
+    assert kl_pilot_limit(eps) <= 2 * eps * eps + 2 * eps * ULPS
 
 
 class TestMmse:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertpilot import (AttackParams, ChannelParams, ParameterError,
                          SystemConfig, link_capacity, solve_lambda_star,
@@ -30,6 +32,19 @@ class TestWillieSinr:
             vals = [willie_sinr(channel, AttackParams(eps, lt), config)
                     for lt in np.linspace(0.01, 1.0, 10)]
             assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(fixed=st.floats(0.0, 1e100),
+       knobs=st.lists(st.floats(0.0, 1e100), min_size=2, max_size=8),
+       along_eps=st.booleans())
+def test_willie_sinr_nonincreasing(channel, config, fixed, knobs, along_eps):
+    knobs = np.sort(knobs)
+    attack = AttackParams(knobs, fixed) if along_eps \
+        else AttackParams(fixed, knobs)
+    sinr = willie_sinr(channel, attack, config)
+    assert np.all(np.isfinite(sinr))
+    assert np.all(sinr[1:] <= sinr[:-1])
 
 
 class TestAttackFeasibility:
