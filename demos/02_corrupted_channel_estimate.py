@@ -11,9 +11,9 @@ the attack plants a multiplicative error the monitor cannot see.
 import math
 
 from covertpilot import (AttackParams, ChannelParams, McConfig,
-                         PilotHypothesis, derive_rng, make_pilot,
-                         mc_estimator_error, mmse_estimate, mmse_limit,
-                         SystemConfig, link_capacity)
+                         derive_rng, make_pilot, mc_estimator_error,
+                         mmse_estimate, mmse_limit, SystemConfig,
+                         link_capacity)
 from covertpilot.channel import complex_normal
 
 channel = ChannelParams(alpha_w_sq=0.1, alpha_e_sq=0.1, sigma_w_sq=0.1,
@@ -26,7 +26,8 @@ config = SystemConfig.create(channel, lambda_a=20.0,
 
 ##############################################################################
 # Noise-free view: the finite-length estimator shrinks toward zero by
-# aS/(1+aS) and the scaled pilot adds the eps term on top.
+# aS/(1+aS) and the scaled pilot adds the eps term on top.  The bias factor
+# is the noiseless estimate divided by the true gain.
 
 print(f"{'L':>6} {'bias factor (clean)':>20} {'bias factor (scaled)':>21}")
 a_w = math.sqrt(channel.alpha_w_sq)
@@ -34,8 +35,8 @@ for L in (8, 32, 128, 1024):
     pilot = make_pilot(L)
     clean = a_w * channel.h_w * pilot
     scaled = a_w * channel.h_w * 1.1 * pilot
-    b0 = mmse_estimate(channel, pilot, clean).bias_factor
-    b1 = mmse_estimate(channel, pilot, scaled, attack).bias_factor
+    b0 = (mmse_estimate(channel, pilot, clean) / channel.h_w).real
+    b1 = (mmse_estimate(channel, pilot, scaled) / channel.h_w).real
     print(f"{L:>6} {b0:>20.6f} {b1:>21.6f}")
 print(f"{'limit':>6} {1.0:>20.6f} {1 + attack.epsilon:>21.6f}")
 
@@ -45,9 +46,9 @@ print(f"{'limit':>6} {1.0:>20.6f} {1 + attack.epsilon:>21.6f}")
 pilot = make_pilot(config.pilot_len)
 y = a_w * channel.h_w * (1 + attack.epsilon) * pilot \
     + complex_normal(derive_rng(7), config.pilot_len, channel.sigma_w_sq)
-h_hat = mmse_estimate(channel, pilot, y, attack).h_hat
+h_hat = mmse_estimate(channel, pilot, y)
 print(f"\none noisy run, L = {config.pilot_len}: h_hat = {h_hat:.4f}, "
-      f"corrupted limit = {mmse_limit(channel, attack, PilotHypothesis.H1)}")
+      f"corrupted limit = {mmse_limit(channel, attack)}")
 
 ##############################################################################
 # Mean-squared error against the limit decays like 1/L (slope -1 on a

@@ -41,8 +41,8 @@ print(f"{'limit':>8} {tau_eps(channel, attack):>12.8f}")
 # test separates the hypotheses perfectly in the limit.
 
 star = solve_lambda_star(channel, config, epsilon=0.1)
-print(f"\ncritical power at eps=0.1: {star.lambda_star:.6f}")
-for lt in (0.1, 0.3, star.lambda_star * 1.05, 1.0):
+print(f"\ncritical power at eps=0.1: {star:.6f}")
+for lt in (0.1, 0.3, star * 1.05, 1.0):
     cls = classify_regime(channel, AttackParams(0.1, lt), config)
     print(f"lambda_t = {lt:.4f}: {cls.regime.value:>12}  "
           f"(gap below = {cls.delta_1_gap:+.5f})")

@@ -12,9 +12,8 @@ analytic claim, plus a CLI for sweeps and verification suites.
 """
 
 from .channel import (AttackParams, ChannelParams, ParameterError,
-                      PilotHypothesis, SystemConfig, derive_rng,
-                      gaussian_input, link_capacity, make_pilot,
-                      sample_fading)
+                      SystemConfig, derive_rng, gaussian_input,
+                      link_capacity, make_pilot, sample_fading)
 from .detection import (Regime, RegimeError, analytic_error_probs,
                         classify_regime, solve_sqrt_law_coefficient,
                         sqrt_law_bound, tail_bound_sum, tau_dagger, tau_eps)
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackParams", "ChannelParams", "McConfig", "ParameterError",
-    "PilotHypothesis", "Regime", "RegimeError", "SystemConfig",
+    "Regime", "RegimeError", "SystemConfig",
     "analytic_error_probs",
     "attack_feasibility", "classify_regime", "covertness_margin",
     "derive_rng", "gaussian_input", "kl_pilot_exact", "kl_pilot_limit",

@@ -8,8 +8,10 @@ Gaussian data block of power ``lambda_a`` and the trojan may add its own
 Gaussian block of power ``lambda_t``.
 
 Signals are plain 1-d complex arrays (:func:`make_pilot` returns the
-pilot).  No phase or hypothesis tag travels with them: the attack
-parameters decide what a block is, a clean pilot being ``epsilon = 0``.
+pilot).  No phase or hypothesis tag travels with them, in either phase:
+the attack parameters alone decide what a block is.  The estimation phase
+sends ``(1 + epsilon)`` times the pilot, a clean pilot being
+``epsilon = 0``.
 
 Conventions
 -----------
@@ -37,7 +39,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -63,13 +64,6 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
     bit-identical draws regardless of which worker or call site asks.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
-
-
-class PilotHypothesis(Enum):
-    """Estimation-phase hypotheses: pilot unmodified (H0) or scaled by 1+eps (H1)."""
-
-    H0 = "h0"
-    H1 = "h1"
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -177,8 +171,16 @@ class SystemConfig:
 
 
 def link_capacity(channel: ChannelParams, lambda_a: float) -> float:
-    """Delay-limited capacity of the legitimate link, bits/channel use."""
-    return math.log2(1 + channel.gain_w * lambda_a / channel.sigma_w_sq)
+    """Delay-limited capacity of the legitimate link, bits/channel use.
+
+    Needs a finite ``lambda_a > 0`` and a finite link SNR.
+    """
+    _require(lambda_a > 0, "lambda_a must be > 0")
+    _require(math.isfinite(lambda_a), "lambda_a must be finite")
+    snr = channel.gain_w * lambda_a / channel.sigma_w_sq
+    _require(math.isfinite(snr), "the link SNR alpha_w^2 |h_w|^2 lambda_a "
+             "/ sigma_w^2 must be finite")
+    return math.log2(1 + snr)
 
 
 def check_link_margin(channel: ChannelParams, config: SystemConfig) -> None:

@@ -182,7 +182,6 @@ def build_scenario(values: dict) -> tuple[ChannelParams, SystemConfig, AttackPar
             raise ParameterError(
                 "r_a defaults to 80% of the link capacity, which is 0 at zero "
                 "link gain alpha_w_sq * |h_w|^2; set r_a or a nonzero gain")
-        _require(values["lambda_a"] > 0, "lambda_a must be > 0")
         r_a = 0.8 * link_capacity(channel, values["lambda_a"])
     config = SystemConfig.create(
         channel, lambda_a=values["lambda_a"], r_a=r_a,
@@ -315,7 +314,7 @@ def _mc_payload(args: argparse.Namespace) -> dict:
                            "mse_scaled": r.mse_scaled} for r in rows])
     else:   # sqrtlaw; argparse restricts the choices
         c = args.c if args.c is not None \
-            else solve_sqrt_law_coefficient(channel, 0.1)
+            else solve_sqrt_law_coefficient(channel, config.delta_2)
         n_grid = [10_000, 100_000]
         rows = mc_sqrt_law(channel, c, n_grid, mc)
         last = rows[-1]
@@ -403,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "sqrtlaw"])
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--c", type=float, default=None,
-                   help="sqrt-law coefficient (default: bound limit 0.1)")
+                   help="sqrt-law coefficient (default: the smallest c whose "
+                        "bound limit is delta_2)")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("verify", help="analytic-vs-oracle invariant suites")

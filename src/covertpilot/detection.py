@@ -285,6 +285,8 @@ def solve_sqrt_law_coefficient(channel: ChannelParams, target: float) -> float:
 
     The limit ``K c exp(-m c^2)`` peaks at ``c* = 1/sqrt(2m)``; targets at
     or above the peak value have no root on the rising branch and raise.
+    Below ``1e-12 c*`` the factor ``exp(-m c^2)`` is 1 to double precision,
+    so a target the limit reaches there is met at ``c = target / K``.
     """
     _require(0 < target < 1, "target must lie in (0, 1)")
     _require(channel.gain_w > 0, "needs a nonzero link gain")
@@ -303,4 +305,9 @@ def solve_sqrt_law_coefficient(channel: ChannelParams, target: float) -> float:
     from scipy.optimize import brentq
 
     f = lambda c: _sqrt_law_limit(channel, c) - target
+    if f(1e-12 * c_peak) >= 0:
+        c = target * math.sqrt(2 * math.pi) * channel.sigma_w_sq \
+            / channel.gain_w
+        _require(c > 0, f"target {target} needs a c that underflows to 0")
+        return c
     return float(brentq(f, 1e-12 * c_peak, c_peak, rtol=8.9e-16))

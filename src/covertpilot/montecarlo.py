@@ -89,7 +89,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import (STREAM_TRIAL, AttackParams, ChannelParams,
-                      PilotHypothesis, SystemConfig, _require, make_pilot)
+                      SystemConfig, _require, make_pilot)
 from .detection import (ErrorProbabilities, analytic_error_probs,
                         sqrt_law_bound, tau_dagger, tau_eps)
 from .pilot import (_estimator_coefficient, _pilot_energy, _square,
@@ -344,8 +344,8 @@ def mc_estimator_error(channel: ChannelParams, attack: AttackParams,
     estimate has variance proportional to ``S / (1 + a S)^2 ~ 1/S``, so the
     MSE halves when the pilot energy doubles (log-log slope -1).
     """
-    lim0 = mmse_limit(channel, attack, PilotHypothesis.H0)
-    lim1 = mmse_limit(channel, attack, PilotHypothesis.H1)
+    lim0 = channel.h_w
+    lim1 = mmse_limit(channel, attack)
     _require(math.isfinite(_square(abs(lim1))),
              "|(1+eps) h_w|^2 must be finite; epsilon is too large")
     rows = []

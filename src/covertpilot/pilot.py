@@ -14,9 +14,10 @@ as the oracle these closed forms and the Monte Carlo estimators are
 checked against.
 
 Pilots and received pilot blocks are 1-d complex arrays.  Whether a block
-was scaled is not tagged on it: the attack parameters passed along say so,
-and :func:`mmse_estimate` without them (or with ``epsilon = 0``) treats the
-pilot as clean.
+was scaled is not tagged on it: ``epsilon`` alone says so, ``epsilon = 0``
+being the clean pilot.  :func:`mmse_estimate` needs no attack parameters
+at all, since the monitor builds its estimate for a clean pilot whatever
+was sent; :func:`mmse_limit` says where that estimate goes.
 
 Units: divergences are in nats; rates elsewhere in the package are in
 bits/channel use.
@@ -29,22 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (AttackParams, ChannelParams, ParameterError,
-                      PilotHypothesis, _require)
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """MMSE channel estimate and its noise-free decomposition.
-
-    ``bias_factor`` is the real multiplier of the true gain in the
-    noiseless part of the estimate; it tends to 1 under the clean-pilot
-    hypothesis and to ``1 + eps`` under the scaled one as ``||s||^2``
-    grows.
-    """
-
-    h_hat: complex
-    bias_factor: float
+from .channel import AttackParams, ChannelParams, ParameterError, _require
 
 
 @dataclass(frozen=True)
@@ -105,12 +91,21 @@ def kl_pilot_limit(epsilon: float) -> float:
     """Long-pilot limit of :func:`kl_pilot_exact`, in nats.
 
     Equals ``2 log(1+eps) - 1 + (1+eps)^{-2}`` and is at most ``2 eps^2``
-    for all eps >= 0 (the covertness bound).  ``1 - (1+eps)^{-2}`` is
-    evaluated as ``eps (2+eps) / (1+eps)^2``, which does not cancel near 0;
-    where ``(1+eps)^2`` overflows that fraction is 1 to double precision.
+    for all eps >= 0 (the covertness bound).  Below eps = 1e-3 its two
+    terms cancel to within a few ulps of ``2 eps``, so there it is the
+    series ``2 eps^2 - 10 eps^3/3 + 9 eps^4/2 - 28 eps^5/5 + 20 eps^6/3
+    - 54 eps^7/7``, whose first omitted term is below rounding; its factor
+    of ``eps ** 2`` never exceeds 2, so the value never exceeds
+    ``2 * eps ** 2`` as evaluated.  Above it ``1 - (1+eps)^{-2}`` is
+    evaluated as ``eps (2+eps) / (1+eps)^2``; where ``(1+eps)^2`` overflows
+    that fraction is 1 to double precision.
     """
     if epsilon < 0:
         raise ParameterError("epsilon must be >= 0")
+    if epsilon < 1e-3:
+        e = epsilon
+        return e ** 2 * (2 - e * (10 / 3 - e * (9 / 2 - e * (
+            28 / 5 - e * (20 / 3 - e * (54 / 7))))))
     den = _square(1 + epsilon)
     frac = epsilon * (2 + epsilon) / den if math.isfinite(den) else 1.0
     return 2 * math.log1p(epsilon) - frac
@@ -127,7 +122,7 @@ def covertness_margin(epsilon: float, delta_1: float) -> CovertnessMargin:
     _require(epsilon >= 0, "epsilon must be >= 0")
     kl_bound = 2 * _square(epsilon)
     _require(math.isfinite(kl_bound), "kl_bound = 2 eps^2 must be finite")
-    if kl_pilot_limit(epsilon) > kl_bound + 1e-15:
+    if kl_pilot_limit(epsilon) > kl_bound:
         raise ArithmeticError(f"kl_pilot_limit({epsilon!r}) exceeds 2 eps^2")
     return CovertnessMargin(covert=epsilon <= delta_1 / math.sqrt(2),
                             kl_bound=kl_bound)
@@ -141,36 +136,27 @@ def _estimator_coefficient(channel: ChannelParams, pilot_energy: float) -> float
 
 
 def mmse_estimate(channel: ChannelParams, pilot: np.ndarray,
-                  received: np.ndarray,
-                  attack: AttackParams | None = None) -> EstimateReport:
-    """MMSE estimate of the fading gain from a received pilot block.
+                  received: np.ndarray) -> complex:
+    """MMSE estimate ``h_hat = c s^H y`` of the fading gain from a pilot block.
 
     The estimator is built under the clean-pilot model (the receiver is
     unaware of any scaling), so when the received block was actually
-    scaled the estimate is biased toward ``(1+eps) h_w``:
+    scaled the estimate is biased toward ``(1+eps) h_w``; its noiseless
+    part is
 
-        h_hat = c s^H y,   noiseless part = (1 + eps) g h_w,
-        g = a S / (1 + a S),  a = alpha_w^2 sigma_h^2 / sigma_w^2.
+        (1 + eps) g h_w,   g = a S / (1 + a S),
+        a = alpha_w^2 sigma_h^2 / sigma_w^2.
 
-    ``pilot`` and ``received`` are 1-d arrays of equal length.  ``attack``
-    supplies the eps of a scaled pilot for the bias decomposition;
-    ``None`` means the pilot was clean (eps = 0).
+    ``pilot`` and ``received`` are 1-d arrays of equal length.
     """
     S = _pilot_energy(pilot)
     received = np.asarray(received)
     _require(received.ndim == 1 and received.size == len(pilot),
              "received must be a 1-d block of the pilot's length")
-    c = _estimator_coefficient(channel, S)
-    h_hat = complex(c * np.vdot(pilot, received))
-    eps = 0.0 if attack is None else attack.epsilon
-    a = channel.alpha_w_sq * channel.sigma_h_sq / channel.sigma_w_sq
-    g = a * S / (1 + a * S)
-    return EstimateReport(h_hat=h_hat, bias_factor=(1 + eps) * g)
+    return complex(_estimator_coefficient(channel, S)
+                   * np.vdot(pilot, received))
 
 
-def mmse_limit(channel: ChannelParams, attack: AttackParams,
-               hypothesis: PilotHypothesis) -> complex:
-    """Long-pilot limit of the estimate: h_w, or (1+eps) h_w when scaled."""
-    if hypothesis is PilotHypothesis.H1:
-        return (1 + attack.epsilon) * channel.h_w
-    return channel.h_w
+def mmse_limit(channel: ChannelParams, attack: AttackParams) -> complex:
+    """Long-pilot limit of the estimate, ``(1+eps) h_w`` (clean: ``h_w``)."""
+    return (1 + attack.epsilon) * channel.h_w

@@ -59,15 +59,6 @@ class FeasibilityReport(NamedTuple):
 
 
 @dataclass(frozen=True)
-class CriticalPower:
-    """Largest trojan power keeping the threshold below the residual floor."""
-
-    lambda_star: float
-    epsilon: float
-    residual: float
-
-
-@dataclass(frozen=True)
 class ScalingRow:
     """One blocklength of a power-scaling schedule lambda_t(n) = c * n^-exponent."""
 
@@ -105,7 +96,11 @@ def rate_tin(channel: ChannelParams, attack: AttackParams,
 
 def rate_ic(channel: ChannelParams, attack: AttackParams) -> float:
     """Trojan rate after the rogue receiver cancels the legitimate signal."""
-    return _log2(1 + channel.gain_e * attack.lambda_t / channel.sigma_e_sq)
+    with np.errstate(over="ignore"):
+        snr = channel.gain_e * attack.lambda_t / channel.sigma_e_sq
+    _require(np.all(np.isfinite(snr)), "the rogue-link SNR alpha_e^2 |h_e|^2 "
+             "lambda_t / sigma_e^2 must be finite")
+    return _log2(1 + snr)
 
 
 def attack_feasibility(channel: ChannelParams, attack: AttackParams,
@@ -143,8 +138,8 @@ def attack_feasibility(channel: ChannelParams, attack: AttackParams,
 
 
 def solve_lambda_star(channel: ChannelParams, config: SystemConfig,
-                      epsilon: float) -> CriticalPower:
-    """Trojan power at which tau(eps) meets the residual-plus-noise floor.
+                      epsilon: float) -> float:
+    """Trojan power lambda* where tau(eps) meets the residual-plus-noise floor.
 
     tau(eps) is strictly increasing and unbounded in lambda_t while the
     floor ``eps^2 gain_w lambda_a + sigma_w_sq`` is fixed, so for any
@@ -169,10 +164,10 @@ def solve_lambda_star(channel: ChannelParams, config: SystemConfig,
     from scipy.optimize import brentq
 
     lam = float(brentq(f, 0.0, hi, rtol=8.9e-16, maxiter=200))
-    residual = abs(tau_eps(channel, AttackParams(epsilon, lam)) - floor)
+    residual = abs(f(lam))
     if residual > 1e-10 * floor:
         raise RuntimeError(f"root polish failed: residual {residual:.3e}")
-    return CriticalPower(lambda_star=lam, epsilon=epsilon, residual=residual)
+    return lam
 
 
 def power_scaling_table(channel: ChannelParams, config: SystemConfig,

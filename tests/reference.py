@@ -21,10 +21,10 @@ from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import beta, chndtr
 
-from covertpilot import (AttackParams, ChannelParams, PilotHypothesis,
-                         SystemConfig, attack_feasibility, derive_rng,
-                         gaussian_input, make_pilot, mmse_estimate,
-                         mmse_limit, tau_dagger, tau_eps)
+from covertpilot import (AttackParams, ChannelParams, SystemConfig,
+                         attack_feasibility, derive_rng, gaussian_input,
+                         make_pilot, mmse_estimate, mmse_limit, tau_dagger,
+                         tau_eps)
 from covertpilot.channel import STREAM_FADING_W, _require, complex_normal
 from covertpilot.pilot import _square
 from covertpilot.rates import FeasibilityReport
@@ -59,18 +59,18 @@ def trojan_input(config: SystemConfig, attack: AttackParams,
 
 def synthesize_received(config: SystemConfig, channel: ChannelParams,
                         attack: AttackParams,
-                        pilot_hypothesis: PilotHypothesis | None = None,
                         comm_hypothesis: CommHypothesis | None = None,
                         seed: int = 0,
                         pilot: np.ndarray | None = None) -> np.ndarray:
     """Synthesize the monitoring receiver's observation for one block.
 
-    Exactly one hypothesis is given, and it picks the phase.  Estimation
-    phase (``pilot_hypothesis``)::
+    ``comm_hypothesis`` picks the phase.  Without it, the estimation
+    phase, whose pilot is scaled by ``1 + eps`` (a clean pilot is an
+    ``eps = 0`` attack)::
 
-        y = alpha_w * h_w * (1 + eps * 1{H1}) * s  +  z
+        y = alpha_w * h_w * (1 + eps) * s  +  z
 
-    Communication phase (``comm_hypothesis``)::
+    With it, the communication phase::
 
         y = alpha_w * h_w * x_a  (+ alpha_w * h_w * x_t under H1)  +  z
 
@@ -79,16 +79,12 @@ def synthesize_received(config: SystemConfig, channel: ChannelParams,
     ``STREAM_TROJAN``.  Pure function of its arguments: identical inputs
     give bit-identical blocks.
     """
-    _require((pilot_hypothesis is None) != (comm_hypothesis is None),
-             "give exactly one of pilot_hypothesis and comm_hypothesis")
     a_w = math.sqrt(channel.alpha_w_sq)
-    if pilot_hypothesis is not None:
+    if comm_hypothesis is None:
         s = pilot if pilot is not None else make_pilot(config.pilot_len)
-        scale = 1.0 + (attack.epsilon if pilot_hypothesis is PilotHypothesis.H1
-                       else 0.0)
         z = complex_normal(derive_rng(seed, STREAM_NOISE), len(s),
                            channel.sigma_w_sq)
-        return a_w * channel.h_w * scale * s + z
+        return a_w * channel.h_w * (1.0 + attack.epsilon) * s + z
 
     _require(pilot is None, "the communication phase takes no pilot")
     n = config.block_len
@@ -170,8 +166,8 @@ def full_vector_estimator_errors(channel, attack, l, trials, seed):
     on both blocks.
     """
     a_w = math.sqrt(channel.alpha_w_sq)
-    lim0 = mmse_limit(channel, attack, PilotHypothesis.H0)
-    lim1 = mmse_limit(channel, attack, PilotHypothesis.H1)
+    lim0 = channel.h_w
+    lim1 = mmse_limit(channel, attack)
     pilot = make_pilot(l)
     err = np.empty((2, trials))
     for i in range(trials):
@@ -179,9 +175,8 @@ def full_vector_estimator_errors(channel, attack, l, trials, seed):
                            channel.sigma_w_sq)
         y0 = a_w * channel.h_w * pilot + z
         y1 = a_w * channel.h_w * (1 + attack.epsilon) * pilot + z
-        err[0, i] = abs(mmse_estimate(channel, pilot, y0).h_hat - lim0) ** 2
-        err[1, i] = abs(mmse_estimate(channel, pilot, y1, attack).h_hat
-                        - lim1) ** 2
+        err[0, i] = abs(mmse_estimate(channel, pilot, y0) - lim0) ** 2
+        err[1, i] = abs(mmse_estimate(channel, pilot, y1) - lim1) ** 2
     return err
 
 
@@ -213,7 +208,7 @@ def full_vector_comm_tally(channel, attack, config, n, trials, seed,
             zp = complex_normal(derive_rng(seed, i, STREAM_PILOT_NOISE),
                                 len(pilot), channel.sigma_w_sq)
             y_p = a_w * h * (1 + attack.epsilon) * pilot + zp
-            h_hat = mmse_estimate(channel, pilot, y_p, attack).h_hat
+            h_hat = mmse_estimate(channel, pilot, y_p)
             thr = tau_dagger(channel, h_hat, attack.lambda_t, n)
         y0 = a_w * h * x_a + z
         fa += radiometer_statistic(y0, x_a, h_hat, channel) > thr

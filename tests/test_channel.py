@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from covertpilot import (AttackParams, ChannelParams, ParameterError,
-                         PilotHypothesis, SystemConfig, derive_rng,
-                         gaussian_input, make_pilot, sample_fading)
+                         SystemConfig, derive_rng, gaussian_input,
+                         make_pilot, sample_fading)
 from covertpilot.channel import complex_normal
 from reference import (STREAM_NOISE, STREAM_TROJAN, CommHypothesis,
                        alice_input, synthesize_received, trojan_input)
@@ -79,24 +79,25 @@ class TestNoise:
 class TestSynthesize:
     def test_pilot_zero_noise_limit(self, config, attack):
         quiet = ChannelParams(0.1, 0.1, 1e-30, 0.1, 1.0, 0.7 - 0.2j, 1 + 0j)
-        y = synthesize_received(config, quiet, attack,
-                                pilot_hypothesis=PilotHypothesis.H0, seed=5)
+        clean = AttackParams(0.0, attack.lambda_t)
+        y = synthesize_received(config, quiet, clean, seed=5)
         expected = math.sqrt(0.1) * (0.7 - 0.2j) * make_pilot(config.pilot_len)
         assert np.max(np.abs(y - expected)) < 1e-10
 
     def test_eps_zero_hypotheses_coincide(self, channel, config):
+        # an eps = 0 attack sends exactly the clean pilot block
         silent = AttackParams(0.0, 0.5)
-        y0 = synthesize_received(config, channel, silent,
-                                 pilot_hypothesis=PilotHypothesis.H0, seed=9)
-        y1 = synthesize_received(config, channel, silent,
-                                 pilot_hypothesis=PilotHypothesis.H1, seed=9)
-        assert np.array_equal(y0, y1)
+        y = synthesize_received(config, channel, silent, seed=9)
+        z = complex_normal(derive_rng(9, STREAM_NOISE), config.pilot_len,
+                           channel.sigma_w_sq)
+        clean = math.sqrt(channel.alpha_w_sq) * channel.h_w \
+            * make_pilot(config.pilot_len) + z
+        assert np.array_equal(y, clean)
 
     def test_pilot_scaling_applied(self, channel, config, attack):
-        y0 = synthesize_received(config, channel, attack,
-                                 pilot_hypothesis=PilotHypothesis.H0, seed=9)
-        y1 = synthesize_received(config, channel, attack,
-                                 pilot_hypothesis=PilotHypothesis.H1, seed=9)
+        y0 = synthesize_received(config, channel,
+                                 AttackParams(0.0, attack.lambda_t), seed=9)
+        y1 = synthesize_received(config, channel, attack, seed=9)
         s = make_pilot(config.pilot_len)
         diff = y1 - y0
         expected = math.sqrt(0.1) * channel.h_w * attack.epsilon * s
@@ -131,13 +132,11 @@ class TestSynthesize:
         assert np.array_equal(a, b)
 
     def test_phase_hypothesis_consistency(self, channel, config, attack):
-        # the one hypothesis given picks the phase: both or neither is an error
-        with pytest.raises(ParameterError):
-            synthesize_received(config, channel, attack,
-                                pilot_hypothesis=PilotHypothesis.H1,
-                                comm_hypothesis=CommHypothesis.H0, seed=0)
-        with pytest.raises(ParameterError):
-            synthesize_received(config, channel, attack, seed=0)
+        # a communication hypothesis picks the data phase, which takes no
+        # pilot; without one the block is the pilot observation
+        y = synthesize_received(config, channel, attack, seed=0,
+                                pilot=make_pilot(4))
+        assert y.shape == (4,)
         with pytest.raises(ParameterError):
             synthesize_received(config, channel, attack,
                                 comm_hypothesis=CommHypothesis.H0, seed=0,

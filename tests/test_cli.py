@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from covertpilot import AttackParams, attack_feasibility, cli
+from covertpilot import (AttackParams, attack_feasibility, cli,
+                         solve_sqrt_law_coefficient)
 
 
 def run_cli(args):
@@ -79,6 +80,31 @@ class TestRate:
         else:
             assert code == 1
             assert err.getvalue().startswith("configuration error:")
+
+    # inputs that make a link SNR infinite, alone or with an explicit r_a
+    @pytest.mark.parametrize("argv, constraint", [
+        (["rate", "--lambda-a=inf"], "lambda_a must be finite"),
+        (["rate", "--lambda-a=inf", "--r-a=3"], "lambda_a must be finite"),
+        (["rate", "--sigma-w-sq=5e-324"],
+         "link SNR alpha_w^2 |h_w|^2 lambda_a / sigma_w^2"),
+        (["rate", "--sigma-w-sq=5e-324", "--r-a=3"],
+         "link SNR alpha_w^2 |h_w|^2 lambda_a / sigma_w^2"),
+        (["rate", "--sigma-e-sq=5e-324"],
+         "rogue-link SNR alpha_e^2 |h_e|^2 lambda_t / sigma_e^2"),
+        (["sweep", "--sigma-e-sq=5e-324"],
+         "rogue-link SNR alpha_e^2 |h_e|^2 lambda_t / sigma_e^2"),
+    ])
+    def test_infinite_snr_exits_1(self, argv, constraint, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:") and constraint in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        assert not out.exists()
 
     def test_rate_matches_sweep_rows(self, tmp_path, capsys):
         # eps 0 fails blind_comm; (0.1, 0.1) and (0.1, 0.3) are blind below
@@ -317,6 +343,16 @@ class TestMc:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and constraint in err
 
+    def test_sqrtlaw_default_c_follows_delta_2(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(["mc", "--target", "sqrtlaw", "--trials", "20",
+                        "--delta-2", "0.05", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        channel, _, _ = cli.build_scenario(dict(cli._DEFAULTS))
+        assert doc["params"]["c"] == solve_sqrt_law_coefficient(channel, 0.05)
+        assert doc["params"]["c"] == pytest.approx(0.125578, rel=1e-5)
+        assert doc["analytic_reference"] == pytest.approx(0.05)
+
     @pytest.mark.parametrize("eps", ["1e6", "1e150"])
     def test_huge_epsilon_pilot_kl_exits_0(self, eps, tmp_path):
         # 1 - q no longer resolves, but the divergence is finite, and the
@@ -345,6 +381,42 @@ class TestMc:
         run_cli(base + ["--threads", "1", "--out", str(a)])
         run_cli(base + ["--threads", "4", "--out", str(b)])
         assert read(a) == read(b)
+
+
+# every parameter flag, alone and with an explicit r_a, at each edge value:
+# sweep on a 3 x 3 grid and every mc target end in output or a named
+# configuration error; the integer flags take the edge values that parse
+_INT_FLAGS = ("pilot-len", "block-len")
+_EDGE_VALUES = ("0", "5e-324", "1e-300", "1e300", "inf", "-inf", "nan", "-1")
+_SMALL_RUNS = (
+    ["sweep", "--eps-steps=3", "--lt-steps=3"],
+    *(["mc", f"--target={target}", "--trials=20", "--block-len=100"]
+      for target in ("pilot-kl", "comm-detection", "estimator", "sqrtlaw")))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(flag_value=st.sampled_from(
+           [key.replace("_", "-") for key in cli._PARAM_PARSERS]).flatmap(
+           lambda flag: st.tuples(st.just(flag), st.sampled_from(
+               ("0", "-1") if flag in _INT_FLAGS else _EDGE_VALUES))),
+       explicit_r_a=st.booleans())
+@example(flag_value=("delta-2", "5e-324"), explicit_r_a=False)
+@example(flag_value=("sigma-e-sq", "5e-324"), explicit_r_a=True)
+def test_sweep_and_mc_edge_values_exit_0_or_1(flag_value, explicit_r_a):
+    flag, value = flag_value
+    extra = (["--r-a=3"] if explicit_r_a else []) + [f"--{flag}={value}"]
+    for run in _SMALL_RUNS:
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run_cli(run + extra)
+        assert not [w for w in caught if w.category is RuntimeWarning], run
+        assert code in (0, 1), run
+        if code == 1:
+            assert err.getvalue().startswith("configuration error:"), run
+            assert out.getvalue() == "", run
 
 
 class TestVerify:

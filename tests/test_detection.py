@@ -212,7 +212,7 @@ class TestRegimes:
         assert cls.delta_1_gap == 0.0 and cls.delta_2_gap == 0.0
 
     def test_critical_power_separates_regimes(self, channel, config):
-        star = solve_lambda_star(channel, config, 0.1).lambda_star
+        star = solve_lambda_star(channel, config, 0.1)
         below = classify_regime(channel, AttackParams(0.1, star / 2), config)
         above = classify_regime(channel, AttackParams(0.1, 2 * star), config)
         assert below.regime is Regime.BLIND_BELOW

@@ -10,7 +10,7 @@ from covertpilot import (AttackParams, McConfig, kl_pilot_exact,
                          kl_pilot_limit, make_pilot, mc_comm_error_probs,
                          mc_estimator_error, mc_pilot_kl, mc_sqrt_law,
                          mmse_limit, solve_sqrt_law_coefficient, tau_eps)
-from covertpilot.channel import STREAM_TRIAL, PilotHypothesis
+from covertpilot.channel import STREAM_TRIAL
 from covertpilot.montecarlo import (BLOCKS_PER_TRIAL, CHUNK, WORDS_PER_TRIAL,
                                     _radiometer_tally, _trial_key,
                                     _trial_words, _uniforms)
@@ -315,10 +315,9 @@ class TestEstimatorError:
         c = math.sqrt(quiet.alpha_w_sq) * quiet.sigma_h_sq \
             / (quiet.sigma_w_sq + quiet.alpha_w_sq * quiet.sigma_h_sq * S)
         noise = c ** 2 * quiet.sigma_w_sq * S
-        bias0 = abs(g * quiet.h_w - mmse_limit(quiet, attack,
-                                               PilotHypothesis.H0)) ** 2
+        bias0 = abs(g * quiet.h_w - quiet.h_w) ** 2
         bias1 = abs((1 + attack.epsilon) * g * quiet.h_w
-                    - mmse_limit(quiet, attack, PilotHypothesis.H1)) ** 2
+                    - mmse_limit(quiet, attack)) ** 2
         rel = 4 / math.sqrt(trials)
         assert rows[0].mse_clean == pytest.approx(bias0 + noise, rel=rel,
                                                   abs=0)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from covertpilot import (AttackParams, ChannelParams, ParameterError,
                          SystemConfig, link_capacity, solve_lambda_star,
-                         attack_feasibility, power_scaling_table, willie_sinr)
+                         attack_feasibility, power_scaling_table, tau_eps,
+                         willie_sinr)
 
 R_A_REF = 3.5138539382230082        # 0.8 * log2(21)
 LOG2_1P3 = 0.37851162325372981       # interference-cancellation rate at 0.3
@@ -134,17 +135,18 @@ class TestAttackFeasibility:
 
 class TestLambdaStar:
     def test_reference_value_and_residual(self, channel, config):
-        crit = solve_lambda_star(channel, config, 0.1)
-        assert crit.lambda_star == pytest.approx(0.3111057828507945, rel=1e-10)
+        star = solve_lambda_star(channel, config, 0.1)
+        assert star == pytest.approx(0.3111057828507945, rel=1e-10)
         floor = 0.01 * channel.gain_w * config.lambda_a + channel.sigma_w_sq
-        assert crit.residual <= 1e-10 * floor
+        residual = abs(tau_eps(channel, AttackParams(0.1, star)) - floor)
+        assert residual <= 1e-10 * floor
 
     def test_rejects_silent_attack(self, channel, config):
         with pytest.raises(ParameterError):
             solve_lambda_star(channel, config, 0.0)
 
     def test_grows_with_eps(self, channel, config):
-        stars = [solve_lambda_star(channel, config, e).lambda_star
+        stars = [solve_lambda_star(channel, config, e)
                  for e in (0.05, 0.1, 0.2)]
         assert all(b > a for a, b in zip(stars, stars[1:]))
 
