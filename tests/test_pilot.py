@@ -104,7 +104,11 @@ class TestKlLimit:
         with pytest.raises(ParameterError):
             kl_pilot_limit(-0.01)
 
-    def test_no_cancellation_near_zero(self):
+    @pytest.mark.parametrize("eps", [1e-9, 1e-8])
+    def test_no_cancellation_near_zero(self, eps):
+        assert 0 <= kl_pilot_limit(eps) <= 2 * eps ** 2
+
+    def test_quadratic_bound_on_small_eps_sweep(self):
         # 2 log(1+eps) - 1 + (1+eps)^-2 cancels near 0; the bound holds
         # with no rounding slack over the whole small-eps range
         eps = np.logspace(-300, -2, 200_000).tolist()
