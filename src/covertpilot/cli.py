@@ -11,8 +11,10 @@ Subcommands
 ``verify``  run the analytic-versus-oracle check suites and report
             pass/fail per invariant.
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error,
-3 verification failure.
+Exit codes: 0 success, 1 configuration error (a flag value argparse
+rejects, such as ``--block-len=1e3``, included), 2 I/O error,
+3 verification failure.  An unknown flag or a missing subcommand may end in
+argparse's usage error, exit 2.
 
 Configuration files
 -------------------
@@ -306,8 +308,13 @@ def _mc_payload(args: argparse.Namespace) -> dict:
     elif args.target == "estimator":
         l_grid = [2 ** k for k in range(4, 13)]
         rows = mc_estimator_error(channel, attack, l_grid, mc)
-        logl = np.log([r.l for r in rows])
-        slope = float(np.polyfit(logl, np.log([r.mse_scaled for r in rows]), 1)[0])
+        mse = [r.mse_scaled for r in rows]
+        # the log-log slope needs every MSE finite and > 0; a noiseless link
+        # gives 0.0 at every pilot length
+        _require(all(0 < m < math.inf for m in mse),
+                 f"the estimator slope needs a finite, nonzero scaled-pilot "
+                 f"MSE at every pilot length; got {mse!r}")
+        slope = float(np.polyfit(np.log([r.l for r in rows]), np.log(mse), 1)[0])
         out.update(point_estimate=slope, std_error=float("nan"),
                    analytic_reference=-1.0,
                    table=[{"l": r.l, "mse_clean": r.mse_clean,
@@ -373,12 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="covertpilot",
         description="covert pilot-scaling attack analysis",
         epilog="see module docstring / README for the config-file grammar "
-               "and the CSV schema")
+               "and the CSV schema", exit_on_error=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="feasibility/rate region CSV over an "
                                      "(epsilon, lambda_t) grid",
-                       description=f"CSV columns: {CSV_HEADER}")
+                       description=f"CSV columns: {CSV_HEADER}",
+                       exit_on_error=False)
     _add_common(p)
     _add_param_flags(p)
     p.add_argument("--eps-min", type=float, default=0.0)
@@ -389,12 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lt-steps", type=int, default=100)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("rate", help="feasibility report for one point")
+    p = sub.add_parser("rate", help="feasibility report for one point",
+                       exit_on_error=False)
     _add_common(p)
     _add_param_flags(p)
     p.set_defaults(func=cmd_rate)
 
-    p = sub.add_parser("mc", help="Monte Carlo estimate as a JSON object")
+    p = sub.add_parser("mc", help="Monte Carlo estimate as a JSON object",
+                       exit_on_error=False)
     _add_common(p)
     _add_param_flags(p)
     p.add_argument("--target", required=True,
@@ -406,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "bound limit is delta_2)")
     p.set_defaults(func=cmd_mc)
 
-    p = sub.add_parser("verify", help="analytic-vs-oracle invariant suites")
+    p = sub.add_parser("verify", help="analytic-vs-oracle invariant suites",
+                       exit_on_error=False)
     p.add_argument("--suite", default="all",
                    choices=["kl", "mmse", "threshold", "regimes", "sqrtlaw",
                             "all"])
@@ -417,11 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point returning the process exit code."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _require(args.seed >= 0, "seed must be >= 0")
         return args.func(args)
-    except ParameterError as exc:
+    except (ParameterError, argparse.ArgumentError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -132,16 +132,18 @@ def tau_eps(channel: ChannelParams, attack: AttackParams) -> float | np.ndarray:
     ``b = (1+eps)^2 alpha_w^2 |h_w|^2 lambda_t`` and
     ``tau = b e^{b/s2} / (e^{b/s2} - 1)``; continuously extended to
     ``sigma_w^2`` at ``lambda_t = 0``.  Strictly increasing in both eps
-    and lambda_t.  Raises :class:`ParameterError` when ``b`` is not a
-    finite float.
+    and lambda_t.  Raises :class:`ParameterError` when ``b`` or
+    ``b / sigma_w^2`` is not a finite float.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         b = np.float_power(1 + attack.epsilon, 2) * channel.gain_w \
             * attack.lambda_t
-    if not np.all(np.isfinite(b)):
-        raise ParameterError("tau_eps needs a finite scaled trojan power "
-                             "(1+eps)^2 alpha_w^2 |h_w|^2 lambda_t")
-    return _threshold(b, b / channel.sigma_w_sq, channel.sigma_w_sq)
+        snr = b / channel.sigma_w_sq
+    _require(np.all(np.isfinite(b)), "tau_eps needs a finite scaled trojan "
+             "power (1+eps)^2 alpha_w^2 |h_w|^2 lambda_t")
+    _require(np.all(np.isfinite(snr)), "tau_eps needs a finite trojan SNR "
+             "(1+eps)^2 alpha_w^2 |h_w|^2 lambda_t / sigma_w^2")
+    return _threshold(b, snr, channel.sigma_w_sq)
 
 
 def residual_power(channel: ChannelParams, attack: AttackParams,

@@ -49,8 +49,9 @@ Reproducibility contract
   - ``u[0], u[1]``: ``z1 = sqrt(-s2 log u[0]) exp(2 pi i u[1])``
     (Box-Muller);
   - ``u[2], u[3]``: ``z2``, the same way (comm-detection only);
-  - ``u[4]``: the remainder ``R = s2 gammaincinv(k, u[4])`` with
-    ``k = n - 2`` (``mc_sqrt_law``: ``n - 1``); ``k = 0`` gives ``R = 0``;
+  - ``u[4]``: the remainder ``R ~ Gamma(k, scale s2)``, ``k = n - 2``
+    (``mc_sqrt_law``: ``n - 1``): compared against the Gamma(k) CDF ``P(k, .)``
+    at each decision's boundary, the same event as inverting it; ``k = 0`` is ``R = 0``;
   - ``u[5]``: ``|rho|^2 = -expm1(log1p(-u[5]) / (n - 1))``, the inverse of
     the Beta(1, n - 1) distribution function (comm-detection only);
   - ``u[6]``: the phase of ``rho`` as a fraction of a turn (comm-detection
@@ -175,16 +176,6 @@ def _complex_normal(u_mod: np.ndarray, u_arg: np.ndarray,
     return np.sqrt(-var * np.log(u_mod)) * np.exp(2j * np.pi * u_arg)
 
 
-def _gamma_remainder(u: np.ndarray, shape: int, s2: float) -> np.ndarray:
-    """Gamma(shape, scale s2) by inversion; shape 0 is the point mass at 0."""
-    # lazy: the pilot estimators must not pay scipy's 0.6 s import
-    from scipy.special import gammaincinv
-
-    if shape == 0:
-        return np.zeros_like(u)
-    return s2 * gammaincinv(shape, u)
-
-
 def _pilot_estimate(channel: ChannelParams, scale: float, energy: float,
                     noise: np.ndarray) -> np.ndarray:
     """Linear-MMSE estimates of the gain from ``y = alpha_w scale h_w s + z``, given ``s^H z``."""
@@ -200,20 +191,30 @@ def _per_chunk(base_seed: int, trials: int,
             for lo in range(0, trials, CHUNK)]
 
 
-def _radiometer_tally(base_seed: int, trials: int,
+def _radiometer_tally(base_seed: int, trials: int, shape: int, s2: float,
                       statistics: Callable[[np.ndarray], tuple]
                       ) -> tuple[int, int]:
     """False alarms and misses of a radiometer run, reduced in chunk order.
 
-    ``statistics`` maps one chunk's uniforms to the statistic without and
-    with the trojan and the threshold(s).
+    ``statistics`` maps one chunk's uniforms to ``(e0, e1, level)``: n times
+    the statistic without and with the trojan, less ``R ~ Gamma(shape, scale
+    s2)``, and n times the threshold(s).  The alarm ``e0 + R > level`` is
+    ``u[4] > P(shape, max(level - e0, 0) / s2)``; the miss
+    ``e1 + R < level`` is ``u[4] < P(shape, max(level - e1, 0) / s2)``.
     """
-    def tally(u: np.ndarray) -> tuple[int, int]:
-        t0, t1, thr = statistics(u)
-        return int(np.count_nonzero(t0 > thr)), int(np.count_nonzero(t1 < thr))
+    # lazy: the pilot estimators must not pay scipy's 0.6 s import
+    from scipy.special import gammainc
 
-    fa, md = map(sum, zip(*_per_chunk(base_seed, trials, tally)))
-    return fa, md
+    def tally(u: np.ndarray) -> tuple[int, int]:
+        e0, e1, level = statistics(u)
+        x0, x1 = level - e0, level - e1
+        if shape == 0:                  # R = 0: a tie is neither
+            return int(np.count_nonzero(x0 < 0)), int(np.count_nonzero(x1 > 0))
+        with np.errstate(over="ignore"):        # P(shape, inf) = 1 exactly
+            p0, p1 = gammainc(shape, np.maximum([x0, x1], 0) / s2)
+        return int(np.count_nonzero(u[:, 4] > p0)), int(np.count_nonzero(u[:, 4] < p1))
+
+    return tuple(map(sum, zip(*_per_chunk(base_seed, trials, tally))))
 
 
 def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
@@ -262,7 +263,6 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
     def statistics(u: np.ndarray) -> tuple:
         z1 = _complex_normal(u[:, 0], u[:, 1], s2)
         z2 = _complex_normal(u[:, 2], u[:, 3], s2)
-        rest = _gamma_remainder(u[:, 4], n - 2, s2)
         log_q = np.log1p(-u[:, 5]) / (n - 1)          # log(1 - |rho|^2)
         rho = np.sqrt(-np.expm1(log_q)) * np.exp(2j * np.pi * u[:, 6])
         if two_phase_pilot_len is None:
@@ -273,12 +273,11 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
                 _complex_normal(u[:, 7], u[:, 8], s2 * energy))
             thr = tau_dagger(channel, h_hat, attack.lambda_t, n)
         a = root_a * (h - h_hat) + z1
-        t0 = (np.abs(a) ** 2 + np.abs(z2) ** 2 + rest) / n
-        t1 = (np.abs(a + d * rho) ** 2
-              + np.abs(z2 + d * np.exp(log_q / 2)) ** 2 + rest) / n
-        return t0, t1, thr
+        return (np.abs(a) ** 2 + np.abs(z2) ** 2,
+                np.abs(a + d * rho) ** 2
+                + np.abs(z2 + d * np.exp(log_q / 2)) ** 2, n * thr)
 
-    fa, md = _radiometer_tally(mc.base_seed, mc.trials, statistics)
+    fa, md = _radiometer_tally(mc.base_seed, mc.trials, n - 2, s2, statistics)
     p_f, p_m = fa / mc.trials, md / mc.trials
 
     if config.block_len != n:
@@ -394,11 +393,10 @@ def mc_sqrt_law(channel: ChannelParams, c: float, n_grid: Sequence[int],
         def statistics(u: np.ndarray) -> tuple:
             # reduced sampler with x_t on the first axis: z1, then R
             z1 = _complex_normal(u[:, 0], u[:, 1], s2)
-            rest = _gamma_remainder(u[:, 4], n - 1, s2)
-            return (np.abs(z1) ** 2 + rest) / n, \
-                (np.abs(d + z1) ** 2 + rest) / n, tau
+            return np.abs(z1) ** 2, np.abs(d + z1) ** 2, n * tau
 
-        fa, md = _radiometer_tally(mc.base_seed, mc.trials, statistics)
+        fa, md = _radiometer_tally(mc.base_seed, mc.trials, n - 1, s2,
+                                   statistics)
         p_f, p_m = fa / mc.trials, md / mc.trials
         se = math.hypot(_std_error_binomial(p_f, mc.trials),
                         _std_error_binomial(p_m, mc.trials))

@@ -93,6 +93,9 @@ class TestRate:
          "rogue-link SNR alpha_e^2 |h_e|^2 lambda_t / sigma_e^2"),
         (["sweep", "--sigma-e-sq=5e-324"],
          "rogue-link SNR alpha_e^2 |h_e|^2 lambda_t / sigma_e^2"),
+        # a noiseless pilot: every scaled-pilot MSE is 0.0, log 0 the slope
+        (["mc", "--target=estimator", "--trials=20", "--sigma-w-sq=5e-324",
+          "--h-w=1e-10"], "finite, nonzero scaled-pilot MSE"),
     ])
     def test_infinite_snr_exits_1(self, argv, constraint, tmp_path, capsys):
         out = tmp_path / "out.txt"
@@ -394,18 +397,18 @@ _SMALL_RUNS = (
       for target in ("pilot-kl", "comm-detection", "estimator", "sqrtlaw")))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(flag_value=st.sampled_from(
-           [key.replace("_", "-") for key in cli._PARAM_PARSERS]).flatmap(
-           lambda flag: st.tuples(st.just(flag), st.sampled_from(
-               ("0", "-1") if flag in _INT_FLAGS else _EDGE_VALUES))),
-       explicit_r_a=st.booleans())
-@example(flag_value=("delta-2", "5e-324"), explicit_r_a=False)
-@example(flag_value=("sigma-e-sq", "5e-324"), explicit_r_a=True)
-def test_sweep_and_mc_edge_values_exit_0_or_1(flag_value, explicit_r_a):
-    flag, value = flag_value
-    extra = (["--r-a=3"] if explicit_r_a else []) + [f"--{flag}={value}"]
-    for run in _SMALL_RUNS:
+_FLAGS = [key.replace("_", "-") for key in cli._PARAM_PARSERS]
+
+
+def _edge_value(flag):
+    return st.tuples(st.just(flag), st.sampled_from(
+        ("0", "-1") if flag in _INT_FLAGS else _EDGE_VALUES))
+
+
+def assert_exit_0_or_1(runs, extra):
+    """Each run with ``extra`` appended ends in output or a named
+    configuration error, with no RuntimeWarning."""
+    for run in runs:
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out), \
@@ -414,9 +417,61 @@ def test_sweep_and_mc_edge_values_exit_0_or_1(flag_value, explicit_r_a):
             code = run_cli(run + extra)
         assert not [w for w in caught if w.category is RuntimeWarning], run
         assert code in (0, 1), run
+        assert "Traceback" not in err.getvalue(), run
         if code == 1:
             assert err.getvalue().startswith("configuration error:"), run
             assert out.getvalue() == "", run
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(flag_value=st.sampled_from(_FLAGS).flatmap(_edge_value),
+       explicit_r_a=st.booleans())
+@example(flag_value=("delta-2", "5e-324"), explicit_r_a=False)
+@example(flag_value=("sigma-e-sq", "5e-324"), explicit_r_a=True)
+def test_sweep_and_mc_edge_values_exit_0_or_1(flag_value, explicit_r_a):
+    flag, value = flag_value
+    extra = (["--r-a=3"] if explicit_r_a else []) + [f"--{flag}={value}"]
+    assert_exit_0_or_1(_SMALL_RUNS, extra)
+
+
+# two distinct parameter flags at once, each at an edge value: pairs reach
+# states no single flag does, such as a noiseless link
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(pair=st.lists(st.sampled_from(_FLAGS), min_size=2, max_size=2,
+                     unique=True).flatmap(
+           lambda flags: st.tuples(*map(_edge_value, flags))))
+@example(pair=(("sigma-w-sq", "5e-324"), ("h-w", "1e-10")))
+@example(pair=(("lambda-t", "1e300"), ("sigma-w-sq", "1e-300")))
+def test_two_flag_edge_values_exit_0_or_1(pair):
+    assert_exit_0_or_1([["rate"], *_SMALL_RUNS],
+                       [f"--{flag}={value}" for flag, value in pair])
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--block-len=1e3"], ["rate", "--pilot-len=2.5"],
+    ["mc", "--target=pilot-kl", "--trials=ten"], ["rate", "--epsilon=abc"]])
+def test_badly_typed_flag_exits_1(argv, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert argv[-1].split("=")[0] in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# argparse ends these in its usage error (exit 2); versions whose argparse
+# raises instead give a named configuration error
+@pytest.mark.parametrize("argv", [["rate", "--bogus=1"], []])
+def test_unknown_flag_or_no_subcommand_exits_2_or_1(argv, capsys):
+    try:
+        code = run_cli(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert "usage:" in err
+    else:
+        assert code == 1 and err.startswith("configuration error:")
 
 
 class TestVerify:

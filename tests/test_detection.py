@@ -63,6 +63,10 @@ class TestThresholds:
         # continuity: small powers approach sigma_w^2 (up to the O(1/n) factor)
         near = tau_dagger(channel, channel.h_w, 1e-9, 10_000)
         assert near == pytest.approx(channel.sigma_w_sq, rel=1e-3)
+        # the factor is (n-1)/n: at n = 2 the threshold halves between
+        # lambda_t = 0 and the smallest powers
+        assert tau_dagger(channel, channel.h_w, 1e-12, 2) == \
+            pytest.approx(channel.sigma_w_sq / 2, rel=1e-9)
 
     def test_tau_dagger_increases_toward_limit(self, channel, attack):
         h_hat = (1 + attack.epsilon) * channel.h_w
@@ -324,3 +328,41 @@ class TestThresholdOptimality:
         for t, v in zip(taus, vec):
             assert analytic_error_probs(channel, att, cfg, float(t)).sum == \
                 pytest.approx(float(v), rel=1e-12)
+
+
+# h_hat as a modulus and a phase, and lambda_t, over a range where
+# b = alpha_w^2 |h_hat|^2 lambda_t neither overflows nor underflows to 0.
+# At b = 0 tau_dagger returns the large-n value sigma_w^2, above its limit
+# (n-1)/n sigma_w^2 as b -> 0+ (test_tau_dagger_zero_power_extension)
+POSITIVE = st.floats(1e-100, 1e100)
+GAIN = st.builds(lambda r, turn: r * complex(math.cos(turn), math.sin(turn)),
+                 POSITIVE, st.floats(0.0, 2 * math.pi))
+BLOCK = st.integers(2, 10 ** 6)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(gains=st.lists(GAIN, min_size=2, max_size=8), lt=POSITIVE, n=BLOCK)
+def test_tau_dagger_nondecreasing_in_gain(channel, gains, lt, n):
+    h_hat = np.array(sorted(gains, key=abs))
+    taus = tau_dagger(channel, h_hat, lt, n)
+    assert np.all(np.isfinite(taus))
+    assert np.all(taus[1:] >= taus[:-1] * (1 - TAU_ULPS))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(h_hat=GAIN, powers=st.lists(POSITIVE, min_size=2, max_size=8),
+       n=BLOCK)
+def test_tau_dagger_nondecreasing_in_power(channel, h_hat, powers, n):
+    taus = np.array([tau_dagger(channel, h_hat, lt, n)
+                     for lt in sorted(powers)])
+    assert np.all(np.isfinite(taus))
+    assert np.all(taus[1:] >= taus[:-1] * (1 - TAU_ULPS))
+
+
+# the two-phase Monte Carlo calls tau_dagger once per chunk of estimates;
+# each element must be the threshold a scalar call gives, bit for bit
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(gains=st.lists(GAIN, min_size=1, max_size=16), lt=KNOB, n=BLOCK)
+def test_tau_dagger_array_equals_scalar_calls(channel, gains, lt, n):
+    taus = tau_dagger(channel, np.array(gains), lt, n)
+    assert taus.tolist() == [tau_dagger(channel, h, lt, n) for h in gains]

@@ -1,4 +1,4 @@
-"""scipy loads only where a chi-square tail, gammaincinv or a root solve runs.
+"""scipy loads only where a chi-square tail, gammainc or a root solve runs.
 
 Importing scipy.special and scipy.optimize takes most of the package's
 import time, so the analytic commands (`rate`, `sweep`) and the pilot

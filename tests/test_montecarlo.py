@@ -9,11 +9,13 @@ from scipy.special import gammainc, gammaincinv
 from covertpilot import (AttackParams, McConfig, kl_pilot_exact,
                          kl_pilot_limit, make_pilot, mc_comm_error_probs,
                          mc_estimator_error, mc_pilot_kl, mc_sqrt_law,
-                         mmse_limit, solve_sqrt_law_coefficient, tau_eps)
+                         mmse_limit, solve_sqrt_law_coefficient, tau_dagger,
+                         tau_eps)
 from covertpilot.channel import STREAM_TRIAL
 from covertpilot.montecarlo import (BLOCKS_PER_TRIAL, CHUNK, WORDS_PER_TRIAL,
-                                    _radiometer_tally, _trial_key,
-                                    _trial_words, _uniforms)
+                                    _per_chunk, _radiometer_tally,
+                                    _trial_key, _trial_words, _uniforms)
+from covertpilot.pilot import _estimator_coefficient
 from reference import (dense_pilot_llr, exact_comm_error_probs,
                        full_vector_comm_tally, full_vector_estimator_errors,
                        full_vector_sqrt_law_tally)
@@ -144,8 +146,8 @@ class TestCommDetection:
 
     def test_two_symbol_block_gives_finite_probabilities(self, channel,
                                                          config, attack):
-        # n = 2 leaves no remainder (Gamma shape 0), where scipy's
-        # gammaincinv would return NaN
+        # n = 2 leaves no remainder (Gamma shape 0), whose point mass
+        # scipy's gammainc(0, x) does not give: it is NaN at x = 0
         config = replace(config, pilot_len=1, block_len=2)
         mc = McConfig(trials=600, base_seed=34, n=2)
         with warnings.catch_warnings():
@@ -199,7 +201,7 @@ class TestTrialKernel:
             seen.append(u)
             return u[:, 0], u[:, 0], 1.0
 
-        assert _radiometer_tally(5, trials, record) == (0, trials)
+        assert _radiometer_tally(5, trials, 0, 1.0, record) == (0, trials)
         assert [len(u) for u in seen] == [CHUNK, CHUNK, 7]
         assert np.array_equal(np.concatenate(seen).ravel(), _uniforms(serial))
 
@@ -212,6 +214,114 @@ class TestTrialKernel:
         x = gammaincinv(a, u)
         assert np.all(np.isfinite(x))
         assert np.max(np.abs(gammainc(a, x) - u)) <= 1e-12
+
+
+def _box_muller(u_mod, u_arg, var):
+    return np.sqrt(-var * np.log(u_mod)) * np.exp(2j * np.pi * u_arg)
+
+
+def inverse_comm_tally(channel, attack, config, n, mc, pilot_len=None):
+    """(false alarms, misses) of ``mc_comm_error_probs`` with the remainder
+    drawn by inversion, ``R = s2 gammaincinv(n - 2, u[4])``, and each
+    statistic divided by n before it meets the threshold, on the package's
+    own uniforms."""
+    s2, h = channel.sigma_w_sq, channel.h_w
+    a_w = math.sqrt(channel.alpha_w_sq)
+    root_a = a_w * math.sqrt(n * config.lambda_a)
+    d = a_w * h * math.sqrt(n * attack.lambda_t)
+    if pilot_len is not None:
+        pilot = make_pilot(pilot_len)
+        energy = float(np.vdot(pilot, pilot).real)
+
+    def tally(u):
+        z1 = _box_muller(u[:, 0], u[:, 1], s2)
+        z2 = _box_muller(u[:, 2], u[:, 3], s2)
+        rest = s2 * gammaincinv(n - 2, u[:, 4]) if n > 2 else 0.0
+        log_q = np.log1p(-u[:, 5]) / (n - 1)
+        rho = np.sqrt(-np.expm1(log_q)) * np.exp(2j * np.pi * u[:, 6])
+        if pilot_len is None:
+            h_hat, tau = (1 + attack.epsilon) * h, tau_eps(channel, attack)
+        else:
+            mean = a_w * h * (1 + attack.epsilon) * energy
+            h_hat = _estimator_coefficient(channel, energy) * (
+                mean + _box_muller(u[:, 7], u[:, 8], s2 * energy))
+            tau = tau_dagger(channel, h_hat, attack.lambda_t, n)
+        a = root_a * (h - h_hat) + z1
+        t0 = (np.abs(a) ** 2 + np.abs(z2) ** 2 + rest) / n
+        t1 = (np.abs(a + d * rho) ** 2
+              + np.abs(z2 + d * np.exp(log_q / 2)) ** 2 + rest) / n
+        return np.count_nonzero(t0 > tau), np.count_nonzero(t1 < tau)
+
+    return tuple(map(sum, zip(*_per_chunk(mc.base_seed, mc.trials, tally))))
+
+
+def inverse_sqrt_law_tally(channel, c, n, mc):
+    """(false alarms, misses) of ``mc_sqrt_law`` at one n, with
+    ``R = s2 gammaincinv(n - 1, u[4])``."""
+    s2, lt = channel.sigma_w_sq, c / math.sqrt(n)
+    tau = tau_dagger(channel, channel.h_w, lt, n)
+    d = math.sqrt(channel.alpha_w_sq) * channel.h_w * math.sqrt(n * lt)
+
+    def tally(u):
+        z1 = _box_muller(u[:, 0], u[:, 1], s2)
+        rest = s2 * gammaincinv(n - 1, u[:, 4])
+        return (np.count_nonzero((np.abs(z1) ** 2 + rest) / n > tau),
+                np.count_nonzero((np.abs(d + z1) ** 2 + rest) / n < tau))
+
+    return tuple(map(sum, zip(*_per_chunk(mc.base_seed, mc.trials, tally))))
+
+
+class TestUniformSpaceDecisions:
+    # the radiometer decides each trial by comparing u[4] with the Gamma
+    # CDF at the decision's boundary; drawing R by inversion instead must
+    # give the same decision in every trial, so the same tallies.  The
+    # operating points keep both tallies away from 0 and from every trial.
+    TRIALS = 4096
+
+    def comm_case(self, config, n):
+        attack = AttackParams(0.01, 2 / math.sqrt(n))
+        return attack, replace(config, pilot_len=1, block_len=n), \
+            McConfig(trials=self.TRIALS, base_seed=40 + n, n=n)
+
+    @pytest.mark.parametrize("pilot_len", [None, 1024],
+                             ids=["injected", "two-phase"])
+    @pytest.mark.parametrize("n", [2, 3, 256, 10_000])
+    def test_comm_tallies_equal_inverse_path(self, channel, config, n,
+                                             pilot_len):
+        attack, config, mc = self.comm_case(config, n)
+        probs, _ = mc_comm_error_probs(channel, attack, config, mc,
+                                       two_phase_pilot_len=pilot_len)
+        tally = (round(probs.p_f * mc.trials), round(probs.p_m * mc.trials))
+        assert all(0 < k < mc.trials for k in tally), tally
+        assert tally == inverse_comm_tally(channel, attack, config, n, mc,
+                                           pilot_len)
+
+    def test_sqrt_law_tallies_equal_inverse_path(self, channel):
+        n, mc = 10_000, McConfig(trials=self.TRIALS, base_seed=48)
+        row = mc_sqrt_law(channel, 1.0, [n], mc)[0]
+        tally = (round(row.p_f * mc.trials), round(row.p_m * mc.trials))
+        assert all(0 < k < mc.trials for k in tally), tally
+        assert tally == inverse_sqrt_law_tally(channel, 1.0, n, mc)
+
+    @pytest.mark.parametrize("n", [2, 3, 256, 10_000])
+    def test_injected_limit_matches_exact_law(self, channel, config, n):
+        attack, config, mc = self.comm_case(config, n)
+        probs, _ = mc_comm_error_probs(channel, attack, config, mc)
+        exact = exact_comm_error_probs(channel, attack, config, n,
+                                       tau_eps(channel, attack))
+        for p_mc, p in zip((probs.p_f, probs.p_m), exact):
+            assert abs(p_mc - p) <= 4 * math.sqrt(p * (1 - p) / mc.trials), \
+                (p_mc, p)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_two_phase_matches_full_vectors(self, channel, config, n):
+        attack, config, mc = self.comm_case(config, n)
+        probs, _ = mc_comm_error_probs(channel, attack, config, mc,
+                                       two_phase_pilot_len=1024)
+        reduced = (round(probs.p_f * mc.trials), round(probs.p_m * mc.trials))
+        full = full_vector_comm_tally(channel, attack, config, n, 2000,
+                                      seed=50 + n, pilot_len=1024)
+        assert_tallies_agree(reduced, full, mc.trials, 2000)
 
 
 class TestPilotKl:
