@@ -29,10 +29,11 @@ exact reduced-dimension sampler keeps.  At the reference point
 
 Inputs may broadcast (array ``epsilon``/``lambda_t``, ``h_hat``, ``tau``);
 a scalar call is the 0-d case of the same code and returns a float.
-``expm1``, ``log2`` and ``|h|`` run through Python's ``math``/``abs`` per
-element and squares through ``np.float_power`` (C ``pow``, as ``**``):
-numpy's SIMD versions differ in the last bit, which would make a grid
-cell's bytes differ from the scalar call's.
+``expm1`` and ``log2`` run through Python's ``math`` per element, ``|h|``
+through ``np.hypot`` (C ``hypot``, as Python's ``abs`` of a complex) and
+squares through ``np.float_power`` (C ``pow``, as ``**``): numpy's SIMD
+``expm1``, ``log2``, ``abs`` and squares differ in the last bit, which
+would make a grid cell's bytes differ from the scalar call's.
 """
 
 from __future__ import annotations
@@ -61,8 +62,19 @@ def _per_element(fn):
 
 
 _expm1 = _per_element(math.expm1)
-_abs = _per_element(abs)
 _log2 = _per_element(math.log2)
+
+
+def _abs(x):
+    """``abs`` of each element as one C ``hypot`` call per element.
+
+    Python's ``abs(complex)`` is C ``hypot`` too, so the two agree bit for
+    bit, except that ``abs`` raises :class:`OverflowError` where a finite
+    complex's modulus overflows and this returns inf (which
+    :func:`tau_dagger` rejects).  ``np.abs`` of a complex differs from both
+    in the last bit on many values.
+    """
+    return np.hypot(np.real(x), np.imag(x))[()]
 
 
 class RegimeError(ValueError):
@@ -118,10 +130,15 @@ def tau_dagger(channel: ChannelParams, h_hat: complex | np.ndarray,
     ``lambda_t = 0`` returns ``sigma_w^2`` (continuous extension of the
     vanishing-power limit; the exact finite-n limit differs by a factor
     (n-1)/n, an O(1/n) distinction the asymptotic analysis ignores).
+    Raises :class:`ParameterError` when ``b = alpha_w^2 |h_hat|^2 lambda_t``
+    is not a finite float.
     """
     _require(n >= 2, "n must be >= 2")
     _require(lambda_t >= 0, "lambda_t must be >= 0")
-    b = channel.alpha_w_sq * np.float_power(_abs(h_hat), 2) * lambda_t
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = channel.alpha_w_sq * np.float_power(_abs(h_hat), 2) * lambda_t
+    _require(np.all(np.isfinite(b)), "tau_dagger needs a finite scaled "
+             "trojan power alpha_w^2 |h_hat|^2 lambda_t")
     return _threshold(b, (n / (n - 1)) * b / channel.sigma_w_sq,
                       channel.sigma_w_sq)
 
@@ -278,8 +295,11 @@ def _sqrt_law_limit(channel: ChannelParams, c: float) -> float:
     except OverflowError:
         raise ParameterError("the square-root-law limit needs a finite "
                              "(alpha_w^2 |h_w|^2 c)^2; c is too large") from None
+    scale = 8 * s2 ** 2
+    _require(scale > 0, "the square-root-law limit needs 8 sigma_w^4 > 0 in "
+             "double precision; sigma_w^2 is too small")
     return channel.gain_w * c / (math.sqrt(2 * math.pi) * s2) \
-        * math.exp(-square / (8 * s2 ** 2))
+        * math.exp(-square / scale)
 
 
 def solve_sqrt_law_coefficient(channel: ChannelParams, target: float) -> float:

@@ -1,6 +1,9 @@
 import contextlib
+import errno
 import io
 import json
+import os
+import threading
 import warnings
 from collections import Counter
 
@@ -214,10 +217,12 @@ class TestSweep:
         assert code == 1
         assert "capacity" in capsys.readouterr().err
 
-    def test_unwritable_output_exits_2(self, tmp_path):
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
         code = run_cli(["sweep", "--eps-steps", "2", "--lt-steps", "2",
                         "--out", str(tmp_path / "missing" / "s.csv")])
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
 
     def test_bad_grid_exits_1(self, tmp_path):
         code = run_cli(["sweep", "--lt-min", "0", "--out",
@@ -339,6 +344,8 @@ class TestMc:
           "--epsilon", "1e3"], "n tau / sigma_w^2"),
         (["--target", "pilot-kl", "--epsilon", "1.3e154",
           "--sigma-w-sq", "1e10"], "(1+eps)^2 S + sigma_w^2"),
+        (["--target", "sqrtlaw", "--sigma-w-sq=1e-300", "--c=1"],
+         "8 sigma_w^4 > 0 in double precision"),
     ])
     def test_out_of_domain_inputs_exit_1(self, argv, constraint, capsys):
         # each ends in a named ParameterError, never in a traceback
@@ -472,6 +479,59 @@ def test_unknown_flag_or_no_subcommand_exits_2_or_1(argv, capsys):
         assert "usage:" in err
     else:
         assert code == 1 and err.startswith("configuration error:")
+
+
+class TestOutFile:
+    """``--out`` is overwritten in place; only a regular file is truncated."""
+
+    def test_directory_exits_2(self, tmp_path, capsys):
+        assert run_cli(["rate", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
+
+    def test_devnull_exits_0(self, capsys):
+        assert run_cli(["rate", "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_fifo_gets_stdout_bytes(self, tmp_path, capsys):
+        argv = ["mc", "--target", "comm-detection", "--trials", "50",
+                "--block-len", "100"]
+        assert run_cli(argv) == 0
+        expected = capsys.readouterr().out.encode()
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        assert run_cli(argv + ["--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert got == [expected]
+
+    def test_failed_write_exits_2_and_empties_the_file(self, tmp_path,
+                                                      monkeypatch, capsys):
+        out = tmp_path / "s.csv"
+        out.write_bytes(b"stale row\n" * 100_000)
+        calls = []
+
+        class WriteThenFail(io.BufferedWriter):
+            def write(self, data):
+                # 100 bytes stay buffered, so closing the file writes them
+                calls.append(len(data))
+                super().write(data[:100])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def open_then_fail(fd, mode, closefd):
+            return WriteThenFail(io.FileIO(fd, mode, closefd=closefd))
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "open", open_then_fail, raising=False)
+            code = run_cli(["sweep", "--eps-steps", "3", "--lt-steps", "3",
+                            "--out", str(out)])
+        assert code == 2 and len(calls) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "No space left" in err
+        assert out.stat().st_size == 0
 
 
 class TestVerify:

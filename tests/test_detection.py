@@ -12,6 +12,7 @@ from covertpilot import (AttackParams, ParameterError, Regime, RegimeError,
                          solve_lambda_star, solve_sqrt_law_coefficient,
                          sqrt_law_bound, tail_bound_sum, tau_dagger, tau_eps)
 from covertpilot.channel import complex_normal
+from covertpilot.detection import _abs
 from reference import (STREAM_NOISE, CommHypothesis, alice_input,
                        radiometer_statistic, synthesize_received)
 
@@ -106,6 +107,14 @@ class TestThresholds:
             tau_dagger(channel, channel.h_w, 0.3, 1)
         with pytest.raises(ParameterError):
             tau_dagger(channel, channel.h_w, -0.1, 100)
+        # |h_hat| overflows (hypot returns inf), or b does, or h_hat is nan
+        for h_hat, lt in ((1e308 + 1e308j, 0.3),
+                          (np.array([1.0, 1e308 + 1e308j]), 0.3),
+                          (1e200 + 0j, 0.3),
+                          (complex(math.nan, 0.0), 0.3)):
+            with pytest.raises(ParameterError,
+                               match="finite scaled trojan power"):
+                tau_dagger(channel, h_hat, lt, 100)
 
 
 # b / -expm1(-b / s2) rounds three times, so where the true increase is
@@ -366,3 +375,30 @@ def test_tau_dagger_nondecreasing_in_power(channel, h_hat, powers, n):
 def test_tau_dagger_array_equals_scalar_calls(channel, gains, lt, n):
     taus = tau_dagger(channel, np.array(gains), lt, n)
     assert taus.tolist() == [tau_dagger(channel, h, lt, n) for h in gains]
+
+
+def _bits(x):
+    """The float64 bit patterns of ``x``, every nan mapped to one pattern."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).view(np.uint64).tolist()
+
+
+# |h_hat| in tau_dagger is one C hypot per element, as Python's abs of a
+# complex or a float, so array calls match the per-element values bit for bit
+SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -4e-320,
+            2.2250738585072014e-308, 1e308, -1e308, 1.0)
+
+
+def test_abs_equals_python_abs_bit_for_bit():
+    rng = np.random.default_rng(5)
+    parts = rng.standard_normal((2, 50_000)) \
+        * 10.0 ** rng.uniform(-320, 300, (2, 50_000))
+    pairs = np.array([(a, b) for a in SPECIALS for b in SPECIALS]).T
+    for re, im in (parts, pairs):
+        z = re.astype(complex)
+        z.imag = im   # re + 1j * im would turn inf * 0j into nan
+        assert _bits(_abs(z)) == _bits([abs(v) for v in z.tolist()])
+        assert _bits(_abs(re)) == _bits([abs(v) for v in re.tolist()])
+    for v in (3 + 4j, -2.5, complex(math.nan, math.inf), 1e308, -0.0):
+        assert isinstance(_abs(v), float)
+        assert _bits(_abs(v)) == _bits(abs(v))

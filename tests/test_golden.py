@@ -1,9 +1,11 @@
 """Golden outputs: the bytes of nine pinned CLI commands, by sha256.
 
-Each command runs in-process and its stdout is hashed.  A refactor that
-claims to keep behaviour must keep every hash; a change that moves one on
-purpose updates it here and records the old and new hash in CHANGES.md.
-The hashes were taken with numpy 2.4 and scipy 1.17.
+Each command runs in-process and its stdout is hashed; every command but
+``verify``, which takes no ``--out``, is run again into an ``--out`` file
+and that file is hashed.  A refactor that claims to keep behaviour must
+keep every hash; a change that moves one on purpose updates it here and
+records the old and new hash in CHANGES.md.  The hashes were taken with
+numpy 2.4 and scipy 1.17.
 """
 
 import hashlib
@@ -40,3 +42,22 @@ def test_output_bytes_are_pinned(command, capsys):
     assert cli.main(command.split()) == cli.EXIT_OK
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == GOLDEN[command]
+
+
+# --out is overwritten in place: over a longer and over a shorter file,
+# and again over its own output, it holds exactly the bytes stdout gets
+@pytest.mark.parametrize("prefill", [b"\xff" * 2 ** 20, b"abc"],
+                         ids=["1MiB", "3B"])
+@pytest.mark.parametrize("command",
+                         [c for c in GOLDEN if not c.startswith("verify")])
+def test_out_file_bytes_are_pinned(command, prefill, tmp_path, capsys):
+    assert cli.main(command.split()) == cli.EXIT_OK
+    stdout_len = len(capsys.readouterr().out.encode())
+    out = tmp_path / "out"
+    out.write_bytes(prefill)
+    for _ in range(2):
+        assert cli.main(command.split() + ["--out", str(out)]) == cli.EXIT_OK
+        data = out.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN[command]
+        assert len(data) == stdout_len
+    assert capsys.readouterr().out == ""
