@@ -1,4 +1,4 @@
-"""Golden outputs: the bytes of nine pinned CLI commands, by sha256.
+"""Golden outputs: the bytes of eleven pinned CLI commands, by sha256.
 
 Each command runs in-process and its stdout is hashed; every command but
 ``verify``, which takes no ``--out``, is run again into an ``--out`` file
@@ -28,6 +28,13 @@ GOLDEN = {
         "ca78b8b097c67ffa647e51b338d17aa5b300cc584573451b047d0c8d31eb5141",
     "mc --target sqrtlaw --trials 400 --seed 16":
         "7fff9c01c8a2fb004e7277bc302ed31001617334a4103d053737505b5271b157",
+    # at least CHUNK trials: the radiometer tally's bracket grid, at
+    # k = 10^4 - 1 and 10^5 - 1
+    "mc --target sqrtlaw --trials 1500 --seed 17":
+        "f9a7f3d60159e71076be5e12020baf82340a6bc2ea297e747187a4ed9df38301",
+    # k = n - 2 = 1, where the grid's abscissae clamp at 0
+    "mc --target comm-detection --block-len 3 --pilot-len 1 --trials 1500 --seed 19":
+        "07bb625b26d438f9dee2d738c610e673627ca323b8a1401b64bfe8319a2fa159",
     "mc --target pilot-kl --trials 2000 --seed 8":
         "2abc3ec1d698fa2b0d636aa1c9974d70109eba48bd8012d4e0ac9715e9e9b1d2",
     "mc --target estimator --trials 150 --seed 12":
