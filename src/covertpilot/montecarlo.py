@@ -51,7 +51,10 @@ Reproducibility contract
   - ``u[2], u[3]``: ``z2``, the same way (comm-detection only);
   - ``u[4]``: the remainder ``R ~ Gamma(k, scale s2)``, ``k = n - 2``
     (``mc_sqrt_law``: ``n - 1``): compared against the Gamma(k) CDF ``P(k, .)``
-    at each decision's boundary, the same event as inverting it; ``k = 0`` is ``R = 0``;
+    at each decision's boundary, the same event as inverting it; ``k = 0`` is
+    ``R = 0``.  From one chunk of trials on, a run brackets ``P(k, .)`` between
+    exact values on a grid of about ``sqrt(2 trials)`` points and evaluates it
+    only for the decisions its bracket leaves open;
   - ``u[5]``: ``|rho|^2 = -expm1(log1p(-u[5]) / (n - 1))``, the inverse of
     the Beta(1, n - 1) distribution function (comm-detection only);
   - ``u[6]``: the phase of ``rho`` as a fraction of a turn (comm-detection
@@ -191,6 +194,26 @@ def _per_chunk(base_seed: int, trials: int,
             for lo in range(0, trials, CHUNK)]
 
 
+def _gamma_cdf_grid(shape: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted abscissae for a run of ``trials`` and ``P(shape, .)`` on them.
+
+    The ``math.isqrt(2 trials)`` abscissae are the Wilson-Hilferty quantiles
+    of Gamma(shape) at equally spaced levels, clamped at 0; the exact values
+    come with 0 and 1 appended at the ends, so that ``searchsorted`` index
+    ``j`` of a point brackets its ``P`` between values ``j`` and ``j + 1``.
+    The abscissae set only the bracket widths, so the normal quantile
+    inside them is Tukey's lambda approximation, which needs no scipy call.
+    """
+    from scipy.special import gammainc
+
+    m = math.isqrt(2 * trials)
+    q = np.arange(1, m + 1) / (m + 1)
+    z = 4.91 * (q ** 0.14 - (1 - q) ** 0.14)
+    grid = shape * np.maximum(
+        1 - 1 / (9 * shape) + z / (3 * math.sqrt(shape)), 0) ** 3
+    return grid, np.concatenate([[0.0], gammainc(shape, grid), [1.0]])
+
+
 def _radiometer_tally(base_seed: int, trials: int, shape: int, s2: float,
                       statistics: Callable[[np.ndarray], tuple]
                       ) -> tuple[int, int]:
@@ -201,18 +224,45 @@ def _radiometer_tally(base_seed: int, trials: int, shape: int, s2: float,
     s2)``, and n times the threshold(s).  The alarm ``e0 + R > level`` is
     ``u[4] > P(shape, max(level - e0, 0) / s2)``; the miss
     ``e1 + R < level`` is ``u[4] < P(shape, max(level - e1, 0) / s2)``.
+
+    From one chunk of trials on, ``P`` is evaluated once per run on the
+    :func:`_gamma_cdf_grid` of about ``sqrt(2 trials)`` points, whose
+    brackets hold each boundary's ``P``.  A decision whose ``u[4]`` lies
+    outside its bracket by more than ``guard`` is settled by the bracket
+    alone; the rest, about one in ``sqrt(2 trials)``, and every NaN boundary
+    get the exact ``P``.  So each decision is the one the exact ``P`` gives,
+    and the grid sets only how many decisions need it.
     """
     # lazy: the pilot estimators must not pay scipy's 0.6 s import
     from scipy.special import gammainc
+
+    # a hundred times the largest step down of gammainc(k, .) seen on dense
+    # grids for k from 1 to 10^7: P stays within guard of its bracket even
+    # where the computed CDF is not monotone in its last bits
+    guard = 1e-13
+    # below one chunk the grid's own evaluations cost more than they save
+    grid, cdf = _gamma_cdf_grid(shape, trials) \
+        if shape > 0 and trials >= CHUNK else (None, None)
 
     def tally(u: np.ndarray) -> tuple[int, int]:
         e0, e1, level = statistics(u)
         x0, x1 = level - e0, level - e1
         if shape == 0:                  # R = 0: a tie is neither
             return int(np.count_nonzero(x0 < 0)), int(np.count_nonzero(x1 > 0))
+        u4 = u[:, 4]
         with np.errstate(over="ignore"):        # P(shape, inf) = 1 exactly
-            p0, p1 = gammainc(shape, np.maximum([x0, x1], 0) / s2)
-        return int(np.count_nonzero(u[:, 4] > p0)), int(np.count_nonzero(u[:, 4] < p1))
+            y = np.maximum([x0, x1], 0) / s2
+            if grid is None:
+                p = gammainc(shape, y)
+            else:
+                # P(shape, y) lies in [cdf[j], cdf[j + 1]]; a settled
+                # decision compares u[4] with the bracket's lower end
+                j = np.searchsorted(grid, y)
+                p = cdf[j]
+                near = (u4 >= p - guard) & (u4 <= cdf[j + 1] + guard) \
+                    | np.isnan(y)
+                p[near] = gammainc(shape, y[near])
+        return int(np.count_nonzero(u4 > p[0])), int(np.count_nonzero(u4 < p[1]))
 
     return tuple(map(sum, zip(*_per_chunk(base_seed, trials, tally))))
 
@@ -389,6 +439,12 @@ def mc_sqrt_law(channel: ChannelParams, c: float, n_grid: Sequence[int],
         lt = c / math.sqrt(n)
         tau = tau_dagger(channel, h, lt, n)
         d = a_w * h * math.sqrt(n * lt)
+        # the spread of n t1 = |d + z1|^2 + R about its mean: below the
+        # resolution of n tau every miss decision is a rounding tie
+        spread = math.hypot(abs(d) * math.sqrt(2 * s2), math.sqrt(n) * s2)
+        _require(n * tau + spread > n * tau, "mc_sqrt_law needs the noise "
+                 "spread sqrt(2 |d|^2 sigma_w^2 + n sigma_w^4) of n t1 above "
+                 "the double-precision resolution of n tau")
 
         def statistics(u: np.ndarray) -> tuple:
             # reduced sampler with x_t on the first axis: z1, then R

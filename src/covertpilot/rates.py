@@ -146,12 +146,18 @@ def solve_lambda_star(channel: ChannelParams, config: SystemConfig,
     eps > 0 (and a nonzero link) there is a unique root; powers strictly
     below it are in the blind-below regime.  Bracketing doubles an upper
     power until the threshold crosses the floor, then Brent's method
-    polishes to |tau - floor| <= 1e-10 * floor.
+    polishes to |tau - floor| <= 1e-10 * floor.  Raises
+    :class:`ParameterError` when the residual part of the floor is within
+    that tolerance, where every power from 0 to at least twice the root
+    would meet it.
     """
     _require(epsilon > 0, "epsilon must be > 0: with a silent pilot attack the "
                           "threshold never falls below the floor")
     _require(channel.gain_w > 0, "needs a nonzero link gain")
     floor, _ = statistic_levels(channel, AttackParams(epsilon, 0.0), config)
+    _require(floor - channel.sigma_w_sq > 1e-10 * floor,
+             "solve_lambda_star needs the residual eps^2 alpha_w^2 |h_w|^2 "
+             "lambda_a above its root tolerance 1e-10 (residual + sigma_w^2)")
 
     def f(lt: float) -> float:
         return tau_eps(channel, AttackParams(epsilon, lt)) - floor
@@ -165,8 +171,8 @@ def solve_lambda_star(channel: ChannelParams, config: SystemConfig,
 
     lam = float(brentq(f, 0.0, hi, rtol=8.9e-16, maxiter=200))
     residual = abs(f(lam))
-    if residual > 1e-10 * floor:
-        raise RuntimeError(f"root polish failed: residual {residual:.3e}")
+    _require(residual <= 1e-10 * floor,
+             f"solve_lambda_star: root polish failed, residual {residual:.3e}")
     return lam
 
 

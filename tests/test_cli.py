@@ -346,6 +346,8 @@ class TestMc:
           "--sigma-w-sq", "1e10"], "(1+eps)^2 S + sigma_w^2"),
         (["--target", "sqrtlaw", "--sigma-w-sq=1e-300", "--c=1"],
          "8 sigma_w^4 > 0 in double precision"),
+        (["--target", "sqrtlaw", "--sigma-w-sq=1e-154", "--c=3e152"],
+         "above the double-precision resolution of n tau"),
     ])
     def test_out_of_domain_inputs_exit_1(self, argv, constraint, capsys):
         # each ends in a named ParameterError, never in a traceback

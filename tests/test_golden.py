@@ -32,7 +32,7 @@ GOLDEN = {
     # k = 10^4 - 1 and 10^5 - 1
     "mc --target sqrtlaw --trials 1500 --seed 17":
         "f9a7f3d60159e71076be5e12020baf82340a6bc2ea297e747187a4ed9df38301",
-    # k = n - 2 = 1, where the grid's abscissae clamp at 0
+    # k = n - 2 = 1, the far end of the grid's Wilson-Hilferty abscissae
     "mc --target comm-detection --block-len 3 --pilot-len 1 --trials 1500 --seed 19":
         "07bb625b26d438f9dee2d738c610e673627ca323b8a1401b64bfe8319a2fa159",
     "mc --target pilot-kl --trials 2000 --seed 8":

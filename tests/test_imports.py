@@ -53,9 +53,16 @@ def test_loads_no_scipy(argv):
 
 
 def test_comm_detection_loads_special_only():
-    code, modules = scipy_modules_after(
-        ["mc", "--target", "comm-detection", "--trials", "10"])
-    assert code == 0
-    assert "scipy.special" in modules
-    assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.")
-                   for m in modules)
+    # below and from one chunk of trials on, where the radiometer tally
+    # brackets the Gamma CDF on a grid; sqrtlaw takes an explicit --c, since
+    # solving for the default c is a root solve
+    for argv in (["mc", "--target", "comm-detection", "--trials", "10"],
+                 ["mc", "--target", "comm-detection", "--trials", "1024"],
+                 ["mc", "--target", "sqrtlaw", "--trials", "600",
+                  "--c", "0.25"]):
+        code, modules = scipy_modules_after(argv)
+        assert code == 0, argv
+        assert "scipy.special" in modules, argv
+        assert not any(m == "scipy.optimize"
+                       or m.startswith("scipy.optimize.")
+                       for m in modules), argv

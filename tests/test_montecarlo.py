@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincinv
 
 from covertpilot import (AttackParams, McConfig, kl_pilot_exact,
@@ -13,8 +16,9 @@ from covertpilot import (AttackParams, McConfig, kl_pilot_exact,
                          tau_eps)
 from covertpilot.channel import STREAM_TRIAL
 from covertpilot.montecarlo import (BLOCKS_PER_TRIAL, CHUNK, WORDS_PER_TRIAL,
-                                    _per_chunk, _radiometer_tally,
-                                    _trial_key, _trial_words, _uniforms)
+                                    _gamma_cdf_grid, _per_chunk,
+                                    _radiometer_tally, _trial_key,
+                                    _trial_words, _uniforms)
 from covertpilot.pilot import _estimator_coefficient
 from reference import (dense_pilot_llr, exact_comm_error_probs,
                        full_vector_comm_tally, full_vector_estimator_errors,
@@ -322,6 +326,62 @@ class TestUniformSpaceDecisions:
         full = full_vector_comm_tally(channel, attack, config, n, 2000,
                                       seed=50 + n, pilot_len=1024)
         assert_tallies_agree(reduced, full, mc.trials, 2000)
+
+
+# boundaries P(k, .) is asked at: the clamp and the ends, NaN, the grid's
+# own abscissae, gammaincinv(k, u[4]) and its neighbours (near-ties with the
+# trial's own uniform), and values spread over the bulk of Gamma(k)
+BOUNDARY_KINDS = ("zero", "negative", "inf", "-inf", "nan", "grid", "tie",
+                  "tie_up", "tie_down", "bulk")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(k=st.sampled_from([1, 2, 38, 254, 9998, 10 ** 6]),
+       trials=st.sampled_from([1, 511, 512, 1537, 4096]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.lists(st.sampled_from(BOUNDARY_KINDS), min_size=1,
+                      max_size=8))
+# at k = 1 and 10^5 trials the lowest abscissa is clamped at 0
+@example(k=1, trials=100_000, seed=0, kinds=["grid", "tie", "zero", "bulk"])
+def test_bracketed_tally_equals_direct_comparison(k, trials, seed, kinds):
+    # trial r of a chunk meets the boundaries kinds[r % len] (alarm) and
+    # kinds[(r + 1) % len] (miss); the bracketed tally must count what
+    # comparing u[4] with gammainc at every boundary counts
+    abscissae, _ = _gamma_cdf_grid(k, trials)
+    index = np.array([BOUNDARY_KINDS.index(kind) for kind in kinds])
+    direct = [0, 0]
+
+    def statistics(u):
+        rows = np.arange(len(u))
+        tie = gammaincinv(k, u[:, 4])
+        table = np.stack(np.broadcast_arrays(
+            0.0, -1.0, np.inf, -np.inf, np.nan,
+            abscissae[rows % len(abscissae)], tie, np.nextafter(tie, np.inf),
+            np.nextafter(tie, -np.inf), gammaincinv(k, u[:, 5])))
+        x0, x1 = (table[index[(rows + shift) % len(index)], rows]
+                  for shift in (0, 1))
+        direct[0] += np.count_nonzero(u[:, 4] > gammainc(k, np.maximum(x0, 0)))
+        direct[1] += np.count_nonzero(u[:, 4] < gammainc(k, np.maximum(x1, 0)))
+        return -x0, -x1, 0.0            # level - e is exactly x
+
+    assert _radiometer_tally(seed, trials, k, 1.0, statistics) == tuple(direct)
+
+
+def test_bracketed_tally_evaluates_few_cdf_values(channel, config, attack,
+                                                  monkeypatch):
+    # two decisions per trial: 2 * 10^4 gammainc values without the grid
+    counted = []
+
+    def counting(a, x):
+        counted.append(np.size(x))
+        return gammainc(a, x)
+
+    monkeypatch.setattr(scipy.special, "gammainc", counting)
+    mc = McConfig(trials=10_000, base_seed=3, n=256)
+    probs, _ = mc_comm_error_probs(channel, attack, config, mc,
+                                   two_phase_pilot_len=64)
+    assert 0 < probs.p_f < 1 and 0 < probs.p_m < 1
+    assert 0 < sum(counted) <= 1000, sum(counted)
 
 
 class TestPilotKl:

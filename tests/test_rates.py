@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covertpilot import (AttackParams, ChannelParams, ParameterError,
                          SystemConfig, link_capacity, solve_lambda_star,
                          attack_feasibility, power_scaling_table, tau_eps,
                          willie_sinr)
+from covertpilot.detection import regime_gaps, statistic_levels
 
 R_A_REF = 3.5138539382230082        # 0.8 * log2(21)
 LOG2_1P3 = 0.37851162325372981       # interference-cancellation rate at 0.3
@@ -149,6 +150,31 @@ class TestLambdaStar:
         stars = [solve_lambda_star(channel, config, e)
                  for e in (0.05, 0.1, 0.2)]
         assert all(b > a for a, b in zip(stars, stars[1:]))
+
+
+# the residual part of the floor, 2 eps^2 at the reference point, meets the
+# root tolerance 1e-10 floor at eps = 2.24e-6
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(epsilon=st.floats(min_value=0, max_value=1, exclude_min=True))
+@example(epsilon=5e-324)
+@example(epsilon=2.2e-6)
+@example(epsilon=2.3e-6)
+@example(epsilon=1.0)
+def test_lambda_star_sits_on_the_floor(channel, config, epsilon):
+    floor, _ = statistic_levels(channel, AttackParams(epsilon, 0.0), config)
+    if floor - channel.sigma_w_sq <= 1e-10 * floor:
+        with pytest.raises(ParameterError, match="root tolerance"):
+            solve_lambda_star(channel, config, epsilon)
+        return
+    star = solve_lambda_star(channel, config, epsilon)
+    assert abs(tau_eps(channel, AttackParams(epsilon, star)) - floor) \
+        <= 1e-10 * floor
+    # blind below just under lambda*, not just over it
+    _, below, _ = regime_gaps(channel, AttackParams(epsilon, 0.999 * star),
+                              config)
+    _, above, _ = regime_gaps(channel, AttackParams(epsilon, 1.001 * star),
+                              config)
+    assert below > 0 >= above
 
 
 class TestPowerScalingTable:
