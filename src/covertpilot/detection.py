@@ -51,12 +51,13 @@ from .channel import (AttackParams, ChannelParams, ParameterError,
 
 
 def _per_element(fn):
-    """``fn`` applied to each element of a float, complex or array argument."""
-    ufunc = np.frompyfunc(fn, 1, 1)
+    """``fn`` of each element: a float for a scalar or 0-d array, else a float array."""
 
     def apply(x):
-        y = ufunc(x)
-        return y.astype(float) if isinstance(y, np.ndarray) else y
+        if not isinstance(x, np.ndarray) or x.ndim == 0:
+            return fn(x)
+        return np.fromiter(map(fn, x.ravel().tolist()), float,
+                           x.size).reshape(x.shape)
 
     return apply
 
@@ -116,22 +117,20 @@ class SqrtLawBound(NamedTuple):
     limit: float
 
 
-def _threshold(b, x, s2):
-    """``b e^x / (e^x - 1) = b / (1 - e^-x)``, extended to ``s2`` where ``b = 0``."""
+def _threshold(b, x, at_zero):
+    """``b e^x / (e^x - 1) = b / (1 - e^-x)``, extended to ``at_zero`` where ``b = 0``."""
     with np.errstate(invalid="ignore"):
         tau = np.divide(b, -_expm1(-x))
-    return np.where(b > 0, tau, s2)[()]
+    return np.where(b > 0, tau, at_zero)[()]
 
 
 def tau_dagger(channel: ChannelParams, h_hat: complex | np.ndarray,
                lambda_t: float, n: int) -> float | np.ndarray:
     """Optimal finite-n radiometer threshold for an assumed trojan power.
 
-    ``lambda_t = 0`` returns ``sigma_w^2`` (continuous extension of the
-    vanishing-power limit; the exact finite-n limit differs by a factor
-    (n-1)/n, an O(1/n) distinction the asymptotic analysis ignores).
-    Raises :class:`ParameterError` when ``b = alpha_w^2 |h_hat|^2 lambda_t``
-    is not a finite float.
+    ``b = alpha_w^2 |h_hat|^2 lambda_t = 0`` returns ``(n-1)/n sigma_w^2``,
+    the limit as ``b -> 0+`` (a subnormal nonzero ``b`` is not covered).
+    Raises :class:`ParameterError` when ``b`` is not a finite float.
     """
     _require(n >= 2, "n must be >= 2")
     _require(lambda_t >= 0, "lambda_t must be >= 0")
@@ -140,7 +139,7 @@ def tau_dagger(channel: ChannelParams, h_hat: complex | np.ndarray,
     _require(np.all(np.isfinite(b)), "tau_dagger needs a finite scaled "
              "trojan power alpha_w^2 |h_hat|^2 lambda_t")
     return _threshold(b, (n / (n - 1)) * b / channel.sigma_w_sq,
-                      channel.sigma_w_sq)
+                      (n - 1) / n * channel.sigma_w_sq)
 
 
 def tau_eps(channel: ChannelParams, attack: AttackParams) -> float | np.ndarray:

@@ -36,12 +36,12 @@ is checked against.
 Reproducibility contract
 ------------------------
 * Every estimator draws from one counter-based stream per run:
-  numpy's ``Philox`` keyed by the two words
-  ``SeedSequence(base_seed, spawn_key=(STREAM_TRIAL,)).generate_state(2,
-  np.uint64)``.  Trial ``i`` owns the counter blocks ``[3i, 3i + 3)``,
-  i.e. the twelve 64-bit words ``[12i, 12i + 12)`` of that stream, so a
-  chunk starting at trial ``lo`` positions the generator with
-  ``advance(3 lo)`` and takes all of its words in one ``random_raw`` call.
+  numpy's ``Philox`` seeded with ``SeedSequence(base_seed,
+  spawn_key=(STREAM_TRIAL,))``, whose key is the two words that sequence's
+  ``generate_state(2, np.uint64)`` gives.  Trial ``i`` owns the counter
+  blocks ``[3i, 3i + 3)``, i.e. the twelve 64-bit words ``[12i, 12i + 12)``
+  of that stream.  A run builds one generator and reads the stream once,
+  in trial order, taking each chunk's words in one ``random_raw`` call.
 * Each word ``w`` becomes the uniform ``((w >> 12) + 0.5) 2^-52``, which
   lies strictly inside (0, 1) and for which ``1 - u`` is exact.  Trial
   ``i``'s uniforms ``u[0..11]`` are mapped by inversion, as array code:
@@ -52,9 +52,9 @@ Reproducibility contract
   - ``u[4]``: the remainder ``R ~ Gamma(k, scale s2)``, ``k = n - 2``
     (``mc_sqrt_law``: ``n - 1``): compared against the Gamma(k) CDF ``P(k, .)``
     at each decision's boundary, the same event as inverting it; ``k = 0`` is
-    ``R = 0``.  From one chunk of trials on, a run brackets ``P(k, .)`` between
-    exact values on a grid of about ``sqrt(2 trials)`` points and evaluates it
-    only for the decisions its bracket leaves open;
+    ``R = 0``.  From :data:`GRID_MIN_TRIALS` trials on, a run brackets
+    ``P(k, .)`` between exact values on a grid of about ``sqrt(2 trials)``
+    points and evaluates it only for the decisions its bracket leaves open;
   - ``u[5]``: ``|rho|^2 = -expm1(log1p(-u[5]) / (n - 1))``, the inverse of
     the Beta(1, n - 1) distribution function (comm-detection only);
   - ``u[6]``: the phase of ``rho`` as a fraction of a turn (comm-detection
@@ -72,8 +72,10 @@ Reproducibility contract
   - ``mc_estimator_error``: ``u[0], u[1]``, ``s^H z`` by Box-Muller with
     variance ``s2 S``, shared by both hypotheses; the stream restarts at
     trial 0 for every pilot length.
-* Trials run serially in fixed chunks of :data:`CHUNK`, and per-chunk
-  results are reduced in chunk order,
+* Trials run serially in chunks of at most :data:`CHUNK`, which bound the
+  memory of a run and nothing else: tallies are integer sums and means are
+  taken over the concatenated per-trial values, so the chunk size never
+  changes a result,
 
 so results depend only on the parameters and seed, trial ``i`` depends
 only on ``(base_seed, i)``, and runs over disjoint trial ranges merge to
@@ -99,7 +101,10 @@ from .detection import (ErrorProbabilities, analytic_error_probs,
 from .pilot import (_estimator_coefficient, _pilot_energy, _square,
                     kl_pilot_exact, mmse_limit)
 
-CHUNK = 512
+CHUNK = 4096                              # trials per chunk: bounds memory only
+# from this many trials on the radiometer tally brackets the Gamma CDF on a
+# grid; below it the grid's own gammainc evaluations cost more than they save
+GRID_MIN_TRIALS = 512
 BLOCKS_PER_TRIAL = 3                      # Philox counter blocks of one trial
 WORDS_PER_TRIAL = 4 * BLOCKS_PER_TRIAL    # four 64-bit words per block
 
@@ -155,19 +160,6 @@ def _std_error_binomial(p: float, trials: int) -> float:
     return math.sqrt(p * (1 - p) / trials)
 
 
-def _trial_key(base_seed: int) -> np.ndarray:
-    """The two-word ``Philox`` key of a Monte Carlo run."""
-    return np.random.SeedSequence(base_seed, spawn_key=(STREAM_TRIAL,)) \
-        .generate_state(2, np.uint64)
-
-
-def _trial_words(key: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Raw words of trials ``[lo, hi)``, one row of WORDS_PER_TRIAL per trial."""
-    bits = np.random.Philox(key=key)
-    bits.advance(BLOCKS_PER_TRIAL * lo)
-    return bits.random_raw((hi - lo, WORDS_PER_TRIAL))
-
-
 def _uniforms(words: np.ndarray) -> np.ndarray:
     """``((w >> 12) + 0.5) 2^-52``: strictly inside (0, 1), with exact ``1 - u``."""
     return ((words >> np.uint64(12)) + 0.5) * 2.0 ** -52
@@ -188,9 +180,15 @@ def _pilot_estimate(channel: ChannelParams, scale: float, energy: float,
 
 def _per_chunk(base_seed: int, trials: int,
                fn: Callable[[np.ndarray], object]) -> list:
-    """``fn`` of each chunk's uniforms, shape (trials, WORDS_PER_TRIAL), in chunk order."""
-    key = _trial_key(base_seed)
-    return [fn(_uniforms(_trial_words(key, lo, min(lo + CHUNK, trials))))
+    """``fn`` of each chunk's uniforms, one row of WORDS_PER_TRIAL per trial.
+
+    One generator reads the run's stream once, in trial order, so the rows
+    handed to ``fn`` are the trials' own words whatever :data:`CHUNK` is.
+    """
+    bits = np.random.Philox(
+        np.random.SeedSequence(base_seed, spawn_key=(STREAM_TRIAL,)))
+    return [fn(_uniforms(bits.random_raw((min(CHUNK, trials - lo),
+                                          WORDS_PER_TRIAL))))
             for lo in range(0, trials, CHUNK)]
 
 
@@ -225,8 +223,8 @@ def _radiometer_tally(base_seed: int, trials: int, shape: int, s2: float,
     ``u[4] > P(shape, max(level - e0, 0) / s2)``; the miss
     ``e1 + R < level`` is ``u[4] < P(shape, max(level - e1, 0) / s2)``.
 
-    From one chunk of trials on, ``P`` is evaluated once per run on the
-    :func:`_gamma_cdf_grid` of about ``sqrt(2 trials)`` points, whose
+    From :data:`GRID_MIN_TRIALS` trials on, ``P`` is evaluated once per run
+    on the :func:`_gamma_cdf_grid` of about ``sqrt(2 trials)`` points, whose
     brackets hold each boundary's ``P``.  A decision whose ``u[4]`` lies
     outside its bracket by more than ``guard`` is settled by the bracket
     alone; the rest, about one in ``sqrt(2 trials)``, and every NaN boundary
@@ -240,9 +238,8 @@ def _radiometer_tally(base_seed: int, trials: int, shape: int, s2: float,
     # grids for k from 1 to 10^7: P stays within guard of its bracket even
     # where the computed CDF is not monotone in its last bits
     guard = 1e-13
-    # below one chunk the grid's own evaluations cost more than they save
     grid, cdf = _gamma_cdf_grid(shape, trials) \
-        if shape > 0 and trials >= CHUNK else (None, None)
+        if shape > 0 and trials >= GRID_MIN_TRIALS else (None, None)
 
     def tally(u: np.ndarray) -> tuple[int, int]:
         e0, e1, level = statistics(u)

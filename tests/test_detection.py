@@ -12,7 +12,7 @@ from covertpilot import (AttackParams, ParameterError, Regime, RegimeError,
                          solve_lambda_star, solve_sqrt_law_coefficient,
                          sqrt_law_bound, tail_bound_sum, tau_dagger, tau_eps)
 from covertpilot.channel import complex_normal
-from covertpilot.detection import _abs
+from covertpilot.detection import _abs, _expm1, _log2
 from reference import (STREAM_NOISE, CommHypothesis, alice_input,
                        radiometer_statistic, synthesize_received)
 
@@ -60,14 +60,17 @@ class TestThresholds:
         assert abs(ratio - 1) < 1e-5
 
     def test_tau_dagger_zero_power_extension(self, channel):
-        assert tau_dagger(channel, channel.h_w, 0.0, 100) == channel.sigma_w_sq
+        # b = 0 gives the limit (n-1)/n sigma_w^2 as b -> 0+
+        assert tau_dagger(channel, channel.h_w, 0.0, 100) == \
+            0.99 * channel.sigma_w_sq
         # continuity: small powers approach sigma_w^2 (up to the O(1/n) factor)
         near = tau_dagger(channel, channel.h_w, 1e-9, 10_000)
         assert near == pytest.approx(channel.sigma_w_sq, rel=1e-3)
-        # the factor is (n-1)/n: at n = 2 the threshold halves between
-        # lambda_t = 0 and the smallest powers
-        assert tau_dagger(channel, channel.h_w, 1e-12, 2) == \
-            pytest.approx(channel.sigma_w_sq / 2, rel=1e-9)
+        # the factor is (n-1)/n: at n = 2 the threshold is half of sigma_w^2
+        # at lambda_t = 0 and at the smallest powers alike
+        for lt in (0.0, 1e-12):
+            assert tau_dagger(channel, channel.h_w, lt, 2) == \
+                pytest.approx(channel.sigma_w_sq / 2, rel=1e-9)
 
     def test_tau_dagger_increases_toward_limit(self, channel, attack):
         h_hat = (1 + attack.epsilon) * channel.h_w
@@ -340,9 +343,10 @@ class TestThresholdOptimality:
 
 
 # h_hat as a modulus and a phase, and lambda_t, over a range where
-# b = alpha_w^2 |h_hat|^2 lambda_t neither overflows nor underflows to 0.
-# At b = 0 tau_dagger returns the large-n value sigma_w^2, above its limit
-# (n-1)/n sigma_w^2 as b -> 0+ (test_tau_dagger_zero_power_extension)
+# b = alpha_w^2 |h_hat|^2 lambda_t neither overflows nor underflows to 0;
+# the monotonicity properties add b = 0 itself, where tau_dagger returns its
+# limit (n-1)/n sigma_w^2 as b -> 0+ (test_tau_dagger_zero_power_extension).
+# A subnormal nonzero b is not covered.
 POSITIVE = st.floats(1e-100, 1e100)
 GAIN = st.builds(lambda r, turn: r * complex(math.cos(turn), math.sin(turn)),
                  POSITIVE, st.floats(0.0, 2 * math.pi))
@@ -352,7 +356,7 @@ BLOCK = st.integers(2, 10 ** 6)
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(gains=st.lists(GAIN, min_size=2, max_size=8), lt=POSITIVE, n=BLOCK)
 def test_tau_dagger_nondecreasing_in_gain(channel, gains, lt, n):
-    h_hat = np.array(sorted(gains, key=abs))
+    h_hat = np.array([0j] + sorted(gains, key=abs))        # b = 0 first
     taus = tau_dagger(channel, h_hat, lt, n)
     assert np.all(np.isfinite(taus))
     assert np.all(taus[1:] >= taus[:-1] * (1 - TAU_ULPS))
@@ -363,7 +367,7 @@ def test_tau_dagger_nondecreasing_in_gain(channel, gains, lt, n):
        n=BLOCK)
 def test_tau_dagger_nondecreasing_in_power(channel, h_hat, powers, n):
     taus = np.array([tau_dagger(channel, h_hat, lt, n)
-                     for lt in sorted(powers)])
+                     for lt in [0.0] + sorted(powers)])    # b = 0 first
     assert np.all(np.isfinite(taus))
     assert np.all(taus[1:] >= taus[:-1] * (1 - TAU_ULPS))
 
@@ -402,3 +406,42 @@ def test_abs_equals_python_abs_bit_for_bit():
     for v in (3 + 4j, -2.5, complex(math.nan, math.inf), 1e308, -0.0):
         assert isinstance(_abs(v), float)
         assert _bits(_abs(v)) == _bits(abs(v))
+
+
+# _expm1 and _log2 call math.expm1 and math.log2 once per element, so an
+# array call equals the per-element math results bit for bit, in any shape
+# or memory layout, and raises what math raises outside the domain
+# each function over its domain: expm1 up to its overflow near 709.78,
+# log2 over positive floats from the smallest subnormal to inf
+@pytest.mark.parametrize("ours, ref, scale, bad", [
+    (_expm1, math.expm1, lambda u: 700 * u, 1e3),
+    (_log2, math.log2, lambda u: 10.0 ** (620 * np.abs(u) - 320), -1.0),
+], ids=["expm1", "log2"])
+def test_per_element_math_equals_math_bit_for_bit(ours, ref, scale, bad):
+    values = scale(np.random.default_rng(6).uniform(-1, 1, 600))
+    specials = [v for v in SPECIALS if _raised(ref, v) is None]
+    values[:len(specials)] = specials
+    for x in (values, values.reshape(20, 30), values.reshape(20, 30)[::3, 1::4],
+              values[::-7], values[:0], values[:0].reshape(0, 4)):
+        y = ours(x)
+        assert isinstance(y, np.ndarray) and y.dtype == float
+        assert y.shape == x.shape
+        assert _bits(y.ravel()) == _bits([ref(v) for v in x.ravel().tolist()])
+    for v in (np.array(0.5), np.float64(3.0), 2.0, values[-1]):
+        y = ours(v)
+        assert isinstance(y, float) and _bits(y) == _bits(ref(float(v)))
+    # outside the domain: the exception math raises
+    raised = type(_raised(ref, bad))
+    for x in (bad, np.array(bad), np.array([1.0, bad]),
+              np.array([[1.0], [bad]])[:, 0]):
+        with pytest.raises(raised):
+            ours(x)
+
+
+def _raised(fn, x):
+    """The exception ``fn(x)`` raises, or None."""
+    try:
+        fn(x)
+    except (ValueError, OverflowError) as exc:
+        return exc
+    return None

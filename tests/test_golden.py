@@ -28,8 +28,8 @@ GOLDEN = {
         "ca78b8b097c67ffa647e51b338d17aa5b300cc584573451b047d0c8d31eb5141",
     "mc --target sqrtlaw --trials 400 --seed 16":
         "7fff9c01c8a2fb004e7277bc302ed31001617334a4103d053737505b5271b157",
-    # at least CHUNK trials: the radiometer tally's bracket grid, at
-    # k = 10^4 - 1 and 10^5 - 1
+    # at least GRID_MIN_TRIALS (512) trials: the radiometer tally's bracket
+    # grid, at k = 10^4 - 1 and 10^5 - 1
     "mc --target sqrtlaw --trials 1500 --seed 17":
         "f9a7f3d60159e71076be5e12020baf82340a6bc2ea297e747187a4ed9df38301",
     # k = n - 2 = 1, the far end of the grid's Wilson-Hilferty abscissae

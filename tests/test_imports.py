@@ -53,9 +53,9 @@ def test_loads_no_scipy(argv):
 
 
 def test_comm_detection_loads_special_only():
-    # below and from one chunk of trials on, where the radiometer tally
-    # brackets the Gamma CDF on a grid; sqrtlaw takes an explicit --c, since
-    # solving for the default c is a root solve
+    # below and from GRID_MIN_TRIALS (512) trials on, where the radiometer
+    # tally brackets the Gamma CDF on a grid; sqrtlaw takes an explicit --c,
+    # since solving for the default c is a root solve
     for argv in (["mc", "--target", "comm-detection", "--trials", "10"],
                  ["mc", "--target", "comm-detection", "--trials", "1024"],
                  ["mc", "--target", "sqrtlaw", "--trials", "600",

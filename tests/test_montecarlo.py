@@ -14,11 +14,11 @@ from covertpilot import (AttackParams, McConfig, kl_pilot_exact,
                          mc_estimator_error, mc_pilot_kl, mc_sqrt_law,
                          mmse_limit, solve_sqrt_law_coefficient, tau_dagger,
                          tau_eps)
+from covertpilot import montecarlo
 from covertpilot.channel import STREAM_TRIAL
 from covertpilot.montecarlo import (BLOCKS_PER_TRIAL, CHUNK, WORDS_PER_TRIAL,
                                     _gamma_cdf_grid, _per_chunk,
-                                    _radiometer_tally, _trial_key,
-                                    _trial_words, _uniforms)
+                                    _radiometer_tally, _uniforms)
 from covertpilot.pilot import _estimator_coefficient
 from reference import (dense_pilot_llr, exact_comm_error_probs,
                        full_vector_comm_tally, full_vector_estimator_errors,
@@ -35,6 +35,12 @@ def assert_tallies_agree(reduced, full, trials_reduced, trials_full):
 
 
 AGREE_N, AGREE_REDUCED, AGREE_FULL = 40, 20_000, 5_000
+
+
+def run_key(base_seed):
+    """The two-word ``Philox`` key of a Monte Carlo run, as documented."""
+    return np.random.SeedSequence(base_seed, spawn_key=(STREAM_TRIAL,)) \
+        .generate_state(2, np.uint64)
 
 
 class TestCommDetection:
@@ -61,13 +67,16 @@ class TestCommDetection:
         b, _ = mc_comm_error_probs(channel, attack, config, mc)
         assert a == b
 
-    def test_split_runs_merge_to_serial(self, channel, config, attack):
+    def test_split_runs_merge_to_serial(self, channel, config, attack,
+                                        monkeypatch):
         # two workers with disjoint trial ranges reproduce the serial tally
         # because trial i owns the counter blocks [3i, 3i + 3); the oracle
         # draws each trial alone and maps its words as documented, with the
-        # package's numpy operations on length-1 arrays
-        n = 300
-        mc_all = McConfig(trials=2 * CHUNK, base_seed=5, n=n)
+        # package's numpy operations on length-1 arrays.  The run spans two
+        # chunks of 512 trials.
+        monkeypatch.setattr(montecarlo, "CHUNK", 512)
+        n, trials = 300, 1024
+        mc_all = McConfig(trials=trials, base_seed=5, n=n)
         serial, _ = mc_comm_error_probs(channel, attack, config, mc_all)
         tau = tau_eps(channel, attack)
 
@@ -76,10 +85,9 @@ class TestCommDetection:
         h_hat = (1 + attack.epsilon) * channel.h_w
         c = a_w * math.sqrt(n * config.lambda_a) * (channel.h_w - h_hat)
         d = a_w * channel.h_w * math.sqrt(n * attack.lambda_t)
-        key = np.random.SeedSequence(5, spawn_key=(STREAM_TRIAL,)) \
-            .generate_state(2, np.uint64)
+        key = run_key(5)
         fa = md = 0
-        for i in range(2 * CHUNK):
+        for i in range(trials):
             bits = np.random.Philox(key=key)
             bits.advance(3 * i)
             u = ((bits.random_raw(12) >> np.uint64(12)) + 0.5) * 2.0 ** -52
@@ -95,8 +103,8 @@ class TestCommDetection:
                   + np.abs(z2 + d * np.exp(log_q / 2)) ** 2 + rest) / n
             fa += int(t0[0] > tau)
             md += int(t1[0] < tau)
-        assert serial.p_f == fa / (2 * CHUNK)
-        assert serial.p_m == md / (2 * CHUNK)
+        assert serial.p_f == fa / trials
+        assert serial.p_m == md / trials
 
     def test_two_phase_same_seed_gives_equal_results(self, channel, config,
                                                      attack):
@@ -189,14 +197,15 @@ class TestCommDetection:
 
 
 class TestTrialKernel:
-    def test_chunked_words_equal_one_serial_stream(self):
-        trials = 2 * CHUNK + 7
-        key = _trial_key(5)
-        serial = np.random.Philox(key=key).random_raw(trials * WORDS_PER_TRIAL)
-        chunked = [_trial_words(key, lo, min(lo + CHUNK, trials))
-                   for lo in range(0, trials, CHUNK)]
+    def test_chunked_words_equal_one_serial_stream(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "CHUNK", 512)
+        trials = 2 * 512 + 7
+        serial = np.random.Philox(key=run_key(5)).random_raw(
+            trials * WORDS_PER_TRIAL)
+        chunked = _per_chunk(5, trials, lambda u: u)
         assert WORDS_PER_TRIAL == 4 * BLOCKS_PER_TRIAL
-        assert np.array_equal(np.concatenate(chunked).ravel(), serial)
+        assert np.array_equal(np.concatenate(chunked).ravel(),
+                              _uniforms(serial))
 
         seen = []
 
@@ -206,18 +215,60 @@ class TestTrialKernel:
             return u[:, 0], u[:, 0], 1.0
 
         assert _radiometer_tally(5, trials, 0, 1.0, record) == (0, trials)
-        assert [len(u) for u in seen] == [CHUNK, CHUNK, 7]
+        assert [len(u) for u in seen] == [512, 512, 7]
         assert np.array_equal(np.concatenate(seen).ravel(), _uniforms(serial))
+
+    def test_one_generator_per_run(self, monkeypatch):
+        # a run reads its stream in one pass: one Philox, never advanced
+        built, advanced = [], []
+
+        class Counting(np.random.Philox):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+            def advance(self, delta):
+                advanced.append(delta)
+                return super().advance(delta)
+
+        monkeypatch.setattr(np.random, "Philox", Counting)
+        assert _per_chunk(5, 2 * CHUNK + 7, len) == [CHUNK, CHUNK, 7]
+        assert (len(built), advanced) == (1, [])
 
     @pytest.mark.parametrize("a", [1, 38, 254, 9998, 10 ** 6])
     def test_gammaincinv_round_trip(self, a):
         words = np.concatenate([np.array([0, 2 ** 64 - 1], dtype=np.uint64),
-                                _trial_words(_trial_key(0), 0, 100).ravel()])
+                                np.random.Philox(key=run_key(0)).random_raw(
+                                    100 * WORDS_PER_TRIAL)])
         u = _uniforms(words)
         assert 0 < u.min() and u.max() < 1
         x = gammaincinv(a, u)
         assert np.all(np.isfinite(x))
         assert np.max(np.abs(gammainc(a, x) - u)) <= 1e-12
+
+
+def every_estimator(channel, config, attack):
+    """One run of each estimator, the radiometer ones above GRID_MIN_TRIALS."""
+    mc = McConfig(trials=600, base_seed=21, n=256)
+    return (mc_comm_error_probs(channel, attack, config, mc),
+            mc_comm_error_probs(channel, attack, config, mc,
+                                two_phase_pilot_len=16),
+            mc_sqrt_law(channel, 0.3, [256, 2000],
+                        McConfig(trials=600, base_seed=22)),
+            mc_pilot_kl(channel, attack, 16,
+                        McConfig(trials=600, base_seed=23)),
+            mc_estimator_error(channel, attack, [16, 64],
+                               McConfig(trials=600, base_seed=24)))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 512, CHUNK])
+def test_chunk_size_never_changes_a_result(channel, config, attack, chunk,
+                                           monkeypatch):
+    # tallies are integer sums and means run over the concatenated
+    # per-trial values, so the chunk size bounds memory and nothing else
+    single = every_estimator(channel, config, attack)
+    monkeypatch.setattr(montecarlo, "CHUNK", chunk)
+    assert every_estimator(channel, config, attack) == single
 
 
 def _box_muller(u_mod, u_arg, var):

@@ -134,6 +134,28 @@ class TestAttackFeasibility:
                 assert config.r_a < link_capacity(channel, config.lambda_a)
 
 
+# grids of distinct values a thousandth of the axis apart, eps over [0, 0.5]
+# (past the covertness limit delta_1 / sqrt(2) = 0.2236) and lambda_t over
+# [0, 10], so that every step moves gamma_w by far more than a rounding
+AXIS = st.lists(st.integers(0, 1000), min_size=1, max_size=12, unique=True)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(eps_steps=AXIS, lt_steps=AXIS)
+def test_feasibility_grid_properties(channel, config, eps_steps, lt_steps):
+    eps = np.sort(eps_steps)[:, None] * 5e-4
+    lts = np.sort(lt_steps) * 1e-2
+    shape = (eps.size, lts.size)
+    rep = attack_feasibility(channel, AttackParams(eps, lts), config)
+    feasible, gamma, tin, ic = (np.broadcast_to(v, shape) for v in (
+        rep.feasible, rep.gamma_w, rep.r_t_tin, rep.r_t_ic))
+    # a feasible cell stays feasible at every lower trojan power
+    assert np.all(np.diff(feasible.astype(int), axis=1) <= 0)
+    assert np.all(np.diff(gamma, axis=0) < 0)
+    assert np.all(np.diff(gamma, axis=1) < 0)
+    assert np.all(ic >= tin) and np.all(tin >= 0)
+
+
 class TestLambdaStar:
     def test_reference_value_and_residual(self, channel, config):
         star = solve_lambda_star(channel, config, 0.1)
