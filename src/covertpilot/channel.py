@@ -20,17 +20,12 @@ Conventions
   ``E|z|^2 = s2``.
 * Synthesized data blocks satisfy the short-term power constraint
   exactly: ``(1/n) * ||x||^2 == power`` per block, not just on average.
-* All randomness derives from ``SeedSequence(seed, spawn_key=path)``.
-  :func:`derive_rng` turns a path into a generator, which
-  :func:`sample_fading` draws from (paths ``(STREAM_FADING_W,)`` and
-  ``(STREAM_FADING_E,)`` for :meth:`ChannelParams.sample`); every Monte
-  Carlo estimator keys one counter-based ``Philox`` stream per run from
-  the path ``(STREAM_TRIAL,)`` and gives trial ``i`` its own counter range
-  (see :mod:`covertpilot.montecarlo`).  A draw depends only on the seed,
-  its path and, for a counter-based trial, the trial index, never on call
-  order, thread count, or scheduling.  :func:`complex_normal` and
-  :func:`gaussian_input` are the synthesis primitives the test suite
-  builds its full-vector reference simulation from.
+* All randomness derives from ``SeedSequence(seed, spawn_key=path)``:
+  :func:`derive_rng` turns a path into a generator, so a draw depends only
+  on the seed and its path, never on call order, thread count, or
+  scheduling.  :func:`complex_normal` and :func:`gaussian_input` are the
+  synthesis primitives the test suite builds its full-vector reference
+  simulation from.
 * Powers and variances are linear (watts), never dB.
 """
 
@@ -45,14 +40,6 @@ import numpy as np
 
 class ParameterError(ValueError):
     """A parameter is outside the domain an operation is defined on."""
-
-
-# Sub-stream labels of SeedSequence paths; fixed so that results are
-# reproducible across versions.  Labels 0-2 and 5 belong to the full-vector
-# reference simulation of the test suite.
-STREAM_FADING_W = 3
-STREAM_FADING_E = 4
-STREAM_TRIAL = 6
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
@@ -78,8 +65,7 @@ class ChannelParams:
     ``alpha_w_sq``/``alpha_e_sq`` are power propagation losses toward the
     monitoring receiver and the rogue receiver, ``sigma_w_sq``/``sigma_e_sq``
     the corresponding noise powers, ``sigma_h_sq`` the fading variance, and
-    ``h_w``/``h_e`` the realized block-fading gains (either user-supplied or
-    drawn via :meth:`sample`).
+    ``h_w``/``h_e`` the realized block-fading gains.
     """
 
     alpha_w_sq: float
@@ -109,15 +95,6 @@ class ChannelParams:
             except OverflowError:   # |h|^2 itself overflows
                 finite = False
             _require(finite, f"{gain} = {alpha} * |{name}|^2 must be finite")
-
-    @classmethod
-    def sample(cls, alpha_w_sq: float, alpha_e_sq: float, sigma_w_sq: float,
-               sigma_e_sq: float, sigma_h_sq: float, seed: int) -> "ChannelParams":
-        """Draw both fading gains from CN(0, sigma_h_sq) and freeze them."""
-        h_w = sample_fading(sigma_h_sq, seed, _stream=STREAM_FADING_W)
-        h_e = sample_fading(sigma_h_sq, seed, _stream=STREAM_FADING_E)
-        return cls(alpha_w_sq, alpha_e_sq, sigma_w_sq, sigma_e_sq, sigma_h_sq,
-                   h_w, h_e)
 
     @property
     def gain_w(self) -> float:
@@ -211,22 +188,6 @@ class AttackParams:
                      f"{name} must be finite and >= 0")
 
 
-def sample_fading(sigma_h_sq: float, seed: int, size: int | None = None,
-                  _stream: int | None = None) -> complex | np.ndarray:
-    """Draw CN(0, sigma_h_sq) fading gains, reproducibly.
-
-    Returns a scalar when ``size`` is None, else an array of ``size``
-    independent draws.  Real and imaginary parts each have variance
-    ``sigma_h_sq / 2``.
-    """
-    _require(sigma_h_sq > 0, "sigma_h_sq must be > 0")
-    path = () if _stream is None else (_stream,)
-    rng = derive_rng(seed, *path)
-    n = 1 if size is None else int(size)
-    h = complex_normal(rng, n, sigma_h_sq)
-    return complex(h[0]) if size is None else h
-
-
 def complex_normal(rng: np.random.Generator, size: int, var: float) -> np.ndarray:
     """i.i.d. CN(0, var) vector; real parts are drawn before imaginary parts."""
     scale = math.sqrt(var / 2)
@@ -248,14 +209,11 @@ def gaussian_input(n: int, power: float, rng: np.random.Generator) -> np.ndarray
     return g * math.sqrt(n * power / np.vdot(g, g).real)
 
 
-def make_pilot(pilot_len: int, pilot_power: float = 1.0) -> np.ndarray:
-    """Constant-amplitude real pilot: every sample equals sqrt(pilot_power).
+def make_pilot(pilot_len: int) -> np.ndarray:
+    """Unit-amplitude real pilot of length ``pilot_len``, as a 1-d complex array.
 
-    Returned as a 1-d complex array.  ``||s||^2 = pilot_len * pilot_power``
-    grows without bound in the pilot length, which is all the
-    estimation-phase analysis requires; the per-symbol power is a free
-    design choice (default 1).
+    Its energy ``||s||^2 = pilot_len`` grows without bound in the pilot
+    length, which is all the estimation-phase analysis requires.
     """
     _require(pilot_len >= 1, "pilot_len must be >= 1")
-    _require(pilot_power > 0, "pilot_power must be > 0")
-    return np.full(pilot_len, math.sqrt(pilot_power), dtype=np.complex128)
+    return np.ones(pilot_len, dtype=np.complex128)

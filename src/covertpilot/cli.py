@@ -92,24 +92,17 @@ EXIT_VERIFY = 3
 CSV_HEADER = ("epsilon,lambda_t,feasible,failing_condition,"
               "r_t_tin_bpcu,r_t_ic_bpcu,gamma_w,tau_eps_w,delta_1_gap")
 
-# flag/config keys -> parser; h_* are python complex literals
-_PARAM_PARSERS = {
-    "alpha_w_sq": float, "alpha_e_sq": float,
-    "sigma_w_sq": float, "sigma_e_sq": float, "sigma_h_sq": float,
-    "h_w": complex, "h_e": complex,
-    "lambda_a": float, "r_a": float, "delta_1": float, "delta_2": float,
-    "pilot_len": int, "block_len": int,
-    "epsilon": float, "lambda_t": float,
-}
-
-_DEFAULTS = {
-    "alpha_w_sq": 0.1, "alpha_e_sq": 0.1,
-    "sigma_w_sq": 0.1, "sigma_e_sq": 0.1, "sigma_h_sq": 1.0,
-    "h_w": 1 + 0j, "h_e": 1 + 0j,
-    "lambda_a": 20.0, "r_a": None,   # None -> 80% of link capacity
-    "delta_1": 1 / math.sqrt(10), "delta_2": 0.1,
-    "pilot_len": 64, "block_len": 10_000,
-    "epsilon": 0.1, "lambda_t": 0.3,
+# flag/config key -> (parser, default); h_* are python complex literals
+_PARAMS = {
+    "alpha_w_sq": (float, 0.1), "alpha_e_sq": (float, 0.1),
+    "sigma_w_sq": (float, 0.1), "sigma_e_sq": (float, 0.1),
+    "sigma_h_sq": (float, 1.0),
+    "h_w": (complex, 1 + 0j), "h_e": (complex, 1 + 0j),
+    "lambda_a": (float, 20.0),
+    "r_a": (float, None),            # None -> 80% of link capacity
+    "delta_1": (float, 1 / math.sqrt(10)), "delta_2": (float, 0.1),
+    "pilot_len": (int, 64), "block_len": (int, 10_000),
+    "epsilon": (float, 0.1), "lambda_t": (float, 0.3),
 }
 
 
@@ -158,10 +151,10 @@ def parse_config_file(path: str) -> dict:
                 raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in _PARAM_PARSERS:
+            if key not in _PARAMS:
                 raise ParameterError(f"{path}:{lineno}: unknown key '{key}'")
             try:
-                values[key] = _PARAM_PARSERS[key](val)
+                values[key] = _PARAMS[key][0](val)
             except ValueError as exc:
                 raise ParameterError(f"{path}:{lineno}: bad value for "
                                      f"'{key}': {exc}") from None
@@ -170,10 +163,10 @@ def parse_config_file(path: str) -> dict:
 
 def resolve_params(args: argparse.Namespace) -> dict:
     """Defaults, overridden by config file, overridden by explicit flags."""
-    values = dict(_DEFAULTS)
+    values = {key: default for key, (_, default) in _PARAMS.items()}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
-    for key in _PARAM_PARSERS:
+    for key in _PARAMS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -390,7 +383,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    for key, parser in _PARAM_PARSERS.items():
+    for key, (parser, _) in _PARAMS.items():
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=parser,
                        default=None, help=f"override {key}")
 

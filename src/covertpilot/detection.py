@@ -39,6 +39,7 @@ would make a grid cell's bytes differ from the scalar call's.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -64,6 +65,7 @@ def _per_element(fn):
 
 _expm1 = _per_element(math.expm1)
 _log2 = _per_element(math.log2)
+_TINY = sys.float_info.min      # the smallest normal double
 
 
 def _abs(x):
@@ -118,10 +120,18 @@ class SqrtLawBound(NamedTuple):
 
 
 def _threshold(b, x, at_zero):
-    """``b e^x / (e^x - 1) = b / (1 - e^-x)``, extended to ``at_zero`` where ``b = 0``."""
-    with np.errstate(invalid="ignore"):
-        tau = np.divide(b, -_expm1(-x))
-    return np.where(b > 0, tau, at_zero)[()]
+    """``b e^x / (e^x - 1) = b / (1 - e^-x)``, extended to ``at_zero`` where ``b = 0``.
+
+    ``at_zero`` is ``b / x``, the limit as ``b -> 0+``.  Where ``b`` or
+    ``x`` is subnormal or 0, ``x`` has lost the precision that ``b / x``
+    needs, so there the threshold is ``at_zero * x / (1 - e^-x)``, whose
+    factor ``x / (1 - e^-x)`` is 1 for every ``x`` below about 1e-16 (and
+    is taken as 1 where ``x = 0`` makes it 0/0).
+    """
+    den = -_expm1(-x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.minimum(b, x) < _TINY,
+                        at_zero * np.fmax(x / den, 1.0), b / den)[()]
 
 
 def tau_dagger(channel: ChannelParams, h_hat: complex | np.ndarray,
@@ -129,7 +139,7 @@ def tau_dagger(channel: ChannelParams, h_hat: complex | np.ndarray,
     """Optimal finite-n radiometer threshold for an assumed trojan power.
 
     ``b = alpha_w^2 |h_hat|^2 lambda_t = 0`` returns ``(n-1)/n sigma_w^2``,
-    the limit as ``b -> 0+`` (a subnormal nonzero ``b`` is not covered).
+    the limit as ``b -> 0+``, and so does every ``b`` small enough.
     Raises :class:`ParameterError` when ``b`` is not a finite float.
     """
     _require(n >= 2, "n must be >= 2")

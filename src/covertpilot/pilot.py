@@ -8,16 +8,18 @@ identity,
     Sigma_1 = alpha_w^2 sigma_h^2 (1+eps)^2 s s^H + sigma_w^2 I (scaled pilot)
 
 so the divergence between the two hypotheses and the linear-MMSE channel
-estimate both reduce to scalar closed forms in ``||s||^2``, exact for any
-pilot length.  The dense L x L covariances exist only in the test suite,
-as the oracle these closed forms and the Monte Carlo estimators are
-checked against.
+estimate both reduce to scalar closed forms in the pilot energy
+``S = ||s||^2``, exact for any pilot length.  The dense L x L covariances
+exist only in the test suite, as the oracle these closed forms and the
+Monte Carlo estimators are checked against.
 
-Pilots and received pilot blocks are 1-d complex arrays.  Whether a block
-was scaled is not tagged on it: ``epsilon`` alone says so, ``epsilon = 0``
-being the clean pilot.  :func:`mmse_estimate` needs no attack parameters
-at all, since the monitor builds its estimate for a clean pilot whatever
-was sent; :func:`mmse_limit` says where that estimate goes.
+:func:`kl_pilot_exact` takes ``S`` itself.  Only :func:`mmse_estimate`,
+which reads ``s^H y``, takes the pilot and the received pilot block, as
+1-d complex arrays.  Whether a block was scaled is not tagged on it:
+``epsilon`` alone says so, ``epsilon = 0`` being the clean pilot.
+:func:`mmse_estimate` needs no attack parameters at all, since the
+monitor builds its estimate for a clean pilot whatever was sent;
+:func:`mmse_limit` says where that estimate goes.
 
 Units: divergences are in nats; rates elsewhere in the package are in
 bits/channel use.
@@ -26,6 +28,7 @@ bits/channel use.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +57,14 @@ def _pilot_energy(pilot: np.ndarray) -> float:
 
 
 def kl_pilot_exact(channel: ChannelParams, attack: AttackParams,
-                   pilot: np.ndarray) -> float:
+                   pilot_energy: float) -> float:
     """Divergence (nats) between the two pilot hypotheses at finite length.
 
     Evaluates ``-log|Sigma_1^{-1} Sigma_0| - L + tr(Sigma_1^{-1} Sigma_0)``
-    through the rank-one closed forms: with ``a = alpha_w^2 sigma_h^2 /
-    sigma_w^2`` and ``S = ||s||^2``, both the log-determinant and trace
-    corrections equal
+    through the rank-one closed forms, which see the pilot only through its
+    energy ``S = ||s||^2 = pilot_energy`` (``L`` for the unit-amplitude
+    pilot of length ``L``): with ``a = alpha_w^2 sigma_h^2 / sigma_w^2``,
+    both the log-determinant and trace corrections equal
 
         q = a * eps * (2 + eps) * S / (1 + a * (1+eps)^2 * S)
 
@@ -68,11 +72,13 @@ def kl_pilot_exact(channel: ChannelParams, attack: AttackParams,
     built; exact for any pilot length.  Where ``1 - q`` drowns in the
     rounding of ``q`` (eps from about 1e5 on the reference channel) the
     log-determinant is taken directly, ``log1p(a (1+eps)^2 S) - log1p(a S)
-    - q``; only an eps for which ``a (1+eps)^2 S`` overflows raises
-    :class:`ParameterError`.
+    - q``.  A negative or non-finite ``S``, or an eps and ``S`` for which
+    ``a (1+eps)^2 S`` overflows, raise :class:`ParameterError`.
     """
     _require(attack.epsilon >= 0, "epsilon must be >= 0")
-    S = _pilot_energy(pilot)
+    S = pilot_energy
+    _require(0 <= S <= sys.float_info.max,
+             "pilot_energy S = ||s||^2 must be finite and >= 0")
     a = channel.alpha_w_sq * channel.sigma_h_sq / channel.sigma_w_sq
     eps = attack.epsilon
     scaled = a * _square(1 + eps) * S
@@ -83,7 +89,8 @@ def kl_pilot_exact(channel: ChannelParams, attack: AttackParams,
     kl = math.log1p(scaled) - math.log1p(a * S) - q
     _require(math.isfinite(kl),
              "kl_pilot_exact needs a finite a (1+eps)^2 S to resolve "
-             "1 - q = (1 + a S) / (1 + a (1+eps)^2 S); epsilon is too large")
+             "1 - q = (1 + a S) / (1 + a (1+eps)^2 S); epsilon or S is too "
+             "large")
     return kl
 
 

@@ -51,13 +51,13 @@ def verify_kl(seed: int = 0) -> list[CheckResult]:
                        f"max(limit - 2 eps^2) = {worst:.3e} over 1000-point grid")]
 
     attack = AttackParams(0.1, 0.3)
-    exact_big = kl_pilot_exact(channel, attack, make_pilot(100_000))
+    exact_big = kl_pilot_exact(channel, attack, 100_000.0)
     gap = abs(exact_big - kl_pilot_limit(0.1))
     out.append(CheckResult("finite_to_limit", gap <= 1e-3,
                            f"|exact(L=1e5) - limit| = {gap:.3e}"))
 
     ls = [4, 16, 64, 256, 1024]
-    vals = [kl_pilot_exact(channel, attack, make_pilot(l)) for l in ls]
+    vals = [kl_pilot_exact(channel, attack, float(l)) for l in ls]
     mono = all(b >= a for a, b in zip(vals, vals[1:]))
     out.append(CheckResult("monotone_in_length", mono,
                            f"values over L={ls}: {[f'{v:.3e}' for v in vals]}"))

@@ -25,7 +25,7 @@ from covertpilot import (AttackParams, ChannelParams, SystemConfig,
                          attack_feasibility, derive_rng, gaussian_input,
                          make_pilot, mmse_estimate, mmse_limit, tau_dagger,
                          tau_eps)
-from covertpilot.channel import STREAM_FADING_W, _require, complex_normal
+from covertpilot.channel import _require, complex_normal
 from covertpilot.pilot import _square
 from covertpilot.rates import FeasibilityReport
 
@@ -34,6 +34,7 @@ from covertpilot.rates import FeasibilityReport
 STREAM_NOISE = 0
 STREAM_ALICE = 1
 STREAM_TROJAN = 2
+STREAM_FADING_W = 3
 STREAM_PILOT_NOISE = 5
 
 

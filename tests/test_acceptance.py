@@ -85,13 +85,15 @@ def test_criterion_2_pilot_divergence_bound(channel):
         ch = ChannelParams(rng.uniform(0.05, 1), 0.1, rng.uniform(0.05, 1),
                            0.1, rng.uniform(0.2, 2), 1 + 0j, 1 + 0j)
         attack = AttackParams(rng.uniform(0, 0.8), 0.3)
-        pilot = make_pilot(L, rng.uniform(0.5, 2))
+        pilot = math.sqrt(rng.uniform(0.5, 2)) * make_pilot(L)
         covs = pilot_covariances(ch, attack, pilot)
         _, ld0 = np.linalg.slogdet(covs.sigma0)
         _, ld1 = np.linalg.slogdet(covs.sigma1)
         dense = (ld1 - ld0) - L + np.trace(
             np.linalg.solve(covs.sigma1, covs.sigma0)).real
-        worst = max(worst, abs(kl_pilot_exact(ch, attack, pilot) - dense))
+        worst = max(worst, abs(kl_pilot_exact(ch, attack,
+                                              np.vdot(pilot, pilot).real)
+                               - dense))
 
     ok = bound_ok and worst <= 1e-9
     report(2, "pilot divergence bound", ok,

@@ -21,6 +21,10 @@ TEST_ONLY = ("CommHypothesis", "alice_input", "trojan_input",
 REMOVED_TAGS = ("Conditioning", "Phase", "SignalBlock", "PilotHypothesis",
                 "EstimateReport", "CriticalPower")
 
+# A fading sampler and its stream labels that nothing outside their own
+# tests called; the reference simulation keeps its own fading label.
+REMOVED_SAMPLER = ("sample_fading", "STREAM_FADING_W", "STREAM_FADING_E")
+
 
 def traced_names():
     """The ``TRACED`` tuple of bench/tracer.py, read without importing it."""
@@ -49,15 +53,29 @@ def test_test_only_names_left_the_package():
         assert not hasattr(covertpilot, name), name
 
 
-def test_hypothesis_tags_are_gone():
-    modules = [covertpilot] + [
+def package_modules():
+    return [covertpilot] + [
         importlib.import_module(f"covertpilot.{info.name}")
         for info in pkgutil.iter_modules(covertpilot.__path__)
         if info.name != "__main__"]
-    for mod in modules:
+
+
+def test_hypothesis_tags_are_gone():
+    for mod in package_modules():
         for name in REMOVED_TAGS:
             assert not hasattr(mod, name), f"{mod.__name__}.{name}"
     params = inspect.signature(covertpilot.analytic_error_probs).parameters
     assert list(params) == ["channel", "attack", "config", "tau"]
     assert "tau" not in inspect.signature(
         covertpilot.mc_comm_error_probs).parameters
+
+
+def test_fading_sampler_is_gone_and_pilot_is_an_energy():
+    for mod in package_modules():
+        for name in REMOVED_SAMPLER:
+            assert not hasattr(mod, name), f"{mod.__name__}.{name}"
+    assert not hasattr(covertpilot.ChannelParams, "sample")
+    params = inspect.signature(covertpilot.kl_pilot_exact).parameters
+    assert list(params) == ["channel", "attack", "pilot_energy"]
+    params = inspect.signature(covertpilot.make_pilot).parameters
+    assert list(params) == ["pilot_len"]

@@ -3,9 +3,11 @@ import errno
 import io
 import json
 import os
+import re
 import threading
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,10 @@ from hypothesis import strategies as st
 
 import reference
 from covertpilot import (AttackParams, attack_feasibility, cli,
-                         solve_sqrt_law_coefficient)
+                         kl_pilot_exact, solve_sqrt_law_coefficient)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+DEFAULTS = {key: default for key, (_, default) in cli._PARAMS.items()}
 
 
 def run_cli(args):
@@ -197,7 +202,7 @@ class TestSweep:
         reasons = Counter(r[3] for r in rows if r[2] == "0")
         assert reasons == {"pilot_covert": 1000, "blind_comm": 5248,
                            "no_disruption": 1837}
-        channel, config, _ = cli.build_scenario(dict(cli._DEFAULTS))
+        channel, config, _ = cli.build_scenario(DEFAULTS)
         grid = attack_feasibility(channel, AttackParams(
             np.linspace(0.0, 0.2475, 100)[:, None],
             np.linspace(0.01, 1.0, 100)), config)
@@ -258,7 +263,7 @@ class TestSweep:
         spec = cli.SweepSpec(eps_min, eps_min + eps_width, eps_steps,
                              lt_min, min(lt_min + lt_width, 50.0), lt_steps,
                              output_path=None)
-        channel, config, _ = cli.build_scenario(dict(cli._DEFAULTS))
+        channel, config, _ = cli.build_scenario(DEFAULTS)
         lines = cli.run_sweep(channel, config, spec)
         assert lines[0] == cli.CSV_HEADER
         assert lines[1:] == reference.sweep_lines(channel, config, spec)
@@ -290,6 +295,12 @@ class TestConfigFile:
         cfg = tmp_path / "scen.cfg"
         cfg.write_text("epsilon 0.2\n")
         assert run_cli(["rate", "--config", str(cfg)]) == 1
+
+    def test_readme_lists_the_key_table(self):
+        # the README's "Recognized keys" line is a third copy of the keys
+        keys = re.search(r"Recognized keys: `([^`]*)`",
+                         README.read_text(encoding="utf-8")).group(1)
+        assert keys.split() == list(cli._PARAMS)
 
 
 class TestMc:
@@ -348,6 +359,8 @@ class TestMc:
          "8 sigma_w^4 > 0 in double precision"),
         (["--target", "sqrtlaw", "--sigma-w-sq=1e-154", "--c=3e152"],
          "above the double-precision resolution of n tau"),
+        (["--target", "pilot-kl", "--pilot-len", "1" + "0" * 400],
+         "pilot_len must be at most the largest double"),
     ])
     def test_out_of_domain_inputs_exit_1(self, argv, constraint, capsys):
         # each ends in a named ParameterError, never in a traceback
@@ -360,7 +373,7 @@ class TestMc:
         assert run_cli(["mc", "--target", "sqrtlaw", "--trials", "20",
                         "--delta-2", "0.05", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        channel, _, _ = cli.build_scenario(dict(cli._DEFAULTS))
+        channel, _, _ = cli.build_scenario(DEFAULTS)
         assert doc["params"]["c"] == solve_sqrt_law_coefficient(channel, 0.05)
         assert doc["params"]["c"] == pytest.approx(0.125578, rel=1e-5)
         assert doc["analytic_reference"] == pytest.approx(0.05)
@@ -375,6 +388,18 @@ class TestMc:
         doc = json.loads(out.read_text())
         assert abs(doc["point_estimate"] - doc["analytic_reference"]) \
             <= 3 * doc["std_error"]
+
+    def test_long_pilot_kl_exits_0(self, tmp_path):
+        # the pilot enters through its energy alone, so no length-L vector
+        # is built and any pilot length costs the same
+        out = tmp_path / "r.json"
+        assert run_cli(["mc", "--target", "pilot-kl", "--pilot-len",
+                        "100000000000", "--trials", "10",
+                        "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        channel, _, attack = cli.build_scenario(DEFAULTS)
+        assert doc["analytic_reference"] == kl_pilot_exact(channel, attack,
+                                                           1e11)
 
     def test_tiny_noise_pilot_kl_exits_0(self, tmp_path):
         # no dense covariance is factorized, so a nearly noiseless pilot
@@ -406,7 +431,7 @@ _SMALL_RUNS = (
       for target in ("pilot-kl", "comm-detection", "estimator", "sqrtlaw")))
 
 
-_FLAGS = [key.replace("_", "-") for key in cli._PARAM_PARSERS]
+_FLAGS = [key.replace("_", "-") for key in cli._PARAMS]
 
 
 def _edge_value(flag):

@@ -72,6 +72,16 @@ class TestThresholds:
             assert tau_dagger(channel, channel.h_w, lt, 2) == \
                 pytest.approx(channel.sigma_w_sq / 2, rel=1e-9)
 
+    def test_subnormal_b_keeps_the_zero_power_value(self, channel):
+        # where b or x = b / sigma_w^2 is subnormal, b / x has lost its
+        # precision; where x underflows to 0 it was inf
+        at_zero = tau_dagger(channel, channel.h_w, 0.0, 10_000)
+        for lt in (5e-323, 1e-314):
+            assert tau_dagger(channel, channel.h_w, lt, 10_000) == at_zero
+        for s2, lt in ((1e300, 1e-12), (1e23, 5e-301)):
+            loud = replace(channel, sigma_w_sq=s2)
+            assert tau_eps(loud, AttackParams(0.0, lt)) == s2
+
     def test_tau_dagger_increases_toward_limit(self, channel, attack):
         h_hat = (1 + attack.epsilon) * channel.h_w
         vals = [tau_dagger(channel, h_hat, attack.lambda_t, n)
@@ -123,17 +133,20 @@ class TestThresholds:
 # b / -expm1(-b / s2) rounds three times, so where the true increase is
 # below that rounding a larger argument may read about one ulp lower
 TAU_ULPS = 4 * 2.0 ** -52
-KNOB = st.floats(0.0, 1e100)
+# knobs down to the subnormal ones, and noise powers up to 1e300, where
+# b / sigma_w^2 is subnormal for knobs of ordinary size
+KNOB = st.one_of(st.floats(0.0, 1e100), st.floats(0.0, 1e-300))
+NOISE = st.floats(1e-3, 1e300)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(fixed=KNOB, knobs=st.lists(KNOB, min_size=2, max_size=8),
-       along_eps=st.booleans())
-def test_tau_eps_nondecreasing(channel, fixed, knobs, along_eps):
+       along_eps=st.booleans(), s2=NOISE)
+def test_tau_eps_nondecreasing(channel, fixed, knobs, along_eps, s2):
     knobs = np.sort(knobs)
     attack = AttackParams(knobs, fixed) if along_eps \
         else AttackParams(fixed, knobs)
-    taus = tau_eps(channel, attack)
+    taus = tau_eps(replace(channel, sigma_w_sq=s2), attack)
     assert np.all(np.isfinite(taus))
     assert np.all(taus[1:] >= taus[:-1] * (1 - TAU_ULPS))
 
@@ -342,30 +355,33 @@ class TestThresholdOptimality:
                 pytest.approx(float(v), rel=1e-12)
 
 
-# h_hat as a modulus and a phase, and lambda_t, over a range where
-# b = alpha_w^2 |h_hat|^2 lambda_t neither overflows nor underflows to 0;
-# the monotonicity properties add b = 0 itself, where tau_dagger returns its
-# limit (n-1)/n sigma_w^2 as b -> 0+ (test_tau_dagger_zero_power_extension).
-# A subnormal nonzero b is not covered.
+# h_hat as a modulus and a phase, and lambda_t down to the smallest
+# subnormal, where b = alpha_w^2 |h_hat|^2 lambda_t may be subnormal or
+# underflow to 0; the monotonicity properties add b = 0 itself, where
+# tau_dagger returns its limit (n-1)/n sigma_w^2 as b -> 0+
+# (test_tau_dagger_zero_power_extension).
 POSITIVE = st.floats(1e-100, 1e100)
+POWER = st.one_of(POSITIVE, st.floats(5e-324, 1e-300))
 GAIN = st.builds(lambda r, turn: r * complex(math.cos(turn), math.sin(turn)),
                  POSITIVE, st.floats(0.0, 2 * math.pi))
 BLOCK = st.integers(2, 10 ** 6)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(gains=st.lists(GAIN, min_size=2, max_size=8), lt=POSITIVE, n=BLOCK)
-def test_tau_dagger_nondecreasing_in_gain(channel, gains, lt, n):
+@given(gains=st.lists(GAIN, min_size=2, max_size=8), lt=POWER, n=BLOCK,
+       s2=NOISE)
+def test_tau_dagger_nondecreasing_in_gain(channel, gains, lt, n, s2):
     h_hat = np.array([0j] + sorted(gains, key=abs))        # b = 0 first
-    taus = tau_dagger(channel, h_hat, lt, n)
+    taus = tau_dagger(replace(channel, sigma_w_sq=s2), h_hat, lt, n)
     assert np.all(np.isfinite(taus))
     assert np.all(taus[1:] >= taus[:-1] * (1 - TAU_ULPS))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(h_hat=GAIN, powers=st.lists(POSITIVE, min_size=2, max_size=8),
-       n=BLOCK)
-def test_tau_dagger_nondecreasing_in_power(channel, h_hat, powers, n):
+@given(h_hat=GAIN, powers=st.lists(POWER, min_size=2, max_size=8),
+       n=BLOCK, s2=NOISE)
+def test_tau_dagger_nondecreasing_in_power(channel, h_hat, powers, n, s2):
+    channel = replace(channel, sigma_w_sq=s2)
     taus = np.array([tau_dagger(channel, h_hat, lt, n)
                      for lt in [0.0] + sorted(powers)])    # b = 0 first
     assert np.all(np.isfinite(taus))

@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincinv
 
 from covertpilot import (AttackParams, McConfig, kl_pilot_exact,
-                         kl_pilot_limit, make_pilot, mc_comm_error_probs,
+                         kl_pilot_limit, mc_comm_error_probs,
                          mc_estimator_error, mc_pilot_kl, mc_sqrt_law,
                          mmse_limit, solve_sqrt_law_coefficient, tau_dagger,
                          tau_eps)
 from covertpilot import montecarlo
-from covertpilot.channel import STREAM_TRIAL
-from covertpilot.montecarlo import (BLOCKS_PER_TRIAL, CHUNK, WORDS_PER_TRIAL,
-                                    _gamma_cdf_grid, _per_chunk,
-                                    _radiometer_tally, _uniforms)
+from covertpilot.montecarlo import (BLOCKS_PER_TRIAL, CHUNK, STREAM_TRIAL,
+                                    WORDS_PER_TRIAL, _gamma_cdf_grid,
+                                    _per_chunk, _radiometer_tally, _uniforms)
 from covertpilot.pilot import _estimator_coefficient
 from reference import (dense_pilot_llr, exact_comm_error_probs,
                        full_vector_comm_tally, full_vector_estimator_errors,
@@ -285,8 +284,7 @@ def inverse_comm_tally(channel, attack, config, n, mc, pilot_len=None):
     root_a = a_w * math.sqrt(n * config.lambda_a)
     d = a_w * h * math.sqrt(n * attack.lambda_t)
     if pilot_len is not None:
-        pilot = make_pilot(pilot_len)
-        energy = float(np.vdot(pilot, pilot).real)
+        energy = float(pilot_len)
 
     def tally(u):
         z1 = _box_muller(u[:, 0], u[:, 1], s2)
@@ -466,7 +464,7 @@ class TestPilotKl:
         res = mc_pilot_kl(channel, attack, 4096,
                           McConfig(trials=100, base_seed=0))
         assert res.analytic_reference == kl_pilot_exact(channel, attack,
-                                                        make_pilot(4096))
+                                                        4096.0)
         assert abs(res.point_estimate - res.analytic_reference) \
             <= 3 * res.std_error
 

@@ -33,8 +33,7 @@ def dense_lmmse(channel, pilot, received):
 
 class TestKlExact:
     def test_zero_at_eps_zero(self, channel):
-        assert kl_pilot_exact(channel, AttackParams(0.0, 0.3),
-                              make_pilot(32)) == 0.0
+        assert kl_pilot_exact(channel, AttackParams(0.0, 0.3), 32.0) == 0.0
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(1)
@@ -44,20 +43,21 @@ class TestKlExact:
                 sigma_w_sq=rng.uniform(0.05, 1.0), sigma_e_sq=0.1,
                 sigma_h_sq=rng.uniform(0.2, 2.0), h_w=1 + 0j, h_e=1 + 0j)
             attack = AttackParams(rng.uniform(0.0, 0.8), 0.3)
-            pilot = make_pilot(L, rng.uniform(0.5, 2.0))
-            assert kl_pilot_exact(channel, attack, pilot) == pytest.approx(
+            pilot = math.sqrt(rng.uniform(0.5, 2.0)) * make_pilot(L)
+            energy = np.vdot(pilot, pilot).real
+            assert kl_pilot_exact(channel, attack, energy) == pytest.approx(
                 dense_kl(channel, attack, pilot), abs=1e-9)
 
     def test_approaches_limit(self, channel):
         attack = AttackParams(0.1, 0.3)
-        val = kl_pilot_exact(channel, attack, make_pilot(10_000))
+        val = kl_pilot_exact(channel, attack, 10_000.0)
         assert val == pytest.approx(kl_pilot_limit(0.1), abs=3e-5)
-        val5 = kl_pilot_exact(channel, attack, make_pilot(100_000))
+        val5 = kl_pilot_exact(channel, attack, 100_000.0)
         assert abs(val5 - kl_pilot_limit(0.1)) <= 1e-3
 
     def test_monotone_in_length(self, channel):
         attack = AttackParams(0.2, 0.3)
-        vals = [kl_pilot_exact(channel, attack, make_pilot(L))
+        vals = [kl_pilot_exact(channel, attack, float(L))
                 for L in (2, 8, 32, 128, 512, 2048)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
@@ -65,8 +65,7 @@ class TestKlExact:
         # at eps = 1e6 and 1e10, 1 - q is below the rounding of q, yet the
         # divergence is an ordinary number below its long-pilot limit
         for L in (1, 16, 64):
-            pilot = make_pilot(L)
-            vals = [kl_pilot_exact(channel, AttackParams(eps, 0.3), pilot)
+            vals = [kl_pilot_exact(channel, AttackParams(eps, 0.3), float(L))
                     for eps in (1e6, 1e10)]
             assert all(math.isfinite(v) for v in vals)
             assert vals[0] < vals[1]
@@ -74,14 +73,14 @@ class TestKlExact:
                 assert v <= kl_pilot_limit(eps)
 
     def test_complex_pilot_supported(self, channel):
-        # formulas depend on the pilot only through its energy
+        # the divergence depends on the pilot only through its energy
         rotated = np.exp(2j * np.pi * np.arange(16) / 16)
-        flat = make_pilot(16, 1.0)
         attack = AttackParams(0.3, 0.3)
-        assert kl_pilot_exact(channel, attack, rotated) == pytest.approx(
-            kl_pilot_exact(channel, attack, flat), rel=1e-12)
-        assert kl_pilot_exact(channel, attack, rotated) == pytest.approx(
-            dense_kl(channel, attack, rotated), abs=1e-9)
+        kl = kl_pilot_exact(channel, attack, np.vdot(rotated, rotated).real)
+        assert kl == pytest.approx(kl_pilot_exact(channel, attack, 16.0),
+                                   rel=1e-12)
+        assert kl == pytest.approx(dense_kl(channel, attack, rotated),
+                                   abs=1e-9)
 
 
 class TestKlLimit:
@@ -163,7 +162,7 @@ def test_closed_forms_in_range_or_parameter_error(channel, eps, L, delta_1):
     assert -CANCELLATION <= limit <= 2 * eps * eps + CANCELLATION
 
     try:
-        exact = kl_pilot_exact(channel, attack, pilot)
+        exact = kl_pilot_exact(channel, attack, float(L))
     except ParameterError:
         pass
     else:
@@ -200,8 +199,7 @@ ULPS = 8 * 2.0 ** -52
        lengths=st.lists(st.integers(1, 4096), min_size=2, max_size=8))
 def test_kl_exact_nondecreasing_in_pilot_length(channel, eps, lengths):
     attack = AttackParams(eps, 0.3)
-    vals = [kl_pilot_exact(channel, attack, make_pilot(L))
-            for L in sorted(lengths)]
+    vals = [kl_pilot_exact(channel, attack, float(L)) for L in sorted(lengths)]
     assert all(b >= a * (1 - ULPS) for a, b in zip(vals, vals[1:]))
 
 
@@ -252,13 +250,15 @@ class TestMmse:
             mmse_estimate(channel, pilot, rec)
 
     def test_pilot_must_be_a_vector(self, channel):
-        # pilots are plain arrays, so their shape is checked where they are read
-        attack = AttackParams(0.1, 0.3)
+        # pilots are plain arrays, so their shape is checked where they are
+        # read; the divergence takes the pilot energy, checked as a number
         for pilot in (np.ones((2, 2), complex), np.ones(0, complex)):
             with pytest.raises(ParameterError, match="1-d vector"):
-                kl_pilot_exact(channel, attack, pilot)
-            with pytest.raises(ParameterError, match="1-d vector"):
                 mmse_estimate(channel, pilot, np.ones(2, complex))
+        attack = AttackParams(0.1, 0.3)
+        for energy in (-1.0, -5e-324, math.nan, math.inf, 10 ** 400):
+            with pytest.raises(ParameterError, match="pilot_energy"):
+                kl_pilot_exact(channel, attack, energy)
 
     def test_limit_values(self, channel):
         assert mmse_limit(channel, AttackParams(0.2, 0.3)) \
