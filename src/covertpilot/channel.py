@@ -32,7 +32,6 @@ Conventions
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,10 +131,6 @@ class SystemConfig:
         _require(0 < self.delta_2 < 1, "delta_2 must lie in (0, 1)")
         _require(self.pilot_len >= 1, "pilot_len must be >= 1")
         _require(self.block_len >= 2, "block_len must be >= 2")
-        if self.pilot_len >= self.block_len:
-            warnings.warn(
-                "pilot_len >= block_len: the pilot is supposed to be short "
-                "relative to the data block", stacklevel=3)
 
     @classmethod
     def create(cls, channel: ChannelParams, lambda_a: float, r_a: float,

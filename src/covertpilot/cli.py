@@ -397,9 +397,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing never mutates it)."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="covertpilot",
         description="covert pilot-scaling attack analysis",
@@ -447,13 +452,32 @@ def build_parser() -> argparse.ArgumentParser:
                             "all"])
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, reading a subcommand's tokens once.
+
+    When ``argv[0]`` names a subcommand, only that subcommand's parser reads
+    the rest; left-over tokens end in the top-level parser's
+    ``unrecognized arguments`` error, as ``parse_args`` reports them.
+    """
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point returning the process exit code."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         _require(args.seed >= 0, "seed must be >= 0")
         return args.func(args)
     except (ParameterError, argparse.ArgumentError) as exc:

@@ -115,10 +115,7 @@ def random_detection_config(rng: np.random.Generator
 
 
 def verify_threshold(seed: int = 0) -> list[CheckResult]:
-    # clean-pilot probabilities use only the block length; a one-symbol
-    # pilot keeps the short-pilot warning quiet for every drawn n
     _, config, _ = _reference_point()
-    config = replace(config, pilot_len=1)
     rng = np.random.default_rng(seed)
     worst_steps = 0.0
     for _ in range(50):

@@ -26,3 +26,11 @@ def config(channel) -> SystemConfig:
 @pytest.fixture(scope="session")
 def attack() -> AttackParams:
     return AttackParams(epsilon=0.1, lambda_t=0.3)
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the Monte Carlo module's per-operating-point caches."""
+    from covertpilot import montecarlo
+    montecarlo._gamma_cdf_grid.cache_clear()
+    montecarlo._injected_limit_reference.cache_clear()

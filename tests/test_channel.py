@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from covertpilot import (AttackParams, ChannelParams, ParameterError,
-                         SystemConfig, derive_rng, gaussian_input,
-                         make_pilot)
+from covertpilot import (AttackParams, ChannelParams, McConfig,
+                         ParameterError, SystemConfig, derive_rng,
+                         gaussian_input, make_pilot, mc_comm_error_probs)
 from covertpilot.channel import complex_normal
 from reference import (STREAM_NOISE, STREAM_TROJAN, CommHypothesis,
                        alice_input, synthesize_received, trojan_input)
@@ -167,10 +168,19 @@ class TestParams:
             SystemConfig.create(channel, lambda_a=20.0, r_a=cap, delta_1=0.3,
                                 delta_2=0.1, pilot_len=8, block_len=100)
 
-    def test_config_warns_on_long_pilot(self):
-        with pytest.warns(UserWarning, match="pilot_len"):
-            SystemConfig(lambda_a=1.0, r_a=0.5, delta_1=0.3, delta_2=0.1,
-                         pilot_len=200, block_len=100)
+    def test_only_two_phase_run_warns_on_long_pilot(self, channel, attack):
+        # a configuration never sets its pilot against its block; the
+        # two-phase run does, and warns unless the pilot is shorter
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = SystemConfig(lambda_a=1.0, r_a=0.5, delta_1=0.3,
+                                  delta_2=0.1, pilot_len=200, block_len=100)
+            mc = McConfig(trials=10, base_seed=0, n=100)
+            mc_comm_error_probs(channel, attack, config, mc,
+                                two_phase_pilot_len=99)
+        with pytest.warns(UserWarning, match="two_phase_pilot_len >= n"):
+            mc_comm_error_probs(channel, attack, config, mc,
+                                two_phase_pilot_len=100)
 
     def test_config_field_ranges(self):
         with pytest.raises(ParameterError):

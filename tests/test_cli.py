@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import io
@@ -389,13 +390,17 @@ class TestMc:
         assert abs(doc["point_estimate"] - doc["analytic_reference"]) \
             <= 3 * doc["std_error"]
 
-    def test_long_pilot_kl_exits_0(self, tmp_path):
+    def test_long_pilot_kl_exits_0(self, tmp_path, capsys):
         # the pilot enters through its energy alone, so no length-L vector
-        # is built and any pilot length costs the same
+        # is built and any pilot length costs the same; the divergence has
+        # no data block, so a pilot longer than block_len draws no warning
         out = tmp_path / "r.json"
-        assert run_cli(["mc", "--target", "pilot-kl", "--pilot-len",
-                        "100000000000", "--trials", "10",
-                        "--out", str(out)]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["mc", "--target", "pilot-kl", "--pilot-len",
+                            "100000000000", "--trials", "10",
+                            "--out", str(out)]) == 0
+        assert not caught and capsys.readouterr().err == ""
         doc = json.loads(out.read_text())
         channel, _, attack = cli.build_scenario(DEFAULTS)
         assert doc["analytic_reference"] == kl_pilot_exact(channel, attack,
@@ -483,7 +488,8 @@ def test_two_flag_edge_values_exit_0_or_1(pair):
 
 @pytest.mark.parametrize("argv", [
     ["rate", "--block-len=1e3"], ["rate", "--pilot-len=2.5"],
-    ["mc", "--target=pilot-kl", "--trials=ten"], ["rate", "--epsilon=abc"]])
+    ["mc", "--target=pilot-kl", "--trials=ten"], ["rate", "--epsilon=abc"],
+    ["rate", "--bogus=1", "--block-len=1e3"]])
 def test_badly_typed_flag_exits_1(argv, tmp_path, capsys):
     out = tmp_path / "out.txt"
     assert run_cli(argv + ["--out", str(out)]) == 1
@@ -506,6 +512,36 @@ def test_unknown_flag_or_no_subcommand_exits_2_or_1(argv, capsys):
         assert "usage:" in err
     else:
         assert code == 1 and err.startswith("configuration error:")
+
+
+def test_unknown_flag_error_is_the_top_level_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["rate", "--bogus=1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: covertpilot [-h] {sweep,rate,mc,verify} ...\n"
+        "covertpilot: error: unrecognized arguments: --bogus=1\n")
+
+
+# a subcommand's parser reads its tokens alone; every argv must end as the
+# whole parser's parse_args ends it: the same namespace or the same exit
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["rate"], ["rate", "-h"], ["rate", "--he"],
+    ["rate", "--h"], ["sweep", "--eps"], ["rate", "--", "x"],
+    ["rate", "--bogus", "1", "-x"], ["rate", "rate"], ["mc"],
+    ["mc", "--target=sqrtlaw", "--c", "2", "--seed=3", "--eps=0.2"],
+    ["sweep", "--eps-min", "0.1", "--lt-steps=7", "--out", "x.csv"],
+    ["verify", "--suite", "kl", "extra"], ["verify", "--suite=nope"]])
+def test_parse_matches_the_whole_parser(argv, capsys):
+    def outcome(parse):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr()
+        except argparse.ArgumentError as exc:
+            return str(exc)
+
+    assert outcome(cli._parse_args) == outcome(cli.build_parser().parse_args)
 
 
 class TestOutFile:

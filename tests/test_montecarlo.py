@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincinv
 
-from covertpilot import (AttackParams, McConfig, kl_pilot_exact,
-                         kl_pilot_limit, mc_comm_error_probs,
+from covertpilot import (AttackParams, McConfig, ParameterError,
+                         kl_pilot_exact, kl_pilot_limit, mc_comm_error_probs,
                          mc_estimator_error, mc_pilot_kl, mc_sqrt_law,
                          mmse_limit, solve_sqrt_law_coefficient, tau_dagger,
                          tau_eps)
@@ -417,8 +417,9 @@ def test_bracketed_tally_equals_direct_comparison(k, trials, seed, kinds):
 
 
 def test_bracketed_tally_evaluates_few_cdf_values(channel, config, attack,
-                                                  monkeypatch):
-    # two decisions per trial: 2 * 10^4 gammainc values without the grid
+                                                  monkeypatch, cold_caches):
+    # two decisions per trial: 2 * 10^4 gammainc values without the grid;
+    # cold caches count the grid's own values too
     counted = []
 
     def counting(a, x):
@@ -431,6 +432,80 @@ def test_bracketed_tally_evaluates_few_cdf_values(channel, config, attack,
                                    two_phase_pilot_len=64)
     assert 0 < probs.p_f < 1 and 0 < probs.p_m < 1
     assert 0 < sum(counted) <= 1000, sum(counted)
+
+
+class TestOperatingPointCache:
+    # tau_eps, the noise-only reference and the Gamma-CDF grid are cached per
+    # operating point.  Each point's run from cold caches must match its run
+    # after every other point warmed them, given in another form of the same
+    # values (-0.0, 0-d array, numpy scalar); results compare by repr, so NaN
+    # standard errors and types count
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(mode=st.sampled_from(["injected", "two-phase", "sqrtlaw"]),
+           points=st.lists(st.tuples(
+               st.sampled_from([0.0, -0.0, 0.01, 0.1, 0.25]),
+               st.sampled_from([0.0, -0.0, 0.01, 0.3, 1.0]),
+               st.sampled_from([2, 3, 40, 256, 3000]),
+               st.sampled_from([1, 99, 100, 511, 512, 2000, 5000])),
+               min_size=2, max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1),
+           form=st.sampled_from([np.array, np.float64, float]))
+    def test_cold_and_warm_cache_agree(self, channel, config, mode, points,
+                                       seed, form):
+        def run(eps, lt, n, trials):
+            mc = McConfig(trials=trials, base_seed=seed, n=n)
+            if mode == "sqrtlaw":
+                return mc_sqrt_law(channel, 1.0, [n], mc)
+            return mc_comm_error_probs(
+                channel, AttackParams(eps, lt), config, mc,
+                two_phase_pilot_len=16 if mode == "two-phase" else None)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # pilot >= n
+            cold = []
+            for point in points:
+                montecarlo._gamma_cdf_grid.cache_clear()
+                montecarlo._injected_limit_reference.cache_clear()
+                cold.append(repr(run(*point)))
+            # the first pass fills the caches beside the other points' entries,
+            # the second reads every point's own entries
+            for (eps, lt, n, trials), expected in 2 * list(zip(points, cold)):
+                warm = run(form(abs(eps)), form(abs(lt)), n, trials)
+                assert repr(warm) == expected
+
+    def test_value_equal_dataclasses_hit(self, channel, config, cold_caches):
+        mc = McConfig(trials=600, base_seed=5, n=256)
+        first = mc_comm_error_probs(channel, AttackParams(0.1, 0.3), config, mc)
+        fresh = (replace(channel, h_w=1 - 0j),
+                 AttackParams(np.array(0.1), np.float64(0.3)), replace(config))
+        assert mc_comm_error_probs(*fresh, mc) == first
+        info = montecarlo._injected_limit_reference.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        info = montecarlo._gamma_cdf_grid.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_out_of_domain_point_raises_every_time(self, channel, config,
+                                                   cold_caches):
+        attack = AttackParams(1e3, 1e300)
+        mc = McConfig(trials=10, base_seed=0)
+        for _ in range(3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ParameterError, match="n tau / sigma_w"):
+                    mc_comm_error_probs(channel, attack, config, mc)
+        assert montecarlo._injected_limit_reference.cache_info().currsize == 0
+
+    def test_cached_grid_is_read_only(self, cold_caches):
+        for array in _gamma_cdf_grid(254, 768):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+    def test_caches_are_bounded(self, cold_caches):
+        assert montecarlo._injected_limit_reference.cache_info().maxsize == 256
+        for shape in range(1, 40):
+            _gamma_cdf_grid(shape, 1)
+        info = montecarlo._gamma_cdf_grid.cache_info()
+        assert info.currsize == info.maxsize < 39
 
 
 class TestPilotKl:
