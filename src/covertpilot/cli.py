@@ -180,11 +180,13 @@ def build_scenario(values: dict) -> tuple[ChannelParams, SystemConfig, AttackPar
         sigma_h_sq=values["sigma_h_sq"], h_w=values["h_w"], h_e=values["h_e"])
     r_a = values["r_a"]
     if r_a is None:
-        if channel.gain_w == 0:
-            raise ParameterError(
-                "r_a defaults to 80% of the link capacity, which is 0 at zero "
-                "link gain alpha_w_sq * |h_w|^2; set r_a or a nonzero gain")
         r_a = 0.8 * link_capacity(channel, values["lambda_a"])
+        if not r_a > 0:
+            snr = channel.gain_w * values["lambda_a"] / channel.sigma_w_sq
+            raise ParameterError(
+                "r_a defaults to 80% of the link capacity, which is 0 at the "
+                f"link SNR alpha_w^2 |h_w|^2 lambda_a / sigma_w^2 = {snr:.3g} "
+                "(zero link gain or too small); set r_a or a larger SNR")
     config = SystemConfig.create(
         channel, lambda_a=values["lambda_a"], r_a=r_a,
         delta_1=values["delta_1"], delta_2=values["delta_2"],

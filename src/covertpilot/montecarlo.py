@@ -54,9 +54,9 @@ Reproducibility contract
   - ``u[4]``: the remainder ``R ~ Gamma(k, scale s2)``, ``k = n - 2``
     (``mc_sqrt_law``: ``n - 1``): compared against the Gamma(k) CDF ``P(k, .)``
     at each decision's boundary, the same event as inverting it; ``k = 0`` is
-    ``R = 0``.  From :data:`GRID_MIN_TRIALS` trials on, a run brackets
-    ``P(k, .)`` between exact values on a grid of about ``sqrt(2 trials)``
-    points and evaluates it only for the decisions its bracket leaves open;
+    ``R = 0``.  A run brackets ``P(k, .)`` between exact values on a grid of
+    about ``sqrt(2 trials)`` points and evaluates it only for the decisions
+    its bracket leaves open;
   - ``u[5]``: ``|rho|^2 = -expm1(log1p(-u[5]) / (n - 1))``, the inverse of
     the Beta(1, n - 1) distribution function (comm-detection only);
   - ``u[6]``: the phase of ``rho`` as a fraction of a turn (comm-detection
@@ -96,8 +96,8 @@ kept in a bounded ``functools.lru_cache`` of this module:
   ``analytic_error_probs`` at it, keyed on ``(channel, float(epsilon),
   float(lambda_t), config)`` with ``config.block_len = n``; at most 256
   operating points;
-* the Gamma-CDF grid of the tally, keyed on ``(shape, trials)``; at most 32
-  grids, whose arrays are read-only.
+* the Gamma-CDF grid of every tally with a Gamma remainder, keyed on
+  ``(shape, trials)``; at most 32 grids, whose arrays are read-only.
 
 Value-equal keys give bit-identical values and an exception is never
 cached, so no result depends on what the caches hold.  A module cache is
@@ -114,6 +114,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -133,9 +134,6 @@ from .pilot import (_estimator_coefficient, _square, kl_pilot_exact,
 STREAM_TRIAL = 6
 
 CHUNK = 4096                              # trials per chunk: bounds memory only
-# from this many trials on the radiometer tally brackets the Gamma CDF on a
-# grid; below it the grid's own gammainc evaluations cost more than they save
-GRID_MIN_TRIALS = 512
 BLOCKS_PER_TRIAL = 3                      # Philox counter blocks of one trial
 WORDS_PER_TRIAL = 4 * BLOCKS_PER_TRIAL    # four 64-bit words per block
 
@@ -153,7 +151,10 @@ class McConfig:
     n: int | None = None
 
     def __post_init__(self):
-        _require(self.trials >= 1, "trials must be >= 1")
+        _require(isinstance(self.trials, numbers.Integral) and self.trials >= 1,
+                 "trials must be an integer >= 1")
+        _require(isinstance(self.base_seed, numbers.Integral)
+                 and self.base_seed >= 0, "base_seed must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,8 @@ def _pilot_estimate(channel: ChannelParams, scale: float, energy: float,
 
 def _unit_pilot_energy(pilot_len: int) -> float:
     """``S = ||s||^2 = L`` of the unit-amplitude pilot of length ``L``."""
-    _require(pilot_len >= 1, "pilot_len must be >= 1")
+    _require(isinstance(pilot_len, numbers.Integral) and pilot_len >= 1,
+             "pilot_len must be an integer >= 1")
     _require(pilot_len <= sys.float_info.max,
              "pilot_len must be at most the largest double")
     return float(pilot_len)
@@ -285,13 +287,12 @@ def _radiometer_tally(base_seed: int, trials: int, shape: int, s2: float,
     ``u[4] > P(shape, max(level - e0, 0) / s2)``; the miss
     ``e1 + R < level`` is ``u[4] < P(shape, max(level - e1, 0) / s2)``.
 
-    From :data:`GRID_MIN_TRIALS` trials on, ``P`` is evaluated once per run
-    on the :func:`_gamma_cdf_grid` of about ``sqrt(2 trials)`` points, whose
-    brackets hold each boundary's ``P``.  A decision whose ``u[4]`` lies
-    outside its bracket by more than ``guard`` is settled by the bracket
-    alone; the rest, about one in ``sqrt(2 trials)``, and every NaN boundary
-    get the exact ``P``.  So each decision is the one the exact ``P`` gives,
-    and the grid sets only how many decisions need it.
+    For ``shape >= 1``, ``P`` is bracketed on the cached
+    :func:`_gamma_cdf_grid` of about ``sqrt(2 trials)`` points.  A decision
+    whose ``u[4]`` lies outside its bracket by more than ``guard`` is settled
+    by the bracket alone; the rest, about one in ``sqrt(2 trials)``, and
+    every NaN boundary get the exact ``P``.  So each decision is the one the
+    exact ``P`` gives, and the grid sets only how many decisions need it.
     """
     # lazy: the pilot estimators must not pay scipy's 0.6 s import
     from scipy.special import gammainc
@@ -300,8 +301,7 @@ def _radiometer_tally(base_seed: int, trials: int, shape: int, s2: float,
     # grids for k from 1 to 10^7: P stays within guard of its bracket even
     # where the computed CDF is not monotone in its last bits
     guard = 1e-13
-    grid, cdf = _gamma_cdf_grid(shape, trials) \
-        if shape > 0 and trials >= GRID_MIN_TRIALS else (None, None)
+    grid, cdf = _gamma_cdf_grid(shape, trials) if shape > 0 else (None, None)
 
     def tally(u: np.ndarray) -> tuple[int, int]:
         e0, e1, level = statistics(u)
@@ -311,16 +311,12 @@ def _radiometer_tally(base_seed: int, trials: int, shape: int, s2: float,
         u4 = u[:, 4]
         with np.errstate(over="ignore"):        # P(shape, inf) = 1 exactly
             y = np.maximum([x0, x1], 0) / s2
-            if grid is None:
-                p = gammainc(shape, y)
-            else:
-                # P(shape, y) lies in [cdf[j], cdf[j + 1]]; a settled
-                # decision compares u[4] with the bracket's lower end
-                j = np.searchsorted(grid, y)
-                p = cdf[j]
-                near = (u4 >= p - guard) & (u4 <= cdf[j + 1] + guard) \
-                    | np.isnan(y)
-                p[near] = gammainc(shape, y[near])
+            # P(shape, y) lies in [cdf[j], cdf[j + 1]]; a settled decision
+            # compares u[4] with the bracket's lower end
+            j = np.searchsorted(grid, y)
+            p = cdf[j]
+            near = (u4 >= p - guard) & (u4 <= cdf[j + 1] + guard) | np.isnan(y)
+            p[near] = gammainc(shape, y[near])
         return int(np.count_nonzero(u4 > p[0])), int(np.count_nonzero(u4 < p[1]))
 
     return tuple(map(sum, zip(*_per_chunk(base_seed, trials, tally))))

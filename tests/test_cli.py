@@ -57,6 +57,17 @@ class TestRate:
         assert run_cli(["rate", "--h-w", "0j"]) == 1
         assert "zero link gain" in capsys.readouterr().err
 
+    # a capacity that rounds to 0 leaves a defaulted r_a of 0, which the
+    # user never set: the error names the default, not r_a's own bound
+    @pytest.mark.parametrize("argv", [["--sigma-w-sq", "1e300"],
+                                      ["--lambda-a", "1e-300"],
+                                      ["--alpha-w-sq", "1e-320"]])
+    def test_vanishing_snr_default_rate_exits_1(self, argv, capsys):
+        assert run_cli(["rate"] + argv) == 1
+        err = capsys.readouterr().err
+        assert "r_a defaults to 80% of the link capacity" in err
+        assert "link SNR" in err and "r_a must be > 0" not in err
+
     def test_overflowing_gain_exits_1(self, capsys):
         assert run_cli(["rate", "--h-w", "1e200+0j"]) == 1
         assert "|h_w|^2 must be finite" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 from dataclasses import replace
@@ -180,13 +181,15 @@ class TestCommDetection:
         mc = McConfig(trials=300, base_seed=6, n=4000)
         deep = AttackParams(0.1, 0.12)
         inj, _ = mc_comm_error_probs(channel, deep, config, mc)
-        full, _ = mc_comm_error_probs(channel, deep, config, mc,
-                                      two_phase_pilot_len=4096)
+        with pytest.warns(UserWarning, match="two_phase_pilot_len >= n"):
+            full, _ = mc_comm_error_probs(channel, deep, config, mc,
+                                          two_phase_pilot_len=4096)
         assert inj.sum >= 0.99 and full.sum >= 0.99
         silent = AttackParams(0.0, 0.3)
         inj0, _ = mc_comm_error_probs(channel, silent, config, mc)
-        full0, _ = mc_comm_error_probs(channel, silent, config, mc,
-                                       two_phase_pilot_len=4096)
+        with pytest.warns(UserWarning, match="two_phase_pilot_len >= n"):
+            full0, _ = mc_comm_error_probs(channel, silent, config, mc,
+                                           two_phase_pilot_len=4096)
         assert inj0.sum <= 0.01 and full0.sum <= 0.01
 
     def test_small_trial_count_reports_nan_se(self, channel, config, attack):
@@ -247,7 +250,7 @@ class TestTrialKernel:
 
 
 def every_estimator(channel, config, attack):
-    """One run of each estimator, the radiometer ones above GRID_MIN_TRIALS."""
+    """One run of each estimator, 600 trials each."""
     mc = McConfig(trials=600, base_seed=21, n=256)
     return (mc_comm_error_probs(channel, attack, config, mc),
             mc_comm_error_probs(channel, attack, config, mc,
@@ -342,8 +345,11 @@ class TestUniformSpaceDecisions:
     def test_comm_tallies_equal_inverse_path(self, channel, config, n,
                                              pilot_len):
         attack, config, mc = self.comm_case(config, n)
-        probs, _ = mc_comm_error_probs(channel, attack, config, mc,
-                                       two_phase_pilot_len=pilot_len)
+        long_pilot = pilot_len is not None and pilot_len >= n
+        with pytest.warns(UserWarning, match="two_phase_pilot_len >= n") \
+                if long_pilot else contextlib.nullcontext():
+            probs, _ = mc_comm_error_probs(channel, attack, config, mc,
+                                           two_phase_pilot_len=pilot_len)
         tally = (round(probs.p_f * mc.trials), round(probs.p_m * mc.trials))
         assert all(0 < k < mc.trials for k in tally), tally
         assert tally == inverse_comm_tally(channel, attack, config, n, mc,
@@ -369,8 +375,9 @@ class TestUniformSpaceDecisions:
     @pytest.mark.parametrize("n", [2, 3])
     def test_two_phase_matches_full_vectors(self, channel, config, n):
         attack, config, mc = self.comm_case(config, n)
-        probs, _ = mc_comm_error_probs(channel, attack, config, mc,
-                                       two_phase_pilot_len=1024)
+        with pytest.warns(UserWarning, match="two_phase_pilot_len >= n"):
+            probs, _ = mc_comm_error_probs(channel, attack, config, mc,
+                                           two_phase_pilot_len=1024)
         reduced = (round(probs.p_f * mc.trials), round(probs.p_m * mc.trials))
         full = full_vector_comm_tally(channel, attack, config, n, 2000,
                                       seed=50 + n, pilot_len=1024)
@@ -416,10 +423,24 @@ def test_bracketed_tally_equals_direct_comparison(k, trials, seed, kinds):
     assert _radiometer_tally(seed, trials, k, 1.0, statistics) == tuple(direct)
 
 
-def test_bracketed_tally_evaluates_few_cdf_values(channel, config, attack,
-                                                  monkeypatch, cold_caches):
-    # two decisions per trial: 2 * 10^4 gammainc values without the grid;
-    # cold caches count the grid's own values too
+# two decisions per trial, so 2 * trials gammainc values without the grid.
+# Cold caches count the grid's own values too; the long-block case, 96
+# trials at n = 10^4, is counted after a run at another seed warmed them
+@pytest.mark.parametrize("n, trials, pilot_len, warm, most", [
+    (256, 10_000, 64, False, 1000),
+    (10_000, 96, None, True, 30),
+], ids=["two-phase-cold", "long-block-warm"])
+def test_bracketed_tally_evaluates_few_cdf_values(channel, config, attack, n,
+                                                  trials, pilot_len, warm,
+                                                  most, monkeypatch,
+                                                  cold_caches):
+    def run(seed):
+        return mc_comm_error_probs(channel, attack, config,
+                                   McConfig(trials=trials, base_seed=seed, n=n),
+                                   two_phase_pilot_len=pilot_len)
+
+    if warm:
+        run(2)
     counted = []
 
     def counting(a, x):
@@ -427,11 +448,11 @@ def test_bracketed_tally_evaluates_few_cdf_values(channel, config, attack,
         return gammainc(a, x)
 
     monkeypatch.setattr(scipy.special, "gammainc", counting)
-    mc = McConfig(trials=10_000, base_seed=3, n=256)
-    probs, _ = mc_comm_error_probs(channel, attack, config, mc,
-                                   two_phase_pilot_len=64)
-    assert 0 < probs.p_f < 1 and 0 < probs.p_m < 1
-    assert 0 < sum(counted) <= 1000, sum(counted)
+    probs, _ = run(3)
+    assert 0 < probs.p_f < 1
+    # P_M is about 1e-263 at the long block, so its tally is 0 there
+    assert probs.p_m == 0 if n == 10_000 else 0 < probs.p_m < 1
+    assert 0 < sum(counted) <= most, sum(counted)
 
 
 class TestOperatingPointCache:
@@ -673,3 +694,27 @@ class TestSqrtLaw:
         a = mc_sqrt_law(channel, 0.3, [2000], mc)
         b = mc_sqrt_law(channel, 0.3, [2000], mc)
         assert a == b
+
+
+class TestIntegerInputs:
+    # trial counts, seeds and pilot lengths are integers; anything else ends
+    # in a named ParameterError before a stream is read.  numpy integers
+    # give the same results as Python ones
+    @pytest.mark.parametrize("args, match", [
+        ((10, -1), "base_seed must be an integer >= 0"),
+        ((10.0, 1), "trials must be an integer"),
+    ], ids=["negative-seed", "float-trials"])
+    def test_mc_config(self, args, match):
+        with pytest.raises(ParameterError, match=match):
+            McConfig(*args)
+
+    def test_fractional_pilot_length(self, channel, attack):
+        with pytest.raises(ParameterError,
+                           match="pilot_len must be an integer >= 1"):
+            mc_estimator_error(channel, attack, [4.5, 4], McConfig(200, 1))
+
+    def test_numpy_integers(self, channel, attack):
+        rows = mc_estimator_error(channel, attack, np.array([4, 16]),
+                                  McConfig(np.int64(200), np.uint32(1)))
+        assert rows == mc_estimator_error(channel, attack, [4, 16],
+                                          McConfig(200, 1))
