@@ -38,9 +38,9 @@ print(f"{'2eps^2':>7} {2 * 0.1 ** 2:>18.8f}")
 
 delta_1 = 1 / math.sqrt(10)
 for eps in (0.1, 0.2, 0.2236, 0.23, 0.3):
-    m = covertness_margin(eps, delta_1)
-    print(f"eps = {eps:<6} covert = {str(m.covert):<5} "
-          f"(divergence bound {m.kl_bound:.4f} nats)")
+    covert = covertness_margin(eps, delta_1)
+    print(f"eps = {eps:<6} covert = {str(covert):<5} "
+          f"(divergence bound {2 * eps ** 2:.4f} nats)")
 
 ##############################################################################
 # Monte Carlo cross-check: average the log-likelihood ratio over simulated

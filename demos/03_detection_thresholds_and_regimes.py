@@ -15,8 +15,9 @@ from dataclasses import replace
 
 from covertpilot import (AttackParams, ChannelParams, McConfig, SystemConfig,
                          analytic_error_probs, classify_regime, link_capacity,
-                         mc_comm_error_probs, solve_lambda_star,
-                         tail_bound_sum, tau_dagger, tau_eps)
+                         mc_comm_error_probs, regime_gaps,
+                         solve_lambda_star, tail_bound_sum, tau_dagger,
+                         tau_eps)
 
 channel = ChannelParams(alpha_w_sq=0.1, alpha_e_sq=0.1, sigma_w_sq=0.1,
                         sigma_e_sq=0.1, sigma_h_sq=1.0, h_w=1 + 0j, h_e=1 + 0j)
@@ -43,9 +44,11 @@ print(f"{'limit':>8} {tau_eps(channel, attack):>12.8f}")
 star = solve_lambda_star(channel, config, epsilon=0.1)
 print(f"\ncritical power at eps=0.1: {star:.6f}")
 for lt in (0.1, 0.3, star * 1.05, 1.0):
-    cls = classify_regime(channel, AttackParams(0.1, lt), config)
-    print(f"lambda_t = {lt:.4f}: {cls.regime.value:>12}  "
-          f"(gap below = {cls.delta_1_gap:+.5f})")
+    point = AttackParams(0.1, lt)
+    regime = classify_regime(channel, point, config)
+    _, gap_below, _ = regime_gaps(channel, point, config)
+    print(f"lambda_t = {lt:.4f}: {regime.value:>12}  "
+          f"(gap below = {gap_below:+.5f})")
 
 ##############################################################################
 # Noise-only chi-square error probabilities vs blocklength at a

@@ -32,6 +32,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +130,10 @@ class SystemConfig:
         _require(self.r_a > 0, "r_a must be > 0")
         _require(0 <= self.delta_1 < 1, "delta_1 must lie in [0, 1)")
         _require(0 < self.delta_2 < 1, "delta_2 must lie in (0, 1)")
-        _require(self.pilot_len >= 1, "pilot_len must be >= 1")
-        _require(self.block_len >= 2, "block_len must be >= 2")
+        _require(isinstance(self.pilot_len, numbers.Integral)
+                 and self.pilot_len >= 1, "pilot_len must be an integer >= 1")
+        _require(isinstance(self.block_len, numbers.Integral)
+                 and self.block_len >= 2, "block_len must be an integer >= 2")
 
     @classmethod
     def create(cls, channel: ChannelParams, lambda_a: float, r_a: float,

@@ -116,7 +116,6 @@ class SweepSpec:
     lt_min: float
     lt_max: float
     lt_steps: int
-    output_path: str
 
     def __post_init__(self):
         bounds = {"eps_min": self.eps_min, "eps_max": self.eps_max,
@@ -280,10 +279,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = resolve_params(args)
     channel, config, _ = build_scenario(values)
     spec = SweepSpec(args.eps_min, args.eps_max, args.eps_steps,
-                     args.lt_min, args.lt_max, args.lt_steps,
-                     output_path=args.out)
+                     args.lt_min, args.lt_max, args.lt_steps)
     lines = run_sweep(channel, config, spec)
-    _write_text(spec.output_path, "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -291,7 +289,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
     values = resolve_params(args)
     channel, config, attack = build_scenario(values)
     rep = attack_feasibility(channel, attack, config)
-    cls = classify_regime(channel, attack, config)
+    regime = classify_regime(channel, attack, config)
     lines = [
         f"epsilon = {_fmt(attack.epsilon)}",
         f"lambda_t = {_fmt(attack.lambda_t)}",
@@ -304,7 +302,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
         f"r_t_tin_bpcu = {_fmt(rep.r_t_tin)}",
         f"r_t_ic_bpcu = {_fmt(rep.r_t_ic)}",
         f"tau_eps_w = {_fmt(rep.tau_eps)}",
-        f"regime = {cls.regime.value}",
+        f"regime = {regime.value}",
         f"delta_1_gap = {_fmt(rep.delta_1_gap)}",
     ]
     _write_text(args.out, "\n".join(lines) + "\n")

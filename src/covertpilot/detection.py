@@ -80,10 +80,6 @@ def _abs(x):
     return np.hypot(np.real(x), np.imag(x))[()]
 
 
-class RegimeError(ValueError):
-    """Raised when a bound is requested outside the regime it applies to."""
-
-
 class Regime(Enum):
     BLIND_BELOW = "blind_below"      # threshold under both statistic levels
     BLIND_ABOVE = "blind_above"      # threshold above both statistic levels
@@ -103,13 +99,6 @@ class ErrorProbabilities:
     @property
     def sum(self) -> float | np.ndarray:
         return self.p_f + self.p_m
-
-
-@dataclass(frozen=True)
-class RegimeClassification:
-    regime: Regime
-    delta_1_gap: float   # (lower level - tau) / sigma_w^2; > 0 iff BLIND_BELOW
-    delta_2_gap: float   # (tau - upper level) / sigma_w^2; > 0 iff BLIND_ABOVE
 
 
 class SqrtLawBound(NamedTuple):
@@ -211,7 +200,8 @@ def analytic_error_probs(channel: ChannelParams, attack: AttackParams,
 
     with the cancellation residual ``eps^2 alpha_w^2 |h_w|^2 lambda_a``
     (exactly 0 for a clean pilot, eps = 0).  Thresholds at or below the
-    residual floor give P_F = 1 / P_M = 0 exactly.  The model leaves out
+    residual floor give P_F = 1 / P_M = 0 exactly.  The value holds for
+    this noise-only model, not for the exact law: the model leaves out
     the cross terms of the noise with the residual and with the trojan's
     signal, so only P_F at eps = 0 is exact; the simulation of
     :mod:`~covertpilot.montecarlo` keeps those terms.
@@ -231,26 +221,24 @@ def analytic_error_probs(channel: ChannelParams, attack: AttackParams,
 
 
 def classify_regime(channel: ChannelParams, attack: AttackParams,
-                    config: SystemConfig) -> RegimeClassification:
+                    config: SystemConfig) -> Regime:
     """Place tau(eps) at one point relative to the two limiting statistic levels.
 
     A threshold below the lower level or above the upper one (see
     :func:`statistic_levels`) saturates the test (P_F + P_M -> 1);
     strictly in between the test becomes perfect (P_F + P_M -> 0).  Exact
-    boundary hits are classified DETECTABLE with a zero gap and a warning,
-    since the regime statements are strict.
+    boundary hits are classified DETECTABLE with a warning, since the
+    regime statements are strict.  :func:`regime_gaps` gives the two gaps.
     """
     _, d1, d2 = regime_gaps(channel, attack, config)
     if d1 > 0:
-        regime = Regime.BLIND_BELOW
-    elif d2 > 0:
-        regime = Regime.BLIND_ABOVE
-    else:
-        regime = Regime.DETECTABLE
-        if d1 == 0 or d2 == 0:
-            warnings.warn("threshold sits exactly on a regime boundary; "
-                          "classified detectable with zero gap", stacklevel=2)
-    return RegimeClassification(regime, d1, d2)
+        return Regime.BLIND_BELOW
+    if d2 > 0:
+        return Regime.BLIND_ABOVE
+    if d1 == 0 or d2 == 0:
+        warnings.warn("threshold sits exactly on a regime boundary; "
+                      "classified detectable with zero gap", stacklevel=2)
+    return Regime.DETECTABLE
 
 
 def tail_bound_sum(channel: ChannelParams, attack: AttackParams,
@@ -258,18 +246,19 @@ def tail_bound_sum(channel: ChannelParams, attack: AttackParams,
     """Chi-square concentration bound on 1 - (P_F + P_M) in a blind regime.
 
     Below the lower level: ``exp(-n d1^2 / 2)``; above the upper level:
-    ``exp(-n (1 + d2 - sqrt(1 + 2 d2)))``.  A zero gap returns the vacuous
-    bound 1.  Raises :class:`RegimeError` strictly between the levels,
-    where the sum tends to 0 and no such bound applies.
+    ``exp(-n (1 + d2 - sqrt(1 + 2 d2)))``, with the gaps of
+    :func:`regime_gaps`.  The bound holds for the paper's noise-only model
+    (see :func:`analytic_error_probs`), not for the exact law.  A zero gap
+    returns the vacuous bound 1.  Raises :class:`ParameterError` strictly
+    between the levels, where the sum tends to 0 and no such bound applies.
     """
     n = config.block_len
-    cls = classify_regime(channel, attack, config)
-    d1, d2 = cls.delta_1_gap, cls.delta_2_gap
+    _, d1, d2 = regime_gaps(channel, attack, config)
     if d1 >= 0:
         return math.exp(-0.5 * n * d1 ** 2)
     if d2 >= 0:
         return math.exp(-n * (1 + d2 - math.sqrt(1 + 2 * d2)))
-    raise RegimeError("tail bound applies only in the blind-test regimes")
+    raise ParameterError("tail bound applies only in the blind-test regimes")
 
 
 def sqrt_law_bound(channel: ChannelParams, c: float, n: int) -> SqrtLawBound:

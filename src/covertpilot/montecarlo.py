@@ -155,6 +155,9 @@ class McConfig:
                  "trials must be an integer >= 1")
         _require(isinstance(self.base_seed, numbers.Integral)
                  and self.base_seed >= 0, "base_seed must be an integer >= 0")
+        _require(self.n is None or (isinstance(self.n, numbers.Integral)
+                                    and self.n >= 2),
+                 "n must be None or an integer >= 2")
 
 
 @dataclass(frozen=True)
@@ -349,7 +352,6 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
     of the estimate.
     """
     n = mc.n if mc.n is not None else config.block_len
-    _require(n >= 2, "block length n must be >= 2")
     _require(math.isfinite(n * channel.gain_w * attack.lambda_t
                            / channel.sigma_w_sq),
              "the scaled trojan energy n alpha_w^2 |h_w|^2 lambda_t / "
@@ -490,6 +492,8 @@ def mc_sqrt_law(channel: ChannelParams, c: float, n_grid: Sequence[int],
     h = channel.h_w
     rows = []
     for n in n_grid:
+        _require(isinstance(n, numbers.Integral),
+                 f"block lengths must be integers, got n = {n!r}")
         n = int(n)
         bound = sqrt_law_bound(channel, c, n)    # rejects c and n before drawing
         lt = c / math.sqrt(n)

@@ -29,17 +29,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import AttackParams, ChannelParams, ParameterError, _require
-
-
-@dataclass(frozen=True)
-class CovertnessMargin:
-    covert: bool
-    kl_bound: float
 
 
 def _square(x: float) -> float:
@@ -118,12 +111,12 @@ def kl_pilot_limit(epsilon: float) -> float:
     return 2 * math.log1p(epsilon) - frac
 
 
-def covertness_margin(epsilon: float, delta_1: float) -> CovertnessMargin:
+def covertness_margin(epsilon: float, delta_1: float) -> bool:
     """Estimation-phase covertness test: eps <= delta_1 / sqrt(2).
 
-    ``kl_bound = 2 eps^2`` dominates the limiting divergence, so the
-    condition keeps the detector within ``delta_1`` of a blind test.
-    With ``delta_1 = 0`` only ``epsilon = 0`` is covert.
+    ``2 eps^2`` dominates the limiting divergence, so the condition keeps
+    the detector within ``delta_1`` of a blind test.  With ``delta_1 = 0``
+    only ``epsilon = 0`` is covert.
     """
     _require(0 <= delta_1 < 1, "delta_1 must lie in [0, 1)")
     _require(epsilon >= 0, "epsilon must be >= 0")
@@ -131,8 +124,7 @@ def covertness_margin(epsilon: float, delta_1: float) -> CovertnessMargin:
     _require(math.isfinite(kl_bound), "kl_bound = 2 eps^2 must be finite")
     if kl_pilot_limit(epsilon) > kl_bound:
         raise ArithmeticError(f"kl_pilot_limit({epsilon!r}) exceeds 2 eps^2")
-    return CovertnessMargin(covert=epsilon <= delta_1 / math.sqrt(2),
-                            kl_bound=kl_bound)
+    return epsilon <= delta_1 / math.sqrt(2)
 
 
 def _estimator_coefficient(channel: ChannelParams, pilot_energy: float) -> float:

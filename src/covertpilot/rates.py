@@ -25,6 +25,7 @@ broadcast, so one call evaluates a whole grid (see
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -193,14 +194,17 @@ def power_scaling_table(channel: ChannelParams, config: SystemConfig,
     _require(c > 0, "c must be > 0")
     rows = []
     for n in n_grid:
+        _require(isinstance(n, numbers.Integral),
+                 f"block lengths must be integers, got n = {n!r}")
+        n = int(n)
         lt = c * float(n) ** -exponent
         attack = AttackParams(0.0, lt)
-        cfg_n = replace(config, block_len=int(n))
-        tau = tau_dagger(channel, channel.h_w, lt, int(n))
+        cfg_n = replace(config, block_len=n)
+        tau = tau_dagger(channel, channel.h_w, lt, n)
         probs = analytic_error_probs(channel, attack, cfg_n, tau)
-        bound = sqrt_law_bound(channel, lt * math.sqrt(n), int(n))
+        bound = sqrt_law_bound(channel, lt * math.sqrt(n), n)
         r_t = rate_ic(channel, attack)
-        rows.append(ScalingRow(n=int(n), lambda_t=lt, p_f=probs.p_f,
+        rows.append(ScalingRow(n=n, lambda_t=lt, p_f=probs.p_f,
                                p_m=probs.p_m, p_sum=probs.sum,
                                sqrt_bound=bound.finite_n,
                                sqrt_bound_limit=bound.limit, r_t=r_t))

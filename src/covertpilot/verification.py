@@ -139,17 +139,16 @@ def verify_regimes(seed: int = 0) -> list[CheckResult]:
 
     expected = {(0.1, 0.1): Regime.BLIND_BELOW, (0.0, 0.3): Regime.DETECTABLE,
                 (0.1, 1.0): Regime.DETECTABLE}
-    got = {pt: classify_regime(channel, AttackParams(*pt), config).regime
+    got = {pt: classify_regime(channel, AttackParams(*pt), config)
            for pt in expected}
     out.append(CheckResult("classification", got == expected,
                            f"{ {k: v.value for k, v in got.items()} }"))
 
     cfg = replace(config, block_len=4000)
     deep = AttackParams(0.1, 0.1)
-    analytic = analytic_error_probs(channel, deep, cfg,
-                                    tau_eps(channel, deep)).sum
     mc = McConfig(trials=2000, base_seed=seed)
     probs, (rf, rm) = mc_comm_error_probs(channel, deep, cfg, mc)
+    analytic = rf.analytic_reference + rm.analytic_reference
     se = 3 * math.hypot(rf.std_error, rm.std_error) + 1e-12
     ok = abs(probs.sum - analytic) <= se and probs.sum >= 0.99
     out.append(CheckResult("blind_below_saturates", ok,
@@ -157,9 +156,8 @@ def verify_regimes(seed: int = 0) -> list[CheckResult]:
                            f"(3se = {se:.5f}) at n=4000"))
 
     silent = AttackParams(0.0, 0.3)
-    probs0, _ = mc_comm_error_probs(channel, silent, cfg, mc)
-    a0 = analytic_error_probs(channel, silent, cfg,
-                              tau_eps(channel, silent)).sum
+    probs0, (rf0, rm0) = mc_comm_error_probs(channel, silent, cfg, mc)
+    a0 = rf0.analytic_reference + rm0.analytic_reference
     out.append(CheckResult("detectable_vanishes",
                            probs0.sum <= 0.01 and a0 <= 0.01,
                            f"analytic {a0:.2e}, mc {probs0.sum:.2e}"))
@@ -170,8 +168,7 @@ def verify_regimes(seed: int = 0) -> list[CheckResult]:
         eps = rng.uniform(0.0, 0.3)
         lt = rng.uniform(0.01, 1.0)
         att = AttackParams(eps, lt)
-        cls = classify_regime(channel, att, config)
-        if cls.regime is Regime.DETECTABLE:
+        if classify_regime(channel, att, config) is Regime.DETECTABLE:
             continue
         bound = tail_bound_sum(channel, att, config)
         actual = 1 - analytic_error_probs(channel, att, config,

@@ -240,7 +240,10 @@ def exact_comm_error_probs(channel, attack, config, n, tau):
     n t1`` is noncentral chi2(2n, lambda(u)) with
     ``lambda(u) = 2(|c|^2 + |d|^2 + 2|c||d| u) / s2``, where
     ``u = Re(rho e^{i phi})`` has density proportional to
-    ``(1 - u^2)^(n - 3/2)`` on [-1, 1]; P_M integrates over u.
+    ``(1 - u^2)^(n - 3/2)`` on [-1, 1]; P_M integrates over u.  That
+    density has width about 1/sqrt(n), so the integral is split at 0,
+    +-1, +-2, +-4, +-8 and +-40 widths: over [-1, 1] in one piece the
+    adaptive rule misses the peak at large n.
     """
     s2 = channel.sigma_w_sq
     a_w = math.sqrt(channel.alpha_w_sq)
@@ -255,7 +258,11 @@ def exact_comm_error_probs(channel, attack, config, n, tau):
         lam = 2 * (c ** 2 + d ** 2 + 2 * c * d * u) / s2
         return chndtr(x, 2 * n, lam) * (1 - u * u) ** (n - 1.5)
 
-    p_m = quad(miss_given_u, -1, 1)[0] / beta(0.5, n - 0.5)
+    knots = sorted({max(-1.0, min(1.0, k / math.sqrt(n)))
+                    for k in (-40, -8, -4, -2, -1, 0, 1, 2, 4, 8, 40)}
+                   | {-1.0, 1.0})
+    p_m = sum(quad(miss_given_u, lo, hi)[0]
+              for lo, hi in zip(knots, knots[1:])) / beta(0.5, n - 0.5)
     return p_f, p_m
 
 

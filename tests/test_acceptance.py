@@ -22,7 +22,7 @@ from covertpilot import (AttackParams, ChannelParams, McConfig,
                          power_scaling_table)
 from covertpilot import cli
 from covertpilot.verification import random_detection_config
-from reference import pilot_covariances
+from reference import exact_comm_error_probs, pilot_covariances
 
 LOG2_1P3 = 0.37851162325372981
 EDGE = 1 / math.sqrt(20)           # pilot covertness limit delta_1 / sqrt(2)
@@ -170,13 +170,16 @@ def test_criterion_5_blind_regime_saturation(channel, config):
     probs0, _ = mc_comm_error_probs(channel, silent, cfg,
                                     McConfig(trials=10_000, base_seed=24, n=n))
     elapsed = time.perf_counter() - t0
+    exact = sum(exact_comm_error_probs(channel, attack, cfg, n,
+                                       tau_eps(channel, attack)))
 
     saturated = analytic >= 0.99 and probs.sum >= 0.99
     agree = abs(analytic - probs.sum) <= se3
     vanish = analytic0 <= 0.01 and probs0.sum <= 0.01
     ok = saturated and agree and vanish and elapsed < 60.0
     report(5, "blind regime saturation", ok,
-           f"blind point: analytic {analytic:.4f}, mc {probs.sum:.4f} "
+           f"blind point: noise-only {analytic:.4f}, exact law "
+           f"{exact:.6f}, mc {probs.sum:.4f} "
            f"(3se {se3:.4f}); detectable point: analytic {analytic0:.2e}, "
            f"mc {probs0.sum:.2e}; {elapsed:.1f}s")
     assert elapsed < 60.0

@@ -2,12 +2,14 @@
 the ones that left the package must stay gone."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 from pathlib import Path
 
 import covertpilot
+from covertpilot.cli import SweepSpec
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -17,9 +19,12 @@ TEST_ONLY = ("CommHypothesis", "alice_input", "trojan_input",
              "pilot_covariances", "PilotCovariances")
 
 # Hypothesis tags and result types that duplicated what the attack
-# parameters already fix, or echoed a function's input or post-condition.
+# parameters already fix, or echoed a function's input or post-condition;
+# the two phases' verdicts are a plain Regime and a plain bool, and a
+# bound asked for outside its regime raises ParameterError.
 REMOVED_TAGS = ("Conditioning", "Phase", "SignalBlock", "PilotHypothesis",
-                "EstimateReport", "CriticalPower")
+                "EstimateReport", "CriticalPower", "RegimeClassification",
+                "CovertnessMargin", "RegimeError")
 
 # A fading sampler and its stream labels that nothing outside their own
 # tests called; the reference simulation keeps its own fading label.
@@ -68,6 +73,12 @@ def test_hypothesis_tags_are_gone():
     assert list(params) == ["channel", "attack", "config", "tau"]
     assert "tau" not in inspect.signature(
         covertpilot.mc_comm_error_probs).parameters
+
+
+def test_sweep_spec_holds_only_the_grid():
+    # the output path is the command's argument, not part of the grid
+    fields = [f.name for f in dataclasses.fields(SweepSpec)]
+    assert "output_path" not in fields
 
 
 def test_fading_sampler_is_gone_and_pilot_is_an_energy():

@@ -273,8 +273,7 @@ class TestSweep:
                                                eps_steps, lt_min, lt_width,
                                                lt_steps):
         spec = cli.SweepSpec(eps_min, eps_min + eps_width, eps_steps,
-                             lt_min, min(lt_min + lt_width, 50.0), lt_steps,
-                             output_path=None)
+                             lt_min, min(lt_min + lt_width, 50.0), lt_steps)
         channel, config, _ = cli.build_scenario(DEFAULTS)
         lines = cli.run_sweep(channel, config, spec)
         assert lines[0] == cli.CSV_HEADER

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covertpilot import (AttackParams, ParameterError, Regime, RegimeError,
+from covertpilot import (AttackParams, ParameterError, Regime,
                          analytic_error_probs, attack_feasibility,
-                         classify_regime, derive_rng,
+                         classify_regime, derive_rng, regime_gaps,
                          solve_lambda_star, solve_sqrt_law_coefficient,
                          sqrt_law_bound, tail_bound_sum, tau_dagger, tau_eps)
 from covertpilot.channel import complex_normal
@@ -209,62 +210,67 @@ def replace_config_n(n):
 
 class TestRegimes:
     def test_reference_point_is_blind_below(self, channel, config, attack):
-        cls = classify_regime(channel, attack, config)
-        assert cls.regime is Regime.BLIND_BELOW
-        assert cls.delta_1_gap == pytest.approx((0.12 - TAU_REF) / 0.1,
-                                                rel=1e-10)
+        assert classify_regime(channel, attack, config) is Regime.BLIND_BELOW
+        _, d1, _ = regime_gaps(channel, attack, config)
+        assert d1 == pytest.approx((0.12 - TAU_REF) / 0.1, rel=1e-10)
 
     def test_silent_pilot_attack_is_detectable(self, channel, config):
         for lt in (0.05, 0.3, 1.0):
-            cls = classify_regime(channel, AttackParams(0.0, lt), config)
-            assert cls.regime is Regime.DETECTABLE
+            assert classify_regime(channel, AttackParams(0.0, lt),
+                                   config) is Regime.DETECTABLE
 
     def test_strong_trojan_is_detectable(self, channel, config):
         # tau(0.1, 1.0) = 0.17241 sits inside the sandwich (0.12, 0.22)
-        cls = classify_regime(channel, AttackParams(0.1, 1.0), config)
-        assert cls.regime is Regime.DETECTABLE
-        assert cls.delta_1_gap < 0 and cls.delta_2_gap < 0
+        att = AttackParams(0.1, 1.0)
+        assert classify_regime(channel, att, config) is Regime.DETECTABLE
+        _, d1, d2 = regime_gaps(channel, att, config)
+        assert d1 < 0 and d2 < 0
 
     def test_blind_above_reachable(self, channel, config):
         # a strong trojan on a short block lifts tau above the upper level:
         # at n = 10, (0.1, 10) sits 0.90 noise units above it
         cfg = replace(config, pilot_len=1, block_len=10)
-        cls = classify_regime(channel, AttackParams(0.1, 10.0), cfg)
-        assert cls.regime is Regime.BLIND_ABOVE
-        assert cls.delta_1_gap < 0 < cls.delta_2_gap
+        att = AttackParams(0.1, 10.0)
+        assert classify_regime(channel, att, cfg) is Regime.BLIND_ABOVE
+        _, d1, d2 = regime_gaps(channel, att, cfg)
+        assert d1 < 0 < d2
 
     def test_exact_boundary_warns_and_is_detectable(self, channel, config):
         # lambda_t = 0 puts tau exactly on both levels (degenerate boundary)
+        att = AttackParams(0.0, 0.0)
         with pytest.warns(UserWarning, match="boundary"):
-            cls = classify_regime(channel, AttackParams(0.0, 0.0), config)
-        assert cls.regime is Regime.DETECTABLE
-        assert cls.delta_1_gap == 0.0 and cls.delta_2_gap == 0.0
+            regime = classify_regime(channel, att, config)
+        assert regime is Regime.DETECTABLE
+        _, d1, d2 = regime_gaps(channel, att, config)
+        assert d1 == 0.0 and d2 == 0.0
 
     def test_critical_power_separates_regimes(self, channel, config):
         star = solve_lambda_star(channel, config, 0.1)
         below = classify_regime(channel, AttackParams(0.1, star / 2), config)
         above = classify_regime(channel, AttackParams(0.1, 2 * star), config)
-        assert below.regime is Regime.BLIND_BELOW
-        assert above.regime is not Regime.BLIND_BELOW
+        assert below is Regime.BLIND_BELOW
+        assert above is not Regime.BLIND_BELOW
         # the root itself sits within float noise of the boundary
-        near = classify_regime(channel, AttackParams(0.1, star), config)
-        assert abs(near.delta_1_gap) < 1e-12
+        _, d1, _ = regime_gaps(channel, AttackParams(0.1, star), config)
+        assert abs(d1) < 1e-12
 
 
 class TestTailBound:
     def test_reference_point_value(self, channel, config, attack):
-        d1 = classify_regime(channel, attack, config).delta_1_gap
+        _, d1, _ = regime_gaps(channel, attack, config)
         expected = math.exp(-0.5 * config.block_len * d1 ** 2)
         assert tail_bound_sum(channel, attack, config) == pytest.approx(expected)
         assert expected == pytest.approx(0.7523857528, rel=1e-8)
 
     def test_zero_gap_is_vacuous(self, channel, config):
-        with pytest.warns(UserWarning):
+        # reads the gaps directly, so no classification warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             bound = tail_bound_sum(channel, AttackParams(0.0, 0.0), config)
         assert bound == 1.0
 
     def test_detectable_regime_raises(self, channel, config):
-        with pytest.raises(RegimeError):
+        with pytest.raises(ParameterError, match="blind-test regimes"):
             tail_bound_sum(channel, AttackParams(0.0, 0.3), config)
 
     def test_dominates_analytic_probabilities(self, channel, config):
@@ -272,8 +278,7 @@ class TestTailBound:
         checked = 0
         for _ in range(100):
             att = AttackParams(rng.uniform(0.0, 0.3), rng.uniform(0.01, 1.0))
-            cls = classify_regime(channel, att, config)
-            if cls.regime is Regime.DETECTABLE:
+            if classify_regime(channel, att, config) is Regime.DETECTABLE:
                 continue
             actual = 1 - analytic_error_probs(
                 channel, att, config, tau_eps(channel, att)).sum
@@ -286,10 +291,10 @@ class TestTailBound:
         # n = 10 both the bound and 1 - (P_F + P_M) stay above underflow
         cfg = replace(config, pilot_len=1, block_len=10)
         att = AttackParams(0.2, 10.0)
-        cls = classify_regime(channel, att, cfg)
-        assert cls.regime is Regime.BLIND_ABOVE
-        assert cls.delta_1_gap < 0 < cls.delta_2_gap
-        assert cls.delta_2_gap == pytest.approx(2.60, abs=0.005)
+        assert classify_regime(channel, att, cfg) is Regime.BLIND_ABOVE
+        _, d1, d2 = regime_gaps(channel, att, cfg)
+        assert d1 < 0 < d2
+        assert d2 == pytest.approx(2.60, abs=0.005)
         bound = tail_bound_sum(channel, att, cfg)
         actual = 1 - analytic_error_probs(channel, att, cfg,
                                           tau_eps(channel, att)).sum

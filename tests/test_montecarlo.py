@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincinv
 
 from covertpilot import (AttackParams, McConfig, ParameterError,
-                         kl_pilot_exact, kl_pilot_limit, mc_comm_error_probs,
-                         mc_estimator_error, mc_pilot_kl, mc_sqrt_law,
-                         mmse_limit, solve_sqrt_law_coefficient, tau_dagger,
-                         tau_eps)
+                         SystemConfig, kl_pilot_exact, kl_pilot_limit,
+                         mc_comm_error_probs, mc_estimator_error, mc_pilot_kl,
+                         mc_sqrt_law, mmse_limit, power_scaling_table,
+                         solve_sqrt_law_coefficient, tau_dagger, tau_eps)
 from covertpilot import montecarlo
 from covertpilot.montecarlo import (BLOCKS_PER_TRIAL, CHUNK, STREAM_TRIAL,
                                     WORDS_PER_TRIAL, _gamma_cdf_grid,
@@ -155,6 +155,25 @@ class TestCommDetection:
         for p_mc, p in zip((probs.p_f, probs.p_m), exact):
             assert abs(p_mc - p) <= 4 * math.sqrt(p * (1 - p) / trials), \
                 (p_mc, p)
+
+    def test_exact_miss_resolves_the_narrow_peak(self, channel, config,
+                                                 attack):
+        # at n = 10^4 the density of u has width 1/sqrt(n) = 0.01; a
+        # 16-node Gauss-Jacobi rule for the weight (1 - u^2)^(n - 3/2),
+        # normalised to sum 1, integrates the same P_M independently
+        n, tau = 10_000, 0.14
+        s2 = channel.sigma_w_sq
+        a_w = math.sqrt(channel.alpha_w_sq)
+        c = abs(a_w * channel.h_w * attack.epsilon) \
+            * math.sqrt(n * config.lambda_a)
+        d = abs(a_w * channel.h_w) * math.sqrt(n * attack.lambda_t)
+        u, w = scipy.special.roots_jacobi(16, n - 1.5, n - 1.5)
+        lam = 2 * (c ** 2 + d ** 2 + 2 * c * d * u) / s2
+        miss = scipy.special.chndtr(2 * n * tau / s2, 2 * n, lam)
+        jacobi = np.sum(w * miss) / np.sum(w)
+        _, p_m = exact_comm_error_probs(channel, attack, config, n, tau)
+        assert jacobi == pytest.approx(1.13719e-12, rel=1e-5)
+        assert p_m == pytest.approx(jacobi, rel=1e-9)
 
     def test_two_symbol_block_gives_finite_probabilities(self, channel,
                                                          config, attack):
@@ -718,3 +737,40 @@ class TestIntegerInputs:
                                   McConfig(np.int64(200), np.uint32(1)))
         assert rows == mc_estimator_error(channel, attack, [4, 16],
                                           McConfig(200, 1))
+
+    # block lengths are integers too: a fractional n is refused, never
+    # truncated or passed on as a Gamma shape
+    def test_fractional_mc_block_length(self):
+        with pytest.raises(ParameterError,
+                           match="n must be None or an integer >= 2"):
+            McConfig(2000, 1, n=300.5)
+
+    def test_fractional_config_block_length(self, config):
+        with pytest.raises(ParameterError,
+                           match="block_len must be an integer >= 2"):
+            replace(config, block_len=300.5)
+
+    def test_fractional_config_pilot_length(self, config):
+        with pytest.raises(ParameterError,
+                           match="pilot_len must be an integer >= 1"):
+            SystemConfig(config.lambda_a, config.r_a, config.delta_1,
+                         config.delta_2, pilot_len=64.5, block_len=300.5)
+
+    def test_fractional_sqrt_law_block_length(self, channel):
+        with pytest.raises(ParameterError,
+                           match="block lengths must be integers"):
+            mc_sqrt_law(channel, 0.3, [300.7], McConfig(200, 1))
+
+    def test_fractional_scaling_table_block_length(self, channel, config):
+        with pytest.raises(ParameterError,
+                           match="block lengths must be integers"):
+            power_scaling_table(channel, config, 0.5, 0.3, [300.7])
+
+    def test_numpy_block_lengths(self, channel, config, attack):
+        def runs(n):
+            return (mc_comm_error_probs(channel, attack, config,
+                                        McConfig(200, 1, n=n)),
+                    mc_sqrt_law(channel, 0.3, [n], McConfig(200, 1)),
+                    power_scaling_table(channel, config, 0.5, 0.3, [n]),
+                    replace(config, block_len=n).block_len)
+        assert runs(np.int64(300)) == runs(300)
