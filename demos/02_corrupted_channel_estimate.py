@@ -10,8 +10,10 @@ the attack plants a multiplicative error the monitor cannot see.
 
 import math
 
+import numpy as np
+
 from covertpilot import (AttackParams, ChannelParams, McConfig,
-                         derive_rng, make_pilot, mc_estimator_error,
+                         derive_rng, mc_estimator_error,
                          mmse_estimate, mmse_limit, SystemConfig,
                          link_capacity)
 from covertpilot.channel import complex_normal
@@ -27,26 +29,28 @@ config = SystemConfig.create(channel, lambda_a=20.0,
 ##############################################################################
 # Noise-free view: the finite-length estimator shrinks toward zero by
 # aS/(1+aS) and the scaled pilot adds the eps term on top.  The bias factor
-# is the noiseless estimate divided by the true gain.
+# is the noiseless estimate divided by the true gain.  The estimate reads
+# the pilot only through its energy S = ||s||^2, and the block y only
+# through s^H y.
 
 print(f"{'L':>6} {'bias factor (clean)':>20} {'bias factor (scaled)':>21}")
 a_w = math.sqrt(channel.alpha_w_sq)
 for L in (8, 32, 128, 1024):
-    pilot = make_pilot(L)
+    pilot = np.ones(L, complex)
     clean = a_w * channel.h_w * pilot
     scaled = a_w * channel.h_w * 1.1 * pilot
-    b0 = (mmse_estimate(channel, pilot, clean) / channel.h_w).real
-    b1 = (mmse_estimate(channel, pilot, scaled) / channel.h_w).real
+    b0 = (mmse_estimate(channel, L, np.vdot(pilot, clean)) / channel.h_w).real
+    b1 = (mmse_estimate(channel, L, np.vdot(pilot, scaled)) / channel.h_w).real
     print(f"{L:>6} {b0:>20.6f} {b1:>21.6f}")
 print(f"{'limit':>6} {1.0:>20.6f} {1 + attack.epsilon:>21.6f}")
 
 ##############################################################################
 # With noise, one realization: the estimate lands near the corrupted limit.
 
-pilot = make_pilot(config.pilot_len)
+pilot = np.ones(config.pilot_len, complex)
 y = a_w * channel.h_w * (1 + attack.epsilon) * pilot \
     + complex_normal(derive_rng(7), config.pilot_len, channel.sigma_w_sq)
-h_hat = mmse_estimate(channel, pilot, y)
+h_hat = mmse_estimate(channel, config.pilot_len, np.vdot(pilot, y))
 print(f"\none noisy run, L = {config.pilot_len}: h_hat = {h_hat:.4f}, "
       f"corrupted limit = {mmse_limit(channel, attack)}")
 

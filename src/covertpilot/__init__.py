@@ -13,7 +13,7 @@ analytic claim, plus a CLI for sweeps and verification suites.
 
 from .channel import (AttackParams, ChannelParams, ParameterError,
                       SystemConfig, derive_rng, gaussian_input,
-                      link_capacity, make_pilot)
+                      link_capacity)
 from .detection import (Regime, analytic_error_probs, classify_regime,
                         regime_gaps, solve_sqrt_law_coefficient,
                         sqrt_law_bound, tail_bound_sum, tau_dagger, tau_eps)
@@ -32,7 +32,7 @@ __all__ = [
     "analytic_error_probs",
     "attack_feasibility", "classify_regime", "covertness_margin",
     "derive_rng", "gaussian_input", "kl_pilot_exact", "kl_pilot_limit",
-    "link_capacity", "make_pilot", "mc_comm_error_probs",
+    "link_capacity", "mc_comm_error_probs",
     "mc_estimator_error", "mc_pilot_kl", "mc_sqrt_law", "mmse_estimate",
     "mmse_limit", "power_scaling_table", "regime_gaps", "solve_lambda_star",
     "solve_sqrt_law_coefficient", "sqrt_law_bound", "tail_bound_sum",

@@ -7,11 +7,11 @@ fading gain; an embedded trojan may covertly scale that pilot by
 Gaussian data block of power ``lambda_a`` and the trojan may add its own
 Gaussian block of power ``lambda_t``.
 
-Signals are plain 1-d complex arrays (:func:`make_pilot` returns the
-pilot).  No phase or hypothesis tag travels with them, in either phase:
-the attack parameters alone decide what a block is.  The estimation phase
-sends ``(1 + epsilon)`` times the pilot, a clean pilot being
-``epsilon = 0``.
+Signals are plain 1-d complex arrays.  No phase or hypothesis tag
+travels with them, in either phase: the attack parameters alone decide
+what a block is.  The estimation phase sends ``(1 + epsilon)`` times the
+pilot, a clean pilot being ``epsilon = 0``; the analysis sees the pilot
+only through its energy ``S = ||s||^2``.
 
 Conventions
 -----------
@@ -205,13 +205,3 @@ def gaussian_input(n: int, power: float, rng: np.random.Generator) -> np.ndarray
     if power == 0:
         return np.zeros(n, dtype=np.complex128)
     return g * math.sqrt(n * power / np.vdot(g, g).real)
-
-
-def make_pilot(pilot_len: int) -> np.ndarray:
-    """Unit-amplitude real pilot of length ``pilot_len``, as a 1-d complex array.
-
-    Its energy ``||s||^2 = pilot_len`` grows without bound in the pilot
-    length, which is all the estimation-phase analysis requires.
-    """
-    _require(pilot_len >= 1, "pilot_len must be >= 1")
-    return np.ones(pilot_len, dtype=np.complex128)

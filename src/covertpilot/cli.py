@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import os
@@ -139,24 +140,31 @@ def _fmt(x: float) -> str:
 
 
 def parse_config_file(path: str) -> dict:
-    """Read a flat key = value file into parsed parameter values."""
+    """Read a flat key = value file (UTF-8) into parsed parameter values."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not UTF-8 text: byte "
+                             f"0x{data[exc.start]:02x} at offset {exc.start} "
+                             f"({exc.reason})") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _PARAMS:
-                raise ParameterError(f"{path}:{lineno}: unknown key '{key}'")
-            try:
-                values[key] = _PARAMS[key][0](val)
-            except ValueError as exc:
-                raise ParameterError(f"{path}:{lineno}: bad value for "
-                                     f"'{key}': {exc}") from None
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in _PARAMS:
+            raise ParameterError(f"{path}:{lineno}: unknown key '{key}'")
+        try:
+            values[key] = _PARAMS[key][0](val)
+        except ValueError as exc:
+            raise ParameterError(f"{path}:{lineno}: bad value for "
+                                 f"'{key}': {exc}") from None
     return values
 
 
@@ -310,17 +318,15 @@ def cmd_rate(args: argparse.Namespace) -> int:
 
 
 def _mc_payload(args: argparse.Namespace) -> dict:
-    values = resolve_params(args)
-    channel, config, attack = build_scenario(values)
-    mc = McConfig(trials=args.trials, base_seed=args.seed,
-                  n=values["block_len"])
+    channel, config, attack = build_scenario(resolve_params(args))
+    mc = McConfig(trials=args.trials, base_seed=args.seed)
     params = {"epsilon": attack.epsilon, "lambda_t": attack.lambda_t,
-              "n": values["block_len"], "l": values["pilot_len"]}
+              "n": config.block_len, "l": config.pilot_len}
     out = {"target": args.target, "trials": args.trials, "seed": args.seed,
            "params": params}
 
     if args.target == "pilot-kl":
-        res = mc_pilot_kl(channel, attack, values["pilot_len"], mc)
+        res = mc_pilot_kl(channel, attack, config.pilot_len, mc)
         out.update(point_estimate=res.point_estimate, std_error=res.std_error,
                    analytic_reference=res.analytic_reference)
     elif args.target == "comm-detection":

@@ -125,8 +125,7 @@ import numpy as np
 from .channel import AttackParams, ChannelParams, SystemConfig, _require
 from .detection import (ErrorProbabilities, analytic_error_probs,
                         sqrt_law_bound, tau_dagger, tau_eps)
-from .pilot import (_estimator_coefficient, _square, kl_pilot_exact,
-                    mmse_limit)
+from .pilot import _square, kl_pilot_exact, mmse_estimate, mmse_limit
 
 # SeedSequence spawn key of every run's trial stream; fixed so that results
 # are reproducible across versions.  Labels 0-3 and 5 belong to the
@@ -204,13 +203,6 @@ def _complex_normal(u_mod: np.ndarray, u_arg: np.ndarray,
                     var: float) -> np.ndarray:
     """CN(0, var) by Box-Muller: ``|z|^2 = -var log u_mod``, phase ``2 pi u_arg``."""
     return np.sqrt(-var * np.log(u_mod)) * np.exp(2j * np.pi * u_arg)
-
-
-def _pilot_estimate(channel: ChannelParams, scale: float, energy: float,
-                    noise: np.ndarray) -> np.ndarray:
-    """Linear-MMSE estimates of the gain from ``y = alpha_w scale h_w s + z``, given ``s^H z``."""
-    mean = math.sqrt(channel.alpha_w_sq) * channel.h_w * scale * energy
-    return _estimator_coefficient(channel, energy) * (mean + noise)
 
 
 def _unit_pilot_energy(pilot_len: int) -> float:
@@ -363,11 +355,12 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
     a_w = math.sqrt(channel.alpha_w_sq)
     s2 = channel.sigma_w_sq
     h = channel.h_w
-    h_hat_limit = (1 + attack.epsilon) * h
+    h_hat_limit = mmse_limit(channel, attack)
     root_a = a_w * math.sqrt(n * config.lambda_a)
     d = a_w * h * math.sqrt(n * attack.lambda_t)
     if two_phase_pilot_len is not None:
         energy = _unit_pilot_energy(two_phase_pilot_len)
+        pilot_mean = a_w * h * (1 + attack.epsilon) * energy  # noiseless s^H y
         if two_phase_pilot_len >= n:
             warnings.warn("two_phase_pilot_len >= n: the pilot is supposed "
                           "to be short relative to the data block",
@@ -381,9 +374,9 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
         if two_phase_pilot_len is None:
             h_hat, thr = h_hat_limit, tau_limit
         else:
-            h_hat = _pilot_estimate(
-                channel, 1 + attack.epsilon, energy,
-                _complex_normal(u[:, 7], u[:, 8], s2 * energy))
+            h_hat = mmse_estimate(
+                channel, energy, pilot_mean
+                + _complex_normal(u[:, 7], u[:, 8], s2 * energy))
             thr = tau_dagger(channel, h_hat, attack.lambda_t, n)
         a = root_a * (h - h_hat) + z1
         return (np.abs(a) ** 2 + np.abs(z2) ** 2,
@@ -451,6 +444,7 @@ def mc_estimator_error(channel: ChannelParams, attack: AttackParams,
     estimate has variance proportional to ``S / (1 + a S)^2 ~ 1/S``, so the
     MSE halves when the pilot energy doubles (log-log slope -1).
     """
+    a_w = math.sqrt(channel.alpha_w_sq)
     lim0 = channel.h_w
     lim1 = mmse_limit(channel, attack)
     _require(math.isfinite(_square(abs(lim1))),
@@ -463,7 +457,9 @@ def mc_estimator_error(channel: ChannelParams, attack: AttackParams,
             noise = _complex_normal(u[:, 0], u[:, 1],
                                     channel.sigma_w_sq * energy)
             return np.stack([
-                np.abs(_pilot_estimate(channel, scale, energy, noise) - lim) ** 2
+                np.abs(mmse_estimate(channel, energy,
+                                     a_w * channel.h_w * scale * energy + noise)
+                       - lim) ** 2
                 for scale, lim in ((1.0, lim0), (1 + attack.epsilon, lim1))])
 
         err = np.concatenate(_per_chunk(mc.base_seed, mc.trials, errors),

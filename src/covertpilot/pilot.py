@@ -13,9 +13,10 @@ estimate both reduce to scalar closed forms in the pilot energy
 exist only in the test suite, as the oracle these closed forms and the
 Monte Carlo estimators are checked against.
 
-:func:`kl_pilot_exact` takes ``S`` itself.  Only :func:`mmse_estimate`,
-which reads ``s^H y``, takes the pilot and the received pilot block, as
-1-d complex arrays.  Whether a block was scaled is not tagged on it:
+Every function here takes the pilot through ``S`` alone; no pilot vector
+enters the package.  :func:`mmse_estimate` also takes the projection
+``s^H y`` of the received pilot block on the pilot, the only other thing
+the estimate reads.  Whether a block was scaled is not tagged on it:
 ``epsilon`` alone says so, ``epsilon = 0`` being the clean pilot.
 :func:`mmse_estimate` needs no attack parameters at all, since the
 monitor builds its estimate for a clean pilot whatever was sent;
@@ -41,12 +42,6 @@ def _square(x: float) -> float:
         return x ** 2
     except OverflowError:
         return math.inf
-
-
-def _pilot_energy(pilot: np.ndarray) -> float:
-    _require(np.ndim(pilot) == 1 and np.size(pilot) >= 1,
-             "pilot must be a nonempty 1-d vector")
-    return float(np.vdot(pilot, pilot).real)
 
 
 def kl_pilot_exact(channel: ChannelParams, attack: AttackParams,
@@ -127,16 +122,16 @@ def covertness_margin(epsilon: float, delta_1: float) -> bool:
     return epsilon <= delta_1 / math.sqrt(2)
 
 
-def _estimator_coefficient(channel: ChannelParams, pilot_energy: float) -> float:
-    """Scalar c with h_hat = c * s^H y (the linear-MMSE weight)."""
-    num = math.sqrt(channel.alpha_w_sq) * channel.sigma_h_sq
-    den = channel.sigma_w_sq + channel.alpha_w_sq * channel.sigma_h_sq * pilot_energy
-    return num / den
-
-
-def mmse_estimate(channel: ChannelParams, pilot: np.ndarray,
-                  received: np.ndarray) -> complex:
+def mmse_estimate(channel: ChannelParams, pilot_energy: float,
+                  projection: complex | np.ndarray) -> complex | np.ndarray:
     """MMSE estimate ``h_hat = c s^H y`` of the fading gain from a pilot block.
+
+    ``pilot_energy`` is ``S = ||s||^2`` and ``projection`` is ``s^H y``,
+    the received pilot block projected on the pilot; an array of
+    projections gives the array of their estimates.  The linear-MMSE
+    weight is
+
+        c = alpha_w sigma_h^2 / (sigma_w^2 + alpha_w^2 sigma_h^2 S).
 
     The estimator is built under the clean-pilot model (the receiver is
     unaware of any scaling), so when the received block was actually
@@ -146,14 +141,14 @@ def mmse_estimate(channel: ChannelParams, pilot: np.ndarray,
         (1 + eps) g h_w,   g = a S / (1 + a S),
         a = alpha_w^2 sigma_h^2 / sigma_w^2.
 
-    ``pilot`` and ``received`` are 1-d arrays of equal length.
+    A negative or non-finite ``S`` raises :class:`ParameterError`.
     """
-    S = _pilot_energy(pilot)
-    received = np.asarray(received)
-    _require(received.ndim == 1 and received.size == len(pilot),
-             "received must be a 1-d block of the pilot's length")
-    return complex(_estimator_coefficient(channel, S)
-                   * np.vdot(pilot, received))
+    S = pilot_energy
+    _require(0 <= S <= sys.float_info.max,
+             "pilot_energy S = ||s||^2 must be finite and >= 0")
+    num = math.sqrt(channel.alpha_w_sq) * channel.sigma_h_sq
+    den = channel.sigma_w_sq + channel.alpha_w_sq * channel.sigma_h_sq * S
+    return num / den * projection
 
 
 def mmse_limit(channel: ChannelParams, attack: AttackParams) -> complex:

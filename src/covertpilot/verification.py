@@ -15,8 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import (AttackParams, ChannelParams, SystemConfig,
-                      link_capacity, make_pilot)
+from .channel import AttackParams, ChannelParams, SystemConfig, link_capacity
 from .detection import (Regime, analytic_error_probs, classify_regime,
                         tail_bound_sum, tau_dagger, tau_eps)
 from .montecarlo import McConfig, mc_comm_error_probs
@@ -72,10 +71,10 @@ def verify_mmse(seed: int = 0) -> list[CheckResult]:
 
     worst = 0.0
     for l in (4, 32, 128):
-        pilot = make_pilot(l)
+        pilot = np.ones(l, complex)
         s_en = l * 1.0
         y = a_w * channel.h_w * (1 + attack.epsilon) * pilot
-        h_hat = mmse_estimate(channel, pilot, y)
+        h_hat = mmse_estimate(channel, s_en, np.vdot(pilot, y))
         expect = (1 + attack.epsilon) * a * s_en / (1 + a * s_en) * channel.h_w
         worst = max(worst, abs(h_hat - expect) / abs(expect))
     out.append(CheckResult("noiseless_bias", worst <= 1e-12,
@@ -83,9 +82,10 @@ def verify_mmse(seed: int = 0) -> list[CheckResult]:
 
     errs = []
     for l in (64, 128, 256):
-        pilot = make_pilot(l)
+        pilot = np.ones(l, complex)
         y = a_w * channel.h_w * pilot
-        errs.append(abs(mmse_estimate(channel, pilot, y) - channel.h_w))
+        errs.append(abs(mmse_estimate(channel, float(l), np.vdot(pilot, y))
+                        - channel.h_w))
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     halving = all(1.8 <= r <= 2.2 for r in ratios)
     out.append(CheckResult("error_halves_with_energy", halving,

@@ -23,8 +23,7 @@ from scipy.special import beta, chndtr
 
 from covertpilot import (AttackParams, ChannelParams, SystemConfig,
                          attack_feasibility, derive_rng, gaussian_input,
-                         make_pilot, mmse_estimate, mmse_limit, tau_dagger,
-                         tau_eps)
+                         mmse_estimate, mmse_limit, tau_dagger, tau_eps)
 from covertpilot.channel import _require, complex_normal
 from covertpilot.pilot import _square
 from covertpilot.rates import FeasibilityReport
@@ -43,6 +42,23 @@ class CommHypothesis(Enum):
 
     H0 = "h0"
     H1 = "h1"
+
+
+def make_pilot(pilot_len: int) -> np.ndarray:
+    """Unit-amplitude real pilot of length ``pilot_len``, as a 1-d complex array.
+
+    Its energy ``||s||^2 = pilot_len`` grows without bound in the pilot
+    length, which is all the estimation-phase analysis requires.
+    """
+    _require(pilot_len >= 1, "pilot_len must be >= 1")
+    return np.ones(pilot_len, dtype=np.complex128)
+
+
+def pilot_estimate(channel: ChannelParams, pilot: np.ndarray,
+                   received: np.ndarray) -> complex:
+    """``mmse_estimate`` of a received pilot block, given the pilot vector."""
+    energy = float(np.vdot(pilot, pilot).real)
+    return complex(mmse_estimate(channel, energy, np.vdot(pilot, received)))
 
 
 def alice_input(config: SystemConfig, seed: int) -> np.ndarray:
@@ -163,7 +179,7 @@ def full_vector_estimator_errors(channel, attack, l, trials, seed):
     """Squared errors ``|h_hat(L) - h_hat_inf|^2`` (clean, scaled), by full vectors.
 
     Trial ``i`` draws the pilot noise from stream ``(i, STREAM_NOISE)``,
-    adds it to the clean and the scaled pilot, and runs ``mmse_estimate``
+    adds it to the clean and the scaled pilot, and runs ``pilot_estimate``
     on both blocks.
     """
     a_w = math.sqrt(channel.alpha_w_sq)
@@ -176,8 +192,8 @@ def full_vector_estimator_errors(channel, attack, l, trials, seed):
                            channel.sigma_w_sq)
         y0 = a_w * channel.h_w * pilot + z
         y1 = a_w * channel.h_w * (1 + attack.epsilon) * pilot + z
-        err[0, i] = abs(mmse_estimate(channel, pilot, y0) - lim0) ** 2
-        err[1, i] = abs(mmse_estimate(channel, pilot, y1) - lim1) ** 2
+        err[0, i] = abs(pilot_estimate(channel, pilot, y0) - lim0) ** 2
+        err[1, i] = abs(pilot_estimate(channel, pilot, y1) - lim1) ** 2
     return err
 
 
@@ -189,7 +205,7 @@ def full_vector_comm_tally(channel, attack, config, n, trials, seed,
     normals) and applies the radiometer to them.  Without ``pilot_len``
     the receiver cancels with the injected limit ``(1+eps) h_w`` and
     thresholds at ``tau_eps``; with it, each trial re-simulates the scaled
-    pilot, estimates ``h_hat`` with ``mmse_estimate`` and thresholds at
+    pilot, estimates ``h_hat`` with ``pilot_estimate`` and thresholds at
     ``tau_dagger(h_hat)``.
     """
     a_w = math.sqrt(channel.alpha_w_sq)
@@ -209,7 +225,7 @@ def full_vector_comm_tally(channel, attack, config, n, trials, seed,
             zp = complex_normal(derive_rng(seed, i, STREAM_PILOT_NOISE),
                                 len(pilot), channel.sigma_w_sq)
             y_p = a_w * h * (1 + attack.epsilon) * pilot + zp
-            h_hat = mmse_estimate(channel, pilot, y_p)
+            h_hat = pilot_estimate(channel, pilot, y_p)
             thr = tau_dagger(channel, h_hat, attack.lambda_t, n)
         y0 = a_w * h * x_a + z
         fa += radiometer_statistic(y0, x_a, h_hat, channel) > thr

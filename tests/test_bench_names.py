@@ -16,7 +16,7 @@ TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 # Full-vector synthesis and dense pilot algebra live in tests/reference.py.
 TEST_ONLY = ("CommHypothesis", "alice_input", "trojan_input",
              "synthesize_received", "radiometer_statistic",
-             "pilot_covariances", "PilotCovariances")
+             "pilot_covariances", "PilotCovariances", "make_pilot")
 
 # Hypothesis tags and result types that duplicated what the attack
 # parameters already fix, or echoed a function's input or post-condition;
@@ -29,6 +29,11 @@ REMOVED_TAGS = ("Conditioning", "Phase", "SignalBlock", "PilotHypothesis",
 # A fading sampler and its stream labels that nothing outside their own
 # tests called; the reference simulation keeps its own fading label.
 REMOVED_SAMPLER = ("sample_fading", "STREAM_FADING_W", "STREAM_FADING_E")
+
+# Helpers folded into mmse_estimate, the one LMMSE estimator, which takes
+# S = ||s||^2 and s^H y in place of the pilot vector.
+REMOVED_ESTIMATOR = ("_pilot_energy", "_estimator_coefficient",
+                     "_pilot_estimate")
 
 
 def traced_names():
@@ -88,5 +93,12 @@ def test_fading_sampler_is_gone_and_pilot_is_an_energy():
     assert not hasattr(covertpilot.ChannelParams, "sample")
     params = inspect.signature(covertpilot.kl_pilot_exact).parameters
     assert list(params) == ["channel", "attack", "pilot_energy"]
-    params = inspect.signature(covertpilot.make_pilot).parameters
-    assert list(params) == ["pilot_len"]
+    params = inspect.signature(covertpilot.mmse_estimate).parameters
+    assert list(params) == ["channel", "pilot_energy", "projection"]
+
+
+def test_one_estimator_and_no_pilot_vector():
+    for mod in package_modules():
+        for name in REMOVED_ESTIMATOR + ("make_pilot",):
+            assert not hasattr(mod, name), f"{mod.__name__}.{name}"
+    assert len(covertpilot.__all__) == 30

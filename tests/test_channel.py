@@ -6,15 +6,16 @@ import pytest
 
 from covertpilot import (AttackParams, ChannelParams, McConfig,
                          ParameterError, SystemConfig, derive_rng,
-                         gaussian_input, make_pilot, mc_comm_error_probs)
+                         gaussian_input, mc_comm_error_probs)
 from covertpilot.channel import complex_normal
 from reference import (STREAM_NOISE, STREAM_TROJAN, CommHypothesis,
-                       alice_input, synthesize_received, trojan_input)
+                       alice_input, make_pilot, synthesize_received,
+                       trojan_input)
 
 
 class TestMakePilot:
-    # a non-unit pilot is sqrt(power) times the unit one, as the tests that
-    # need one build it
+    # the full-vector references' pilot; a non-unit pilot is sqrt(power)
+    # times the unit one, as the tests that need one build it
     @pytest.mark.parametrize("length,power,energy",
                              [(4, 1.0, 4.0), (100, 0.5, 50.0), (1, 2.0, 2.0)])
     def test_energy(self, length, power, energy):

@@ -307,6 +307,16 @@ class TestConfigFile:
         cfg.write_text("epsilon 0.2\n")
         assert run_cli(["rate", "--config", str(cfg)]) == 1
 
+    def test_non_utf8_file_exits_1(self, tmp_path, capsys):
+        # the error names the file and the offset of the first bad byte
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"alpha_w_sq = 0.1\n\xff\xfe = 2\n")
+        assert run_cli(["rate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"configuration error: {cfg}: not UTF-8 text: byte "
+                       f"0xff at offset 17 (invalid start byte)\n")
+        assert "Traceback" not in err
+
     def test_readme_lists_the_key_table(self):
         # the README's "Recognized keys" line is a third copy of the keys
         keys = re.search(r"Recognized keys: `([^`]*)`",

@@ -13,13 +13,13 @@ from scipy.special import gammainc, gammaincinv
 from covertpilot import (AttackParams, McConfig, ParameterError,
                          SystemConfig, kl_pilot_exact, kl_pilot_limit,
                          mc_comm_error_probs, mc_estimator_error, mc_pilot_kl,
-                         mc_sqrt_law, mmse_limit, power_scaling_table,
-                         solve_sqrt_law_coefficient, tau_dagger, tau_eps)
+                         mc_sqrt_law, mmse_estimate, mmse_limit,
+                         power_scaling_table, solve_sqrt_law_coefficient,
+                         tau_dagger, tau_eps)
 from covertpilot import montecarlo
 from covertpilot.montecarlo import (BLOCKS_PER_TRIAL, CHUNK, STREAM_TRIAL,
                                     WORDS_PER_TRIAL, _gamma_cdf_grid,
                                     _per_chunk, _radiometer_tally, _uniforms)
-from covertpilot.pilot import _estimator_coefficient
 from reference import (dense_pilot_llr, exact_comm_error_probs,
                        full_vector_comm_tally, full_vector_estimator_errors,
                        full_vector_sqrt_law_tally)
@@ -318,7 +318,8 @@ def inverse_comm_tally(channel, attack, config, n, mc, pilot_len=None):
             h_hat, tau = (1 + attack.epsilon) * h, tau_eps(channel, attack)
         else:
             mean = a_w * h * (1 + attack.epsilon) * energy
-            h_hat = _estimator_coefficient(channel, energy) * (
+            h_hat = mmse_estimate(
+                channel, energy,
                 mean + _box_muller(u[:, 7], u[:, 8], s2 * energy))
             tau = tau_dagger(channel, h_hat, attack.lambda_t, n)
         a = root_a * (h - h_hat) + z1
