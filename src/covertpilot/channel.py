@@ -155,7 +155,7 @@ def link_capacity(channel: ChannelParams, lambda_a: float) -> float:
     snr = channel.gain_w * lambda_a / channel.sigma_w_sq
     _require(math.isfinite(snr), "the link SNR alpha_w^2 |h_w|^2 lambda_a "
              "/ sigma_w^2 must be finite")
-    return math.log2(1 + snr)
+    return math.log1p(snr) / math.log(2)
 
 
 def check_link_margin(channel: ChannelParams, config: SystemConfig) -> None:

@@ -58,7 +58,7 @@ report zero rates so plots can distinguish "zero rate" from
 One broadcast call evaluates the whole grid; then one formatting pass per
 axis and per epsilon row writes it: ``lambda_t`` and both rates depend on
 lambda_t alone and are formatted once per column, ``epsilon`` once per
-row, and the per-cell fields with one ``repr`` call per row.  Every
+row, and the per-cell fields with one ``map`` of ``repr`` per row.  Every
 subcommand runs serially, so output bytes depend only on the parameters
 and seed; ``--threads`` has no effect.
 """
@@ -207,8 +207,8 @@ _CONDITIONS = ("pilot_covert", "blind_comm", "no_disruption")
 
 
 def _fmt_row(a) -> list[str]:
-    """``_fmt`` of every element of a 1-d float array, in one C-level ``repr``."""
-    return repr(a.tolist())[1:-1].split(", ")
+    """``_fmt`` of every element of a 1-d float array, in one C-level ``map``."""
+    return list(map(repr, a.tolist()))
 
 
 def sweep_cell_line(eps: np.ndarray, lt: np.ndarray,
@@ -217,8 +217,9 @@ def sweep_cell_line(eps: np.ndarray, lt: np.ndarray,
 
     ``rep`` is the grid's report.  ``lambda_t`` and both rates depend on
     lambda_t alone and are formatted once per column, ``epsilon`` once per
-    row; ``gamma_w``, ``tau_eps_w`` and ``delta_1_gap`` take one ``repr``
-    per row.  The feasibility masks pick each cell's middle fields.
+    row; ``gamma_w``, ``tau_eps_w`` and ``delta_1_gap`` take one ``map``
+    of ``repr`` per row.  The feasibility masks pick each cell's middle
+    fields.
     """
     shape = np.broadcast_shapes(eps.shape, lt.shape)
     tin = _fmt_row(np.broadcast_to(rep.r_t_tin, lt.shape))

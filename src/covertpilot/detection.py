@@ -29,11 +29,13 @@ exact reduced-dimension sampler keeps.  At the reference point
 
 Inputs may broadcast (array ``epsilon``/``lambda_t``, ``h_hat``, ``tau``);
 a scalar call is the 0-d case of the same code and returns a float.
-``expm1`` and ``log2`` run through Python's ``math`` per element, ``|h|``
-through ``np.hypot`` (C ``hypot``, as Python's ``abs`` of a complex) and
-squares through ``np.float_power`` (C ``pow``, as ``**``): numpy's SIMD
-``expm1``, ``log2``, ``abs`` and squares differ in the last bit, which
-would make a grid cell's bytes differ from the scalar call's.
+The analytic core's byte contract is that a grid cell equals the scalar
+call at its point, bit for bit.  So ``expm1`` and ``log2`` run through
+Python's ``math`` per element, ``|h|`` through ``np.hypot`` (C ``hypot``,
+as Python's ``abs`` of a complex) and squares through ``np.float_power``
+(C ``pow``, as ``**``): numpy's SIMD ``expm1``, ``log2``, ``abs`` and
+squares differ in the last bit.  The Monte Carlo sampler, which has no
+such contract, thresholds with numpy's ``expm1`` instead.
 """
 
 from __future__ import annotations
@@ -108,16 +110,17 @@ class SqrtLawBound(NamedTuple):
     limit: float
 
 
-def _threshold(b, x, at_zero):
+def _threshold(b, x, at_zero, expm1=_expm1):
     """``b e^x / (e^x - 1) = b / (1 - e^-x)``, extended to ``at_zero`` where ``b = 0``.
 
     ``at_zero`` is ``b / x``, the limit as ``b -> 0+``.  Where ``b`` or
     ``x`` is subnormal or 0, ``x`` has lost the precision that ``b / x``
     needs, so there the threshold is ``at_zero * x / (1 - e^-x)``, whose
     factor ``x / (1 - e^-x)`` is 1 for every ``x`` below about 1e-16 (and
-    is taken as 1 where ``x = 0`` makes it 0/0).
+    is taken as 1 where ``x = 0`` makes it 0/0).  ``expm1`` defaults to the
+    per-element ``math.expm1``; the Monte Carlo sampler passes ``np.expm1``.
     """
-    den = -_expm1(-x)
+    den = -expm1(-x)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(np.minimum(b, x) < _TINY,
                         at_zero * np.fmax(x / den, 1.0), b / den)[()]

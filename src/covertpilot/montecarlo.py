@@ -74,6 +74,11 @@ Reproducibility contract
   - ``mc_estimator_error``: ``u[0], u[1]``, ``s^H z`` by Box-Muller with
     variance ``s2 S``, shared by both hypotheses; the stream restarts at
     trial 0 for every pilot length.
+* The two-phase thresholds ``tau_dagger(h_hat)`` are computed over each
+  chunk in numpy arithmetic, with numpy's ``expm1`` like the rest of the
+  sampler (:func:`_chunk_threshold`); each agrees with a scalar
+  :func:`~covertpilot.detection.tau_dagger` call to a few ulp, not bit for
+  bit, and is the same for a trial whatever chunk it falls in.
 * Trials run serially in chunks of at most :data:`CHUNK`, which bound the
   memory of a run and nothing else: tallies are integer sums and means are
   taken over the concatenated per-trial values, so the chunk size never
@@ -103,9 +108,9 @@ Value-equal keys give bit-identical values and an exception is never
 cached, so no result depends on what the caches hold.  A module cache is
 used because the same operating point recurs across calls that share no
 object: seed batches and split-merge runs repeat it with other seeds or
-trial ranges, and the test suite repeats the reference point.  Together
-the two took about 70 us of a 0.6-0.9 ms two-phase call at ``n = 256``
-on a 2-core host.
+trial ranges, and the test suite repeats the reference point.  Uncached,
+the two take about 70 us, against 0.4-0.6 ms for a whole warm two-phase
+call at ``n = 256`` (768 trials, pilot length 64) on a 2-core host.
 An exact finite-n reference (0.17-0.5 ms per call, over the per-call
 budget of a short run) belongs in the same cache.
 """
@@ -123,7 +128,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import AttackParams, ChannelParams, SystemConfig, _require
-from .detection import (ErrorProbabilities, analytic_error_probs,
+from .detection import (ErrorProbabilities, _threshold, analytic_error_probs,
                         sqrt_law_bound, tau_dagger, tau_eps)
 from .pilot import _square, kl_pilot_exact, mmse_estimate, mmse_limit
 
@@ -271,6 +276,25 @@ def _injected_limit_reference(channel: ChannelParams, epsilon: float,
     return tau, analytic_error_probs(channel, attack, config, tau)
 
 
+def _chunk_threshold(channel: ChannelParams, h_hat: np.ndarray,
+                     lambda_t: float, n: int) -> np.ndarray:
+    """``tau_dagger`` of a chunk's estimates, in numpy arithmetic.
+
+    ``b = alpha_w^2 (Re^2 h_hat + Im^2 h_hat) lambda_t`` and numpy's
+    ``expm1`` stand in for the C ``hypot`` and the per-element
+    ``math.expm1`` of ``tau_dagger``, so each threshold agrees with a
+    scalar call to a few ulp instead of bit for bit; ``b = 0`` still gives
+    ``(n-1)/n sigma_w^2`` exactly.  Raises the same
+    :class:`ParameterError` as ``tau_dagger`` for a non-finite ``b``.
+    """
+    s2 = channel.sigma_w_sq
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = channel.alpha_w_sq * (h_hat.real ** 2 + h_hat.imag ** 2) * lambda_t
+    _require(np.all(np.isfinite(b)), "tau_dagger needs a finite scaled "
+             "trojan power alpha_w^2 |h_hat|^2 lambda_t")
+    return _threshold(b, (n / (n - 1)) * b / s2, (n - 1) / n * s2, np.expm1)
+
+
 def _radiometer_tally(base_seed: int, trials: int, shape: int, s2: float,
                       statistics: Callable[[np.ndarray], tuple]
                       ) -> tuple[int, int]:
@@ -336,9 +360,9 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
     estimation phase is re-simulated per trial at that finite pilot
     length, and the receiver's estimate and its threshold
     ``tau_dagger(h_hat)`` come from its own noisy pilot observation
-    instead of the injected limit (one ``tau_dagger`` call per chunk,
-    over the estimates of the chunk's trials); a pilot not shorter than the
-    block draws a warning.  The ``analytic_reference``
+    instead of the injected limit (``tau_dagger`` in numpy arithmetic over
+    each chunk's estimates, see :func:`_chunk_threshold`); a pilot not
+    shorter than the block draws a warning.  The ``analytic_reference``
     of both results stays the injected-limit value at ``tau_eps`` in either
     mode, so in the two-phase mode it is a landmark, not the expectation
     of the estimate.
@@ -377,7 +401,7 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
             h_hat = mmse_estimate(
                 channel, energy, pilot_mean
                 + _complex_normal(u[:, 7], u[:, 8], s2 * energy))
-            thr = tau_dagger(channel, h_hat, attack.lambda_t, n)
+            thr = _chunk_threshold(channel, h_hat, attack.lambda_t, n)
         a = root_a * (h - h_hat) + z1
         return (np.abs(a) ** 2 + np.abs(z2) ** 2,
                 np.abs(a + d * rho) ** 2

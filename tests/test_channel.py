@@ -6,7 +6,7 @@ import pytest
 
 from covertpilot import (AttackParams, ChannelParams, McConfig,
                          ParameterError, SystemConfig, derive_rng,
-                         gaussian_input, mc_comm_error_probs)
+                         gaussian_input, link_capacity, mc_comm_error_probs)
 from covertpilot.channel import complex_normal
 from reference import (STREAM_NOISE, STREAM_TROJAN, CommHypothesis,
                        alice_input, make_pilot, synthesize_received,
@@ -168,6 +168,15 @@ class TestParams:
         with pytest.raises(ParameterError):
             SystemConfig.create(channel, lambda_a=20.0, r_a=cap, delta_1=0.3,
                                 delta_2=0.1, pilot_len=8, block_len=100)
+
+    def test_link_capacity_at_tiny_snr(self, channel):
+        # log2(1 + snr) rounds 1 + snr and was wrong in the third digit
+        # here; the capacity is snr (1 - snr / 2) / ln 2 to second order
+        # (snr / ln 2 alone is 1.1e-15 off at this SNR)
+        lambda_a = 2e-15
+        snr = channel.gain_w * lambda_a / channel.sigma_w_sq
+        assert math.isclose(link_capacity(channel, lambda_a),
+                            snr * (1 - snr / 2) / math.log(2), rel_tol=1e-15)
 
     def test_only_two_phase_run_warns_on_long_pilot(self, channel, attack):
         # a configuration never sets its pilot against its block; the

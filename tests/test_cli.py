@@ -57,16 +57,33 @@ class TestRate:
         assert run_cli(["rate", "--h-w", "0j"]) == 1
         assert "zero link gain" in capsys.readouterr().err
 
-    # a capacity that rounds to 0 leaves a defaulted r_a of 0, which the
-    # user never set: the error names the default, not r_a's own bound
-    @pytest.mark.parametrize("argv", [["--sigma-w-sq", "1e300"],
-                                      ["--lambda-a", "1e-300"],
-                                      ["--alpha-w-sq", "1e-320"]])
+    # a zero link SNR (a zero gain, or a product that underflows to 0)
+    # leaves a defaulted r_a of 0, which the user never set: the error
+    # names the default, not r_a's own bound
+    @pytest.mark.parametrize("argv", [["--h-w", "0j"],
+                                      ["--alpha-w-sq", "0"],
+                                      ["--sigma-w-sq", "1e300",
+                                       "--lambda-a", "1e-300"]])
     def test_vanishing_snr_default_rate_exits_1(self, argv, capsys):
         assert run_cli(["rate"] + argv) == 1
         err = capsys.readouterr().err
         assert "r_a defaults to 80% of the link capacity" in err
         assert "link SNR" in err and "r_a must be > 0" not in err
+
+    # a tiny but positive link SNR has a positive capacity (about
+    # snr / ln 2), so r_a defaults to a positive rate and the report runs;
+    # where the trojan's SNR is below double resolution too, tau(eps)
+    # rounds onto the floor sigma_w^2 and the regime test warns
+    @pytest.mark.parametrize("values, boundary", [
+        ({"sigma_w_sq": 1e300}, True), ({"lambda_a": 1e-300}, False),
+        ({"alpha_w_sq": 1e-320}, True)])
+    def test_tiny_snr_default_rate_exits_0(self, values, boundary, capsys):
+        argv = [f"--{key.replace('_', '-')}={v!r}" for key, v in values.items()]
+        with pytest.warns(UserWarning, match="exactly on a regime boundary") \
+                if boundary else contextlib.nullcontext():
+            assert run_cli(["rate"] + argv) == 0
+        assert "feasible = " in capsys.readouterr().out
+        assert cli.build_scenario(dict(DEFAULTS, **values))[1].r_a > 0
 
     def test_overflowing_gain_exits_1(self, capsys):
         assert run_cli(["rate", "--h-w", "1e200+0j"]) == 1

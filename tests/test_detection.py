@@ -14,6 +14,7 @@ from covertpilot import (AttackParams, ParameterError, Regime,
                          sqrt_law_bound, tail_bound_sum, tau_dagger, tau_eps)
 from covertpilot.channel import complex_normal
 from covertpilot.detection import _abs, _expm1, _log2
+from covertpilot.montecarlo import _chunk_threshold
 from reference import (STREAM_NOISE, CommHypothesis, alice_input,
                        radiometer_statistic, synthesize_received)
 
@@ -393,13 +394,31 @@ def test_tau_dagger_nondecreasing_in_power(channel, h_hat, powers, n, s2):
     assert np.all(taus[1:] >= taus[:-1] * (1 - TAU_ULPS))
 
 
-# the two-phase Monte Carlo calls tau_dagger once per chunk of estimates;
-# each element must be the threshold a scalar call gives, bit for bit
+# the sweep's tau_eps_w column and `rate` print thresholds of one
+# broadcast core; an array call must give each element the bytes a scalar
+# call gives, bit for bit
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(gains=st.lists(GAIN, min_size=1, max_size=16), lt=KNOB, n=BLOCK)
 def test_tau_dagger_array_equals_scalar_calls(channel, gains, lt, n):
     taus = tau_dagger(channel, np.array(gains), lt, n)
     assert taus.tolist() == [tau_dagger(channel, h, lt, n) for h in gains]
+
+
+# the two-phase Monte Carlo thresholds a chunk of estimates in numpy
+# arithmetic (Re^2 + Im^2, np.expm1): each threshold within a few ulp of a
+# scalar tau_dagger, b = 0 and subnormal b included, and exactly its
+# limit (n-1)/n sigma_w^2 at lambda_t = 0
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(gains=st.lists(GAIN, min_size=1, max_size=16), lt=POWER, n=BLOCK,
+       s2=NOISE)
+def test_chunk_threshold_within_ulps_of_tau_dagger(channel, gains, lt, n, s2):
+    channel = replace(channel, sigma_w_sq=s2)
+    h_hat = np.array([0j] + gains)                         # b = 0 first
+    taus = _chunk_threshold(channel, h_hat, lt, n)
+    ref = np.array([tau_dagger(channel, h, lt, n) for h in h_hat.tolist()])
+    assert np.all(np.abs(taus - ref) <= 8 * 2.0 ** -52 * ref)
+    assert _chunk_threshold(channel, h_hat, 0.0, n).tolist() \
+        == [(n - 1) / n * s2] * len(h_hat)
 
 
 def _bits(x):
