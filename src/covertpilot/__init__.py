@@ -9,32 +9,49 @@ chi-square error probabilities under the paper's noise-only
 approximation, regime classification, achievable rates, square-root-law
 scaling) together with Monte Carlo estimators that cross-validate every
 analytic claim, plus a CLI for sweeps and verification suites.
+
+Every exported name and submodule resolves on first use: ``import
+covertpilot`` loads no submodule, and ``covertpilot.mc_pilot_kl`` loads
+``montecarlo`` (and what it imports) when it is first read.
 """
 
-from .channel import (AttackParams, ChannelParams, ParameterError,
-                      SystemConfig, derive_rng, gaussian_input,
-                      link_capacity)
-from .detection import (Regime, analytic_error_probs, classify_regime,
-                        regime_gaps, solve_sqrt_law_coefficient,
-                        sqrt_law_bound, tail_bound_sum, tau_dagger, tau_eps)
-from .montecarlo import (McConfig, mc_comm_error_probs, mc_estimator_error,
-                         mc_pilot_kl, mc_sqrt_law)
-from .pilot import (covertness_margin, kl_pilot_exact, kl_pilot_limit,
-                    mmse_estimate, mmse_limit)
-from .rates import (attack_feasibility, power_scaling_table,
-                    solve_lambda_star, willie_sinr)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttackParams", "ChannelParams", "McConfig", "ParameterError",
-    "Regime", "SystemConfig",
-    "analytic_error_probs",
-    "attack_feasibility", "classify_regime", "covertness_margin",
-    "derive_rng", "gaussian_input", "kl_pilot_exact", "kl_pilot_limit",
-    "link_capacity", "mc_comm_error_probs",
-    "mc_estimator_error", "mc_pilot_kl", "mc_sqrt_law", "mmse_estimate",
-    "mmse_limit", "power_scaling_table", "regime_gaps", "solve_lambda_star",
-    "solve_sqrt_law_coefficient", "sqrt_law_bound", "tail_bound_sum",
-    "tau_dagger", "tau_eps", "willie_sinr",
-]
+# module -> the names the package exports from it
+_EXPORTS = {
+    "channel": ("AttackParams", "ChannelParams", "ParameterError",
+                "SystemConfig", "derive_rng", "gaussian_input",
+                "link_capacity"),
+    "detection": ("Regime", "analytic_error_probs", "classify_regime",
+                  "regime_gaps", "solve_sqrt_law_coefficient",
+                  "sqrt_law_bound", "tail_bound_sum", "tau_dagger",
+                  "tau_eps"),
+    "montecarlo": ("McConfig", "mc_comm_error_probs", "mc_estimator_error",
+                   "mc_pilot_kl", "mc_sqrt_law"),
+    "pilot": ("covertness_margin", "kl_pilot_exact", "kl_pilot_limit",
+              "mmse_estimate", "mmse_limit"),
+    "rates": ("attack_feasibility", "power_scaling_table",
+              "solve_lambda_star", "willie_sinr"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+_SUBMODULES = (*_EXPORTS, "cli", "verification")
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        # importing a submodule binds it on the package, so this runs once
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        # read at every access, so the name follows its module's attribute
+        module = importlib.import_module(f"{__name__}.{_MODULE_OF[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -61,6 +61,14 @@ lambda_t alone and are formatted once per column, ``epsilon`` once per
 row, and the per-cell fields with one ``map`` of ``repr`` per row.  Every
 subcommand runs serially, so output bytes depend only on the parameters
 and seed; ``--threads`` has no effect.
+
+Module loading
+--------------
+Importing this module loads only ``channel`` and numpy, which argument
+parsing and scenario building need.  Each subcommand imports its own
+modules when it runs: ``rate`` and ``sweep`` load ``rates`` and
+``detection``, ``mc`` loads ``montecarlo`` (with ``detection`` and
+``pilot``), and ``verify`` loads ``verification``, which loads them all.
 """
 
 from __future__ import annotations
@@ -74,16 +82,15 @@ import os
 import stat
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channel import (AttackParams, ChannelParams, ParameterError,
                       SystemConfig, _require, link_capacity)
-from .detection import classify_regime, solve_sqrt_law_coefficient
-from .montecarlo import (McConfig, mc_comm_error_probs, mc_estimator_error,
-                         mc_pilot_kl, mc_sqrt_law)
-from .rates import FeasibilityReport, attack_feasibility
-from . import verification
+
+if TYPE_CHECKING:
+    from .rates import FeasibilityReport
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -246,6 +253,8 @@ def sweep_cell_line(eps: np.ndarray, lt: np.ndarray,
 def run_sweep(channel: ChannelParams, config: SystemConfig,
               spec: SweepSpec) -> list[str]:
     """All CSV lines in row-major order, from one call over the whole grid."""
+    from .rates import attack_feasibility
+
     eps = np.linspace(spec.eps_min, spec.eps_max, spec.eps_steps)[:, None]
     lt = np.linspace(spec.lt_min, spec.lt_max, spec.lt_steps)
     grid = attack_feasibility(channel, AttackParams(eps, lt), config)
@@ -295,6 +304,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
+    from .detection import classify_regime
+    from .rates import attack_feasibility
+
     values = resolve_params(args)
     channel, config, attack = build_scenario(values)
     rep = attack_feasibility(channel, attack, config)
@@ -319,6 +331,10 @@ def cmd_rate(args: argparse.Namespace) -> int:
 
 
 def _mc_payload(args: argparse.Namespace) -> dict:
+    from .detection import solve_sqrt_law_coefficient
+    from .montecarlo import (McConfig, mc_comm_error_probs,
+                             mc_estimator_error, mc_pilot_kl, mc_sqrt_law)
+
     channel, config, attack = build_scenario(resolve_params(args))
     mc = McConfig(trials=args.trials, base_seed=args.seed)
     params = {"epsilon": attack.epsilon, "lambda_t": attack.lambda_t,
@@ -373,6 +389,8 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verification
+
     suites = (list(verification.SUITES) if args.suite == "all"
               else [args.suite])
     first_failure = None
@@ -454,6 +472,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("verify", help="analytic-vs-oracle invariant suites",
                        exit_on_error=False)
+    # a literal, since loading verification.SUITES here would load every
+    # module; a test holds it equal to [*verification.SUITES, "all"]
     p.add_argument("--suite", default="all",
                    choices=["kl", "mmse", "threshold", "regimes", "sqrtlaw",
                             "all"])

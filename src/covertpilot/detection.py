@@ -209,7 +209,7 @@ def analytic_error_probs(channel: ChannelParams, attack: AttackParams,
     signal, so only P_F at eps = 0 is exact; the simulation of
     :mod:`~covertpilot.montecarlo` keeps those terms.
     """
-    # lazy: `rate` and `sweep` must not pay scipy's 0.6 s import
+    # lazy: `rate` and `sweep` must not pay for importing scipy.special
     from scipy.special import gammainc, gammaincc
 
     _require(np.all(tau > 0), "tau must be > 0")
@@ -324,7 +324,7 @@ def solve_sqrt_law_coefficient(channel: ChannelParams, target: float) -> float:
     peak = _sqrt_law_limit(channel, c_peak)
     if target >= peak:
         raise ParameterError(f"target {target} is not below the peak bound {peak:.6g}")
-    # lazy: `rate` and `sweep` must not pay scipy's 0.6 s import
+    # lazy: `rate` and `sweep` must not pay for importing scipy.optimize
     from scipy.optimize import brentq
 
     f = lambda c: _sqrt_law_limit(channel, c) - target

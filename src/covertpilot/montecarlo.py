@@ -313,7 +313,7 @@ def _radiometer_tally(base_seed: int, trials: int, shape: int, s2: float,
     every NaN boundary get the exact ``P``.  So each decision is the one the
     exact ``P`` gives, and the grid sets only how many decisions need it.
     """
-    # lazy: the pilot estimators must not pay scipy's 0.6 s import
+    # lazy: the pilot estimators must not pay for importing scipy.special
     from scipy.special import gammainc
 
     # a hundred times the largest step down of gammainc(k, .) seen on dense

@@ -167,7 +167,7 @@ def solve_lambda_star(channel: ChannelParams, config: SystemConfig,
     while f(hi) < 0:
         hi *= 2
         _require(hi < 1e12, "failed to bracket the critical power")
-    # lazy: `rate` and `sweep` must not pay scipy's 0.6 s import
+    # lazy: `rate` and `sweep` must not pay for importing scipy.optimize
     from scipy.optimize import brentq
 
     lam = float(brentq(f, 0.0, hi, rtol=8.9e-16, maxiter=200))

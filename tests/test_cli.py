@@ -635,6 +635,15 @@ class TestOutFile:
 
 
 class TestVerify:
+    def test_suite_choices_name_every_suite(self):
+        # cli lists the suites as a literal, since it loads verification
+        # only when verify runs; a new suite must not become unreachable
+        from covertpilot import verification
+
+        suite = next(a for a in cli._parsers()[1]["verify"]._actions
+                     if a.dest == "suite")
+        assert suite.choices == [*verification.SUITES, "all"]
+
     def test_all_suites_pass(self, capsys):
         assert run_cli(["verify", "--suite", "all"]) == 0
         out = capsys.readouterr().out
