@@ -278,6 +278,8 @@ def sqrt_law_bound(channel: ChannelParams, c: float, n: int) -> SqrtLawBound:
 
     The limit vanishes both as c -> 0 and c -> infinity; choosing c with
     limit <= delta_2 keeps the trojan covert at power Theta(1/sqrt(n)).
+    Both values bound the noise-only model of :func:`analytic_error_probs`,
+    not the exact law simulated by :func:`~covertpilot.montecarlo.mc_sqrt_law`.
     """
     _require(c > 0, "c must be > 0")
     _require(n >= 2, "n must be >= 2")
@@ -306,31 +308,28 @@ def _sqrt_law_limit(channel: ChannelParams, c: float) -> float:
 def solve_sqrt_law_coefficient(channel: ChannelParams, target: float) -> float:
     """Smallest c > 0 whose limiting square-root-law bound equals target.
 
-    The limit ``K c exp(-m c^2)`` peaks at ``c* = 1/sqrt(2m)``; targets at
-    or above the peak value have no root on the rising branch and raise.
-    Below ``1e-12 c*`` the factor ``exp(-m c^2)`` is 1 to double precision,
-    so a target the limit reaches there is met at ``c = target / K``.
+    With ``u = alpha_w^2 |h_w|^2 c / (2 sigma_w^2)`` the limit is
+    ``sqrt(2/pi) u exp(-u^2/2)``, which rises to the channel-free peak
+    ``sqrt(2/(pi e))`` at ``u = 1``; targets at or above it raise.  Below
+    it the rising branch is met in closed form by the principal Lambert W,
+
+        c = sqrt(2 pi) sigma_w^2 target / (alpha_w^2 |h_w|^2)
+            * exp(-W0(-pi target^2 / 2) / 2),
+
+    which squares no c, and whose factor after ``target`` tends to 1 as
+    the target tends to 0, where ``target^2`` may underflow harmlessly.
     """
+    # lazy: `rate` and `sweep` must not pay for importing scipy.special
+    from scipy.special import lambertw
+
     _require(0 < target < 1, "target must lie in (0, 1)")
     _require(channel.gain_w > 0, "needs a nonzero link gain")
-    try:
-        m = channel.gain_w ** 2 / (8 * channel.sigma_w_sq ** 2)
-    except (OverflowError, ZeroDivisionError):   # a square over- or underflows
-        m = math.nan
-    _require(0 < m < math.inf,
-             "solving for c needs (alpha_w^2 |h_w|^2)^2 / (8 sigma_w^4) "
-             "finite and > 0")
-    c_peak = 1 / math.sqrt(2 * m)
-    peak = _sqrt_law_limit(channel, c_peak)
-    if target >= peak:
+    peak = math.sqrt(2 / (math.pi * math.e))
+    # near the peak -pi target^2 / 2 may round onto -1/e (W0 NaN) or past it
+    w = lambertw(-math.pi * target ** 2 / 2)
+    if not (target < peak and w.imag == 0):
         raise ParameterError(f"target {target} is not below the peak bound {peak:.6g}")
-    # lazy: `rate` and `sweep` must not pay for importing scipy.optimize
-    from scipy.optimize import brentq
-
-    f = lambda c: _sqrt_law_limit(channel, c) - target
-    if f(1e-12 * c_peak) >= 0:
-        c = target * math.sqrt(2 * math.pi) * channel.sigma_w_sq \
-            / channel.gain_w
-        _require(c > 0, f"target {target} needs a c that underflows to 0")
-        return c
-    return float(brentq(f, 1e-12 * c_peak, c_peak, rtol=8.9e-16))
+    c = math.sqrt(2 * math.pi) * channel.sigma_w_sq * target / channel.gain_w \
+        * math.exp(-w.real / 2)
+    _require(0 < c < math.inf, f"target {target} needs a finite c > 0")
+    return c

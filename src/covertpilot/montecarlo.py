@@ -183,6 +183,9 @@ class EstimatorErrorRow:
 
 @dataclass(frozen=True)
 class SqrtLawRow:
+    """A row of :func:`mc_sqrt_law`, simulated under the exact law; ``bound``
+    and ``bound_limit`` bound the paper's noise-only model only."""
+
     n: int
     lambda_t: float
     p_f: float
@@ -237,21 +240,16 @@ def _per_chunk(base_seed: int, trials: int,
 def _gamma_cdf_grid(shape: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted abscissae for a run of ``trials`` and ``P(shape, .)`` on them.
 
-    The ``math.isqrt(2 trials)`` abscissae are the Wilson-Hilferty quantiles
-    of Gamma(shape) at equally spaced levels, clamped at 0; the exact values
-    come with 0 and 1 appended at the ends, so that ``searchsorted`` index
-    ``j`` of a point brackets its ``P`` between values ``j`` and ``j + 1``.
-    The abscissae set only the bracket widths, so the normal quantile
-    inside them is Tukey's lambda approximation, which needs no scipy call.
-    Both arrays are cached per ``(shape, trials)`` and read-only.
+    The ``m = math.isqrt(2 trials)`` abscissae are the Gamma(shape)
+    quantiles ``P^-1(shape, i / (m + 1))``; the exact values come with 0
+    and 1 appended at the ends, so that ``searchsorted`` index ``j`` of a
+    point brackets its ``P`` between values ``j`` and ``j + 1``.  Both
+    arrays are cached per ``(shape, trials)`` and read-only.
     """
-    from scipy.special import gammainc
+    from scipy.special import gammainc, gammaincinv
 
     m = math.isqrt(2 * trials)
-    q = np.arange(1, m + 1) / (m + 1)
-    z = 4.91 * (q ** 0.14 - (1 - q) ** 0.14)
-    grid = shape * np.maximum(
-        1 - 1 / (9 * shape) + z / (3 * math.sqrt(shape)), 0) ** 3
+    grid = gammaincinv(shape, np.arange(1, m + 1) / (m + 1))
     cdf = np.concatenate([[0.0], gammainc(shape, grid), [1.0]])
     grid.flags.writeable = cdf.flags.writeable = False
     return grid, cdf
@@ -500,11 +498,13 @@ def mc_sqrt_law(channel: ChannelParams, c: float, n_grid: Sequence[int],
     Per blocklength: simulate the optimal test with a perfect channel
     estimate (epsilon 0) by the reduced sampler, which needs only the
     noise component along ``x_t`` and the remainder's energy, and tally
-    the error probabilities; the row also
-    carries the square-root-law bound the empirical ``1 - P_F - P_M`` must
-    stay under.  A power schedule decaying slower than 1/sqrt(n) sends the
-    error sum to 0, faster sends it to 1, and exactly 1/sqrt(n) pins
-    ``1 - P_F - P_M`` near a constant controlled by c.
+    the error probabilities.  A power schedule decaying slower than
+    1/sqrt(n) sends the error sum to 0, faster sends it to 1, and exactly
+    1/sqrt(n) pins ``1 - P_F - P_M`` near a constant controlled by c.
+    Each row also carries the square-root-law bound of the noise-only
+    model, which the exact law simulated here breaks at a large trojan
+    SNR: ``mc --target sqrtlaw --trials 2000 --sigma-w-sq=1e-20 --c=0.25``
+    reads ``one_minus_sum`` 0.4755 against ``bound`` 0.0.
     """
     _require(c > 0, "c must be > 0")
     a_w = math.sqrt(channel.alpha_w_sq)
@@ -536,7 +536,7 @@ def mc_sqrt_law(channel: ChannelParams, c: float, n_grid: Sequence[int],
         p_f, p_m = fa / mc.trials, md / mc.trials
         se = math.hypot(_std_error_binomial(p_f, mc.trials),
                         _std_error_binomial(p_m, mc.trials))
-        rows.append(SqrtLawRow(n=n, lambda_t=lt, p_f=p_f, p_m=p_m,
-                               one_minus_sum=1 - p_f - p_m, std_error=se,
+        rows.append(SqrtLawRow(n=n, lambda_t=lt, p_f=p_f, p_m=p_m, std_error=se,
+                               one_minus_sum=(mc.trials - fa - md) / mc.trials,
                                bound=bound.finite_n, bound_limit=bound.limit))
     return rows

@@ -383,7 +383,7 @@ class TestMc:
         (["--target", "estimator", "--epsilon", "1e200"],
          "|(1+eps) h_w|^2"),
         (["--target", "sqrtlaw", "--sigma-w-sq", "1e-300"],
-         "(alpha_w^2 |h_w|^2)^2 / (8 sigma_w^4)"),
+         "8 sigma_w^4 > 0 in double precision"),
         (["--target", "comm-detection", "--seed", "-1"],
          "seed must be >= 0"),
         (["--target", "sqrtlaw", "--c", "1e300"], "c is too large"),

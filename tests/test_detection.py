@@ -13,12 +13,13 @@ from covertpilot import (AttackParams, ParameterError, Regime,
                          solve_lambda_star, solve_sqrt_law_coefficient,
                          sqrt_law_bound, tail_bound_sum, tau_dagger, tau_eps)
 from covertpilot.channel import complex_normal
-from covertpilot.detection import _abs, _expm1, _log2
+from covertpilot.detection import _abs, _expm1, _log2, _sqrt_law_limit
 from covertpilot.montecarlo import _chunk_threshold
 from reference import (STREAM_NOISE, CommHypothesis, alice_input,
                        radiometer_statistic, synthesize_received)
 
 TAU_REF = 0.1192456710036019   # tau(eps) at eps=0.1, lambda_t=0.3 (40-digit eval)
+SQRT_LAW_PEAK = math.sqrt(2 / (math.pi * math.e))   # rounds up the true peak
 
 
 class TestRadiometer:
@@ -327,14 +328,29 @@ class TestSqrtLawBound:
         assert errs[-1] < 1e-4
 
     def test_solve_coefficient(self, channel):
-        c = solve_sqrt_law_coefficient(channel, 0.1)
-        assert c == pytest.approx(0.2526712057364, rel=1e-10)
-        assert sqrt_law_bound(channel, c, 100).limit == pytest.approx(0.1,
-                                                                      rel=1e-12)
+        # the limit at the returned c meets the target to 2 ulp from the
+        # tiny-target end to just below the peak, and c scales exactly with
+        # sigma_w^2; one ulp under the rounded peak is still under the true
+        # peak, so it has a root too
+        targets = [1e-300, 1e-12, 1e-6, 0.05, 0.1, 0.3, 0.48,
+                   math.nextafter(SQRT_LAW_PEAK, 0)]
+        for ch in (channel, replace(channel, sigma_w_sq=1e-3),
+                   replace(channel, h_w=3 + 4j)):
+            doubled = replace(ch, sigma_w_sq=2 * ch.sigma_w_sq)
+            for target in targets:
+                c = solve_sqrt_law_coefficient(ch, target)
+                assert abs(_sqrt_law_limit(ch, c) - target) \
+                    <= 2 * math.ulp(target), (ch, target)
+                assert solve_sqrt_law_coefficient(doubled, target) == 2 * c
 
     def test_solve_coefficient_rejects_unreachable_target(self, channel):
-        with pytest.raises(ParameterError):
-            solve_sqrt_law_coefficient(channel, 0.99)
+        # the rounded peak itself puts W0's argument on its branch point,
+        # where it is NaN; above the peak W0 is complex
+        for target in (SQRT_LAW_PEAK, math.nextafter(SQRT_LAW_PEAK, 1), 0.5,
+                       0.99):
+            with pytest.raises(ParameterError,
+                               match="not below the peak bound 0.483941$"):
+                solve_sqrt_law_coefficient(channel, target)
 
 
 class TestThresholdOptimality:

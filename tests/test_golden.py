@@ -27,12 +27,12 @@ GOLDEN = {
     "mc --target comm-detection --trials 600 --seed 11":
         "ca78b8b097c67ffa647e51b338d17aa5b300cc584573451b047d0c8d31eb5141",
     "mc --target sqrtlaw --trials 400 --seed 16":
-        "7fff9c01c8a2fb004e7277bc302ed31001617334a4103d053737505b5271b157",
+        "67474bc6e86b6c7a8f879db9b617f49eb90303c91fb4847457eff96be4ab443e",
     # a larger bracket grid of the radiometer tally, at k = 10^4 - 1 and
     # 10^5 - 1
     "mc --target sqrtlaw --trials 1500 --seed 17":
-        "f9a7f3d60159e71076be5e12020baf82340a6bc2ea297e747187a4ed9df38301",
-    # k = n - 2 = 1, the far end of the grid's Wilson-Hilferty abscissae
+        "69188a1e9fcafbf9a4e2aa8743d243b021e28af6f3396efdc4280d9e00496258",
+    # k = n - 2 = 1, the smallest shape of the grid's Gamma quantiles
     "mc --target comm-detection --block-len 3 --pilot-len 1 --trials 1500 --seed 19":
         "07bb625b26d438f9dee2d738c610e673627ca323b8a1401b64bfe8319a2fa159",
     "mc --target pilot-kl --trials 2000 --seed 8":

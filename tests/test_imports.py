@@ -4,12 +4,12 @@
 adds only ``channel``; each command imports its own modules when it runs,
 so ``rate`` and ``sweep`` never load the Monte Carlo estimators or the
 verification suites, and ``mc`` never loads the rate analysis.  scipy
-loads only where a chi-square tail, gammainc or a root solve runs, so the
-analytic commands (``rate``, ``sweep``) and the pilot estimators must
-never load it.  The benchmark reads package names after importing only
-``covertpilot`` and ``covertpilot.cli``, and its tracer wraps functions
-in the modules that its first commands loaded; both patterns are checked
-here.  Each case runs in a fresh interpreter, since the test process
+loads only where a chi-square tail, gammainc, the Lambert W or a root
+solve runs, so the analytic commands (``rate``, ``sweep``) and the pilot
+estimators must never load it.  The benchmark reads package names after
+importing only ``covertpilot`` and ``covertpilot.cli``, and its tracer
+wraps functions in the modules that its first commands loaded; both
+patterns are checked here.  Each case runs in a fresh interpreter, since the test process
 itself has every module loaded long before.
 """
 
@@ -81,12 +81,12 @@ def test_loads_no_scipy(argv):
 
 def test_comm_detection_loads_special_only():
     # with few and with many trials, both bracketing the Gamma CDF on its
-    # grid; sqrtlaw takes an explicit --c, since solving for the default c
-    # is a root solve
+    # grid; sqrtlaw with an explicit --c and with the default c solved
     for argv in (("mc", "--target", "comm-detection", "--trials", "10"),
                  ("mc", "--target", "comm-detection", "--trials", "1024"),
                  ("mc", "--target", "sqrtlaw", "--trials", "600",
-                  "--c", "0.25")):
+                  "--c", "0.25"),
+                 ("mc", "--target", "sqrtlaw", "--trials", "600")):
         code, scipy, _ = modules_after(argv)
         assert code == 0, argv
         assert "scipy.special" in scipy, argv
