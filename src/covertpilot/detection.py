@@ -271,10 +271,9 @@ def sqrt_law_bound(channel: ChannelParams, c: float, n: int) -> SqrtLawBound:
 
         sqrt(n) b / (sqrt(2 pi) s2) * (1 + b/(2 s2))^n * exp(-n b / (2 s2))
 
-    and its limit along fixed c is
+    and its limit along fixed c, with ``u = alpha_w^2 |h_w|^2 c / (2 s2)``, is
 
-        alpha_w^2 |h_w|^2 c / (sqrt(2 pi) s2)
-            * exp(-alpha_w^4 |h_w|^4 c^2 / (8 s2^2)).
+        sqrt(2/pi) u exp(-u^2/2).
 
     The limit vanishes both as c -> 0 and c -> infinity; choosing c with
     limit <= delta_2 keeps the trojan covert at power Theta(1/sqrt(n)).
@@ -292,17 +291,10 @@ def sqrt_law_bound(channel: ChannelParams, c: float, n: int) -> SqrtLawBound:
 
 
 def _sqrt_law_limit(channel: ChannelParams, c: float) -> float:
-    s2 = channel.sigma_w_sq
-    try:
-        square = (channel.gain_w * c) ** 2
-    except OverflowError:
-        raise ParameterError("the square-root-law limit needs a finite "
-                             "(alpha_w^2 |h_w|^2 c)^2; c is too large") from None
-    scale = 8 * s2 ** 2
-    _require(scale > 0, "the square-root-law limit needs 8 sigma_w^4 > 0 in "
-             "double precision; sigma_w^2 is too small")
-    return channel.gain_w * c / (math.sqrt(2 * math.pi) * s2) \
-        * math.exp(-square / scale)
+    u = channel.gain_w * c / (2 * channel.sigma_w_sq)
+    _require(math.isfinite(u), "the square-root-law limit needs a finite "
+             "u = alpha_w^2 |h_w|^2 c / (2 sigma_w^2); c is too large")
+    return math.sqrt(2 / math.pi) * u * math.exp(-u * u / 2)
 
 
 def solve_sqrt_law_coefficient(channel: ChannelParams, target: float) -> float:

@@ -50,23 +50,22 @@ Reproducibility contract
 
   - ``u[0], u[1]``: ``z1 = sqrt(-s2 log u[0]) exp(2 pi i u[1])``
     (Box-Muller);
-  - ``u[2], u[3]``: ``z2``, the same way (comm-detection only);
-  - ``u[4]``: the remainder ``R ~ Gamma(k, scale s2)``, ``k = n - 2``
-    (``mc_sqrt_law``: ``n - 1``): compared against the Gamma(k) CDF ``P(k, .)``
-    at each decision's boundary, the same event as inverting it; ``k = 0`` is
-    ``R = 0``.  A run brackets ``P(k, .)`` between exact values on a grid of
-    about ``sqrt(2 trials)`` points and evaluates it only for the decisions
-    its bracket leaves open;
+  - ``u[2], u[3]``: ``z2``, the same way;
+  - ``u[4]``: the remainder ``R ~ Gamma(k, scale s2)``, ``k = n - 2``:
+    compared against the Gamma(k) CDF ``P(k, .)`` at each decision's
+    boundary, the same event as inverting it; ``k = 0`` is ``R = 0``.  A run
+    brackets ``P(k, .)`` between exact values on a grid of about
+    ``sqrt(2 trials)`` points and evaluates it only for the decisions its
+    bracket leaves open;
   - ``u[5]``: ``|rho|^2 = -expm1(log1p(-u[5]) / (n - 1))``, the inverse of
-    the Beta(1, n - 1) distribution function (comm-detection only);
-  - ``u[6]``: the phase of ``rho`` as a fraction of a turn (comm-detection
-    only);
+    the Beta(1, n - 1) distribution function;
+  - ``u[6]``: the phase of ``rho`` as a fraction of a turn;
   - ``u[7], u[8]``: two-phase mode only, ``s^H z_p`` by Box-Muller with
     variance ``s2 ||s||^2``;
   - ``u[9..11]``: unused, held back so that the layout stays fixed.
 
-  ``mc_sqrt_law`` restarts the stream at trial 0 for every block length.
-  The pilot estimators use the first words only:
+  ``mc_sqrt_law``, the case ``c = 0``, restarts the stream at trial 0 for
+  every block length.  The pilot estimators use the first words only:
 
   - ``mc_pilot_kl``: ``u[0]``, the modulus ``|s^H y|^2 = -v log u[0]`` of
     a Box-Muller draw of ``s^H y`` with ``v = (kappa_0 S + s2) S`` (its
@@ -293,6 +292,19 @@ def _chunk_threshold(channel: ChannelParams, h_hat: np.ndarray,
     return _threshold(b, (n / (n - 1)) * b / s2, (n - 1) / n * s2, np.expm1)
 
 
+def _reduced_statistics(u: np.ndarray, c: complex | np.ndarray, d: complex,
+                        n: int, s2: float) -> tuple[np.ndarray, np.ndarray]:
+    """``n t0 - R`` and ``n t1 - R`` of a chunk from ``u[0..3], u[5], u[6]``,
+    for the residual ``c`` (a scalar or one per trial) and the trojan ``d``."""
+    z1 = _complex_normal(u[:, 0], u[:, 1], s2)
+    z2 = _complex_normal(u[:, 2], u[:, 3], s2)
+    log_q = np.log1p(-u[:, 5]) / (n - 1)          # log(1 - |rho|^2)
+    rho = np.sqrt(-np.expm1(log_q)) * np.exp(2j * np.pi * u[:, 6])
+    a = c + z1
+    return (np.abs(a) ** 2 + np.abs(z2) ** 2,
+            np.abs(a + d * rho) ** 2 + np.abs(z2 + d * np.exp(log_q / 2)) ** 2)
+
+
 def _radiometer_tally(base_seed: int, trials: int, shape: int, s2: float,
                       statistics: Callable[[np.ndarray], tuple]
                       ) -> tuple[int, int]:
@@ -389,10 +401,6 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
                           stacklevel=2)
 
     def statistics(u: np.ndarray) -> tuple:
-        z1 = _complex_normal(u[:, 0], u[:, 1], s2)
-        z2 = _complex_normal(u[:, 2], u[:, 3], s2)
-        log_q = np.log1p(-u[:, 5]) / (n - 1)          # log(1 - |rho|^2)
-        rho = np.sqrt(-np.expm1(log_q)) * np.exp(2j * np.pi * u[:, 6])
         if two_phase_pilot_len is None:
             h_hat, thr = h_hat_limit, tau_limit
         else:
@@ -400,10 +408,8 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
                 channel, energy, pilot_mean
                 + _complex_normal(u[:, 7], u[:, 8], s2 * energy))
             thr = _chunk_threshold(channel, h_hat, attack.lambda_t, n)
-        a = root_a * (h - h_hat) + z1
-        return (np.abs(a) ** 2 + np.abs(z2) ** 2,
-                np.abs(a + d * rho) ** 2
-                + np.abs(z2 + d * np.exp(log_q / 2)) ** 2, n * thr)
+        return (*_reduced_statistics(u, root_a * (h - h_hat), d, n, s2),
+                n * thr)
 
     fa, md = _radiometer_tally(mc.base_seed, mc.trials, n - 2, s2, statistics)
     p_f, p_m = fa / mc.trials, md / mc.trials
@@ -496,9 +502,9 @@ def mc_sqrt_law(channel: ChannelParams, c: float, n_grid: Sequence[int],
     """Empirical detectability of a silent pilot attack at power c/sqrt(n).
 
     Per blocklength: simulate the optimal test with a perfect channel
-    estimate (epsilon 0) by the reduced sampler, which needs only the
-    noise component along ``x_t`` and the remainder's energy, and tally
-    the error probabilities.  A power schedule decaying slower than
+    estimate (epsilon 0), the reduced sampler of :func:`mc_comm_error_probs`
+    with no residual (``c = 0``) at the threshold ``tau_dagger(h_w)``, and
+    tally the error probabilities.  A power schedule decaying slower than
     1/sqrt(n) sends the error sum to 0, faster sends it to 1, and exactly
     1/sqrt(n) pins ``1 - P_F - P_M`` near a constant controlled by c.
     Each row also carries the square-root-law bound of the noise-only
@@ -517,22 +523,17 @@ def mc_sqrt_law(channel: ChannelParams, c: float, n_grid: Sequence[int],
         n = int(n)
         bound = sqrt_law_bound(channel, c, n)    # rejects c and n before drawing
         lt = c / math.sqrt(n)
-        tau = tau_dagger(channel, h, lt, n)
+        level = n * float(tau_dagger(channel, h, lt, n))
         d = a_w * h * math.sqrt(n * lt)
-        # the spread of n t1 = |d + z1|^2 + R about its mean: below the
-        # resolution of n tau every miss decision is a rounding tie
+        # the spread of n t1 about its mean: below the resolution of n tau
+        # every miss decision is a rounding tie
         spread = math.hypot(abs(d) * math.sqrt(2 * s2), math.sqrt(n) * s2)
-        _require(n * tau + spread > n * tau, "mc_sqrt_law needs the noise "
+        _require(level + spread > level, "mc_sqrt_law needs the noise "
                  "spread sqrt(2 |d|^2 sigma_w^2 + n sigma_w^4) of n t1 above "
                  "the double-precision resolution of n tau")
-
-        def statistics(u: np.ndarray) -> tuple:
-            # reduced sampler with x_t on the first axis: z1, then R
-            z1 = _complex_normal(u[:, 0], u[:, 1], s2)
-            return np.abs(z1) ** 2, np.abs(d + z1) ** 2, n * tau
-
-        fa, md = _radiometer_tally(mc.base_seed, mc.trials, n - 1, s2,
-                                   statistics)
+        fa, md = _radiometer_tally(
+            mc.base_seed, mc.trials, n - 2, s2,
+            lambda u: (*_reduced_statistics(u, 0.0, d, n, s2), level))
         p_f, p_m = fa / mc.trials, md / mc.trials
         se = math.hypot(_std_error_binomial(p_f, mc.trials),
                         _std_error_binomial(p_m, mc.trials))

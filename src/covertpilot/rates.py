@@ -68,7 +68,6 @@ class ScalingRow:
     p_f: float
     p_m: float
     p_sum: float
-    sqrt_bound: float
     sqrt_bound_limit: float
     r_t: float
 
@@ -184,7 +183,7 @@ def power_scaling_table(channel: ChannelParams, config: SystemConfig,
 
     For each blocklength the row holds the power, the noise-only error
     probabilities of the optimal test (clean pilot, no residual, threshold
-    tau_dagger), the square-root-law bound evaluated at the equivalent
+    tau_dagger), the limiting square-root-law bound at the equivalent
     coefficient ``c_n = lambda_t(n) sqrt(n)``, and the rogue-link rate
     ``log2(1 + gain_e lambda_t(n) / sigma_e_sq)``, which is first-order
     linear in lambda_t.  Exponent 1/2 keeps the error sum at a constant;
@@ -206,6 +205,5 @@ def power_scaling_table(channel: ChannelParams, config: SystemConfig,
         r_t = rate_ic(channel, attack)
         rows.append(ScalingRow(n=n, lambda_t=lt, p_f=probs.p_f,
                                p_m=probs.p_m, p_sum=probs.sum,
-                               sqrt_bound=bound.finite_n,
                                sqrt_bound_limit=bound.limit, r_t=r_t))
     return rows

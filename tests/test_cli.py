@@ -382,11 +382,12 @@ class TestMc:
         (["--target", "pilot-kl", "--epsilon", "1e154"], "1 - q"),
         (["--target", "estimator", "--epsilon", "1e200"],
          "|(1+eps) h_w|^2"),
-        (["--target", "sqrtlaw", "--sigma-w-sq", "1e-300"],
-         "8 sigma_w^4 > 0 in double precision"),
+        (["--target", "sqrtlaw", "--sigma-w-sq", "1e-300", "--c", "1e10"],
+         "c is too large"),
         (["--target", "comm-detection", "--seed", "-1"],
          "seed must be >= 0"),
-        (["--target", "sqrtlaw", "--c", "1e300"], "c is too large"),
+        (["--target", "sqrtlaw", "--c", "1e300"],
+         "above the double-precision resolution of n tau"),
         (["--target", "comm-detection", "--lambda-t", "1e308"],
          "n alpha_w^2 |h_w|^2 lambda_t / sigma_w^2"),
         (["--target", "comm-detection", "--lambda-t", "1e300",
@@ -394,17 +395,29 @@ class TestMc:
         (["--target", "pilot-kl", "--epsilon", "1.3e154",
           "--sigma-w-sq", "1e10"], "(1+eps)^2 S + sigma_w^2"),
         (["--target", "sqrtlaw", "--sigma-w-sq=1e-300", "--c=1"],
-         "8 sigma_w^4 > 0 in double precision"),
+         "above the double-precision resolution of n tau"),
         (["--target", "sqrtlaw", "--sigma-w-sq=1e-154", "--c=3e152"],
          "above the double-precision resolution of n tau"),
         (["--target", "pilot-kl", "--pilot-len", "1" + "0" * 400],
          "pilot_len must be at most the largest double"),
+        (["--target", "sqrtlaw", "--c", "1e308"],
+         "above the double-precision resolution of n tau"),
     ])
     def test_out_of_domain_inputs_exit_1(self, argv, constraint, capsys):
         # each ends in a named ParameterError, never in a traceback
         assert run_cli(["mc", "--trials", "100"] + argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and constraint in err
+
+    def test_sqrtlaw_tiny_noise_exits_0(self, tmp_path):
+        # the limit depends on sigma_w^2 only through
+        # u = alpha_w^2 |h_w|^2 c / (2 sigma_w^2), so no sigma_w^4 is formed
+        out = tmp_path / "r.json"
+        assert run_cli(["mc", "--target", "sqrtlaw", "--trials", "100",
+                        "--sigma-w-sq", "1e-300", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["analytic_reference"] == 0.1
+        assert all(row["bound_limit"] == 0.1 for row in doc["table"])
 
     def test_sqrtlaw_default_c_follows_delta_2(self, tmp_path):
         out = tmp_path / "r.json"

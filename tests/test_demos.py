@@ -27,7 +27,7 @@ STDOUT_SHA256 = {
     "04_rate_region.py":
         "c547d583abed19c943bfeca1971901bf66d62d027ff3a8d16a5a51b36d283ce2",
     "05_sqrt_law_dichotomy.py":
-        "c88467c22e603c55bf61f3c9ddaeb8610c44d56b4d3423ab6fbe82035c9dfedb",
+        "050c92fc995b2ff4874522760f90368909cf601d3bb8ac9cd281bd507973568b",
 }
 
 

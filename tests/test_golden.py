@@ -27,11 +27,11 @@ GOLDEN = {
     "mc --target comm-detection --trials 600 --seed 11":
         "ca78b8b097c67ffa647e51b338d17aa5b300cc584573451b047d0c8d31eb5141",
     "mc --target sqrtlaw --trials 400 --seed 16":
-        "67474bc6e86b6c7a8f879db9b617f49eb90303c91fb4847457eff96be4ab443e",
+        "248418589048754546cb2e85b674f64f37fb43fab0bd1e70bb1ba47fc52a653c",
     # a larger bracket grid of the radiometer tally, at k = 10^4 - 1 and
     # 10^5 - 1
     "mc --target sqrtlaw --trials 1500 --seed 17":
-        "69188a1e9fcafbf9a4e2aa8743d243b021e28af6f3396efdc4280d9e00496258",
+        "2d8e2098a845248385691a45e732d2acf88a2ed9cde9a6e5685eb9d5a2cf68ea",
     # k = n - 2 = 1, the smallest shape of the grid's Gamma quantiles
     "mc --target comm-detection --block-len 3 --pilot-len 1 --trials 1500 --seed 19":
         "07bb625b26d438f9dee2d738c610e673627ca323b8a1401b64bfe8319a2fa159",

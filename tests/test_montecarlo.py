@@ -296,11 +296,12 @@ def _box_muller(u_mod, u_arg, var):
     return np.sqrt(-var * np.log(u_mod)) * np.exp(2j * np.pi * u_arg)
 
 
-def inverse_comm_tally(channel, attack, config, n, mc, pilot_len=None):
+def inverse_comm_tally(channel, attack, config, n, mc, pilot_len=None,
+                       threshold=None):
     """(false alarms, misses) of ``mc_comm_error_probs`` with the remainder
     drawn by inversion, ``R = s2 gammaincinv(n - 2, u[4])``, and each
     statistic divided by n before it meets the threshold, on the package's
-    own uniforms."""
+    own uniforms.  ``threshold`` replaces the injected-limit ``tau_eps``."""
     s2, h = channel.sigma_w_sq, channel.h_w
     a_w = math.sqrt(channel.alpha_w_sq)
     root_a = a_w * math.sqrt(n * config.lambda_a)
@@ -315,7 +316,8 @@ def inverse_comm_tally(channel, attack, config, n, mc, pilot_len=None):
         log_q = np.log1p(-u[:, 5]) / (n - 1)
         rho = np.sqrt(-np.expm1(log_q)) * np.exp(2j * np.pi * u[:, 6])
         if pilot_len is None:
-            h_hat, tau = (1 + attack.epsilon) * h, tau_eps(channel, attack)
+            h_hat = (1 + attack.epsilon) * h
+            tau = tau_eps(channel, attack) if threshold is None else threshold
         else:
             mean = a_w * h * (1 + attack.epsilon) * energy
             h_hat = mmse_estimate(
@@ -327,22 +329,6 @@ def inverse_comm_tally(channel, attack, config, n, mc, pilot_len=None):
         t1 = (np.abs(a + d * rho) ** 2
               + np.abs(z2 + d * np.exp(log_q / 2)) ** 2 + rest) / n
         return np.count_nonzero(t0 > tau), np.count_nonzero(t1 < tau)
-
-    return tuple(map(sum, zip(*_per_chunk(mc.base_seed, mc.trials, tally))))
-
-
-def inverse_sqrt_law_tally(channel, c, n, mc):
-    """(false alarms, misses) of ``mc_sqrt_law`` at one n, with
-    ``R = s2 gammaincinv(n - 1, u[4])``."""
-    s2, lt = channel.sigma_w_sq, c / math.sqrt(n)
-    tau = tau_dagger(channel, channel.h_w, lt, n)
-    d = math.sqrt(channel.alpha_w_sq) * channel.h_w * math.sqrt(n * lt)
-
-    def tally(u):
-        z1 = _box_muller(u[:, 0], u[:, 1], s2)
-        rest = s2 * gammaincinv(n - 1, u[:, 4])
-        return (np.count_nonzero((np.abs(z1) ** 2 + rest) / n > tau),
-                np.count_nonzero((np.abs(d + z1) ** 2 + rest) / n < tau))
 
     return tuple(map(sum, zip(*_per_chunk(mc.base_seed, mc.trials, tally))))
 
@@ -380,12 +366,17 @@ class TestUniformSpaceDecisions:
         assert tally == inverse_comm_tally(channel, attack, config, n, mc,
                                            pilot_len)
 
-    def test_sqrt_law_tallies_equal_inverse_path(self, channel):
+    def test_sqrt_law_tallies_equal_inverse_path(self, channel, config):
+        # mc_sqrt_law is the comm-detection sampler at eps = 0 with the
+        # threshold tau_dagger(h_w)
         n, mc = 10_000, McConfig(trials=self.TRIALS, base_seed=48)
         row = mc_sqrt_law(channel, 1.0, [n], mc)[0]
         tally = (round(row.p_f * mc.trials), round(row.p_m * mc.trials))
         assert all(0 < k < mc.trials for k in tally), tally
-        assert tally == inverse_sqrt_law_tally(channel, 1.0, n, mc)
+        lt = 1.0 / math.sqrt(n)
+        assert tally == inverse_comm_tally(
+            channel, AttackParams(0.0, lt), config, n, mc,
+            threshold=tau_dagger(channel, channel.h_w, lt, n))
 
     @pytest.mark.parametrize("n", [2, 3, 256, 10_000])
     def test_injected_limit_matches_exact_law(self, channel, config, n):
