@@ -58,6 +58,16 @@ def _require(cond: bool, msg: str) -> None:
         raise ParameterError(msg)
 
 
+def _abs2(z):
+    """``|z|^2`` as ``Re^2 + Im^2``, two products and a sum.
+
+    IEEE products and sums round alike in Python and numpy and overflow to
+    inf without raising, so an array call equals the per-element scalar
+    calls bit for bit.
+    """
+    return z.real * z.real + z.imag * z.imag
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Propagation losses, noise powers, and realized fading gains.
@@ -90,20 +100,17 @@ class ChannelParams:
             h = complex(getattr(self, name))
             _require(math.isfinite(h.real) and math.isfinite(h.imag),
                      f"{name} must be finite")
-            try:
-                finite = math.isfinite(getattr(self, gain))
-            except OverflowError:   # |h|^2 itself overflows
-                finite = False
-            _require(finite, f"{gain} = {alpha} * |{name}|^2 must be finite")
+            _require(math.isfinite(getattr(self, gain)),
+                     f"{gain} = {alpha} * |{name}|^2 must be finite")
 
     @property
     def gain_w(self) -> float:
         """alpha_w^2 * |h_w|^2, the received power per unit transmit power."""
-        return self.alpha_w_sq * abs(self.h_w) ** 2
+        return self.alpha_w_sq * _abs2(self.h_w)
 
     @property
     def gain_e(self) -> float:
-        return self.alpha_e_sq * abs(self.h_e) ** 2
+        return self.alpha_e_sq * _abs2(self.h_e)
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,11 @@ Inputs may broadcast (array ``epsilon``/``lambda_t``, ``h_hat``, ``tau``);
 a scalar call is the 0-d case of the same code and returns a float.
 The analytic core's byte contract is that a grid cell equals the scalar
 call at its point, bit for bit.  So ``expm1`` and ``log2`` run through
-Python's ``math`` per element, ``|h|`` through ``np.hypot`` (C ``hypot``,
-as Python's ``abs`` of a complex) and squares through ``np.float_power``
-(C ``pow``, as ``**``): numpy's SIMD ``expm1``, ``log2``, ``abs`` and
-squares differ in the last bit.  The Monte Carlo sampler, which has no
-such contract, thresholds with numpy's ``expm1`` instead.
+Python's ``math`` per element, since numpy's SIMD ``expm1`` and ``log2``
+differ in the last bit; every square is a product, ``|h|^2`` being
+``Re^2 + Im^2``, which rounds alike in Python and numpy.  The Monte Carlo
+sampler, which has no such contract, thresholds with numpy's ``expm1``
+instead.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import (AttackParams, ChannelParams, ParameterError,
-                      SystemConfig, _require)
+                      SystemConfig, _abs2, _require)
 
 
 def _per_element(fn):
@@ -68,18 +68,6 @@ def _per_element(fn):
 _expm1 = _per_element(math.expm1)
 _log2 = _per_element(math.log2)
 _TINY = sys.float_info.min      # the smallest normal double
-
-
-def _abs(x):
-    """``abs`` of each element as one C ``hypot`` call per element.
-
-    Python's ``abs(complex)`` is C ``hypot`` too, so the two agree bit for
-    bit, except that ``abs`` raises :class:`OverflowError` where a finite
-    complex's modulus overflows and this returns inf (which
-    :func:`tau_dagger` rejects).  ``np.abs`` of a complex differs from both
-    in the last bit on many values.
-    """
-    return np.hypot(np.real(x), np.imag(x))[()]
 
 
 class Regime(Enum):
@@ -117,13 +105,35 @@ def _threshold(b, x, at_zero, expm1=_expm1):
     ``x`` is subnormal or 0, ``x`` has lost the precision that ``b / x``
     needs, so there the threshold is ``at_zero * x / (1 - e^-x)``, whose
     factor ``x / (1 - e^-x)`` is 1 for every ``x`` below about 1e-16 (and
-    is taken as 1 where ``x = 0`` makes it 0/0).  ``expm1`` defaults to the
-    per-element ``math.expm1``; the Monte Carlo sampler passes ``np.expm1``.
+    is taken as 1 where ``x = 0`` makes it 0/0).  ``b`` and ``x`` are taken
+    as float arrays, so a scalar ``b = 0`` divides as numpy does.
+    ``expm1`` is the only difference between the analytic threshold and
+    the sampler's: it defaults to the per-element ``math.expm1``, and the
+    two-phase Monte Carlo run passes ``np.expm1``.
     """
+    b, x = np.asarray(b, float), np.asarray(x, float)
     den = -expm1(-x)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(np.minimum(b, x) < _TINY,
                         at_zero * np.fmax(x / den, 1.0), b / den)[()]
+
+
+def _dagger_terms(channel: ChannelParams, h_hat: complex | np.ndarray,
+                  lambda_t: float, n: int) -> tuple:
+    """``(b, x, at_zero)`` of :func:`_threshold` for :func:`tau_dagger`.
+
+    ``b = alpha_w^2 |h_hat|^2 lambda_t``, ``x = (n/(n-1)) b / sigma_w^2``
+    and ``at_zero = (n-1)/n sigma_w^2``.  Raises :class:`ParameterError`
+    when ``b`` is not a finite float.
+    """
+    _require(n >= 2, "n must be >= 2")
+    _require(lambda_t >= 0, "lambda_t must be >= 0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = channel.alpha_w_sq * _abs2(h_hat) * lambda_t
+    _require(np.all(np.isfinite(b)), "tau_dagger needs a finite scaled "
+             "trojan power alpha_w^2 |h_hat|^2 lambda_t")
+    return (b, (n / (n - 1)) * b / channel.sigma_w_sq,
+            (n - 1) / n * channel.sigma_w_sq)
 
 
 def tau_dagger(channel: ChannelParams, h_hat: complex | np.ndarray,
@@ -134,14 +144,7 @@ def tau_dagger(channel: ChannelParams, h_hat: complex | np.ndarray,
     the limit as ``b -> 0+``, and so does every ``b`` small enough.
     Raises :class:`ParameterError` when ``b`` is not a finite float.
     """
-    _require(n >= 2, "n must be >= 2")
-    _require(lambda_t >= 0, "lambda_t must be >= 0")
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = channel.alpha_w_sq * np.float_power(_abs(h_hat), 2) * lambda_t
-    _require(np.all(np.isfinite(b)), "tau_dagger needs a finite scaled "
-             "trojan power alpha_w^2 |h_hat|^2 lambda_t")
-    return _threshold(b, (n / (n - 1)) * b / channel.sigma_w_sq,
-                      (n - 1) / n * channel.sigma_w_sq)
+    return _threshold(*_dagger_terms(channel, h_hat, lambda_t, n))
 
 
 def tau_eps(channel: ChannelParams, attack: AttackParams) -> float | np.ndarray:
@@ -153,9 +156,9 @@ def tau_eps(channel: ChannelParams, attack: AttackParams) -> float | np.ndarray:
     and lambda_t.  Raises :class:`ParameterError` when ``b`` or
     ``b / sigma_w^2`` is not a finite float.
     """
+    scale = 1 + attack.epsilon
     with np.errstate(over="ignore", invalid="ignore"):
-        b = np.float_power(1 + attack.epsilon, 2) * channel.gain_w \
-            * attack.lambda_t
+        b = scale * scale * channel.gain_w * attack.lambda_t
         snr = b / channel.sigma_w_sq
     _require(np.all(np.isfinite(b)), "tau_eps needs a finite scaled trojan "
              "power (1+eps)^2 alpha_w^2 |h_w|^2 lambda_t")
@@ -167,7 +170,7 @@ def tau_eps(channel: ChannelParams, attack: AttackParams) -> float | np.ndarray:
 def residual_power(channel: ChannelParams, attack: AttackParams,
                    config: SystemConfig) -> float | np.ndarray:
     """Leakage power from imperfect cancellation: eps^2 alpha_w^2 |h_w|^2 lambda_a."""
-    return np.float_power(attack.epsilon, 2) * channel.gain_w * config.lambda_a
+    return attack.epsilon * attack.epsilon * channel.gain_w * config.lambda_a
 
 
 def statistic_levels(channel: ChannelParams, attack: AttackParams,
@@ -258,7 +261,7 @@ def tail_bound_sum(channel: ChannelParams, attack: AttackParams,
     n = config.block_len
     _, d1, d2 = regime_gaps(channel, attack, config)
     if d1 >= 0:
-        return math.exp(-0.5 * n * d1 ** 2)
+        return math.exp(-0.5 * n * (d1 * d1))
     if d2 >= 0:
         return math.exp(-n * (1 + d2 - math.sqrt(1 + 2 * d2)))
     raise ParameterError("tail bound applies only in the blind-test regimes")
@@ -318,7 +321,7 @@ def solve_sqrt_law_coefficient(channel: ChannelParams, target: float) -> float:
     _require(channel.gain_w > 0, "needs a nonzero link gain")
     peak = math.sqrt(2 / (math.pi * math.e))
     # near the peak -pi target^2 / 2 may round onto -1/e (W0 NaN) or past it
-    w = lambertw(-math.pi * target ** 2 / 2)
+    w = lambertw(-math.pi * (target * target) / 2)
     if not (target < peak and w.imag == 0):
         raise ParameterError(f"target {target} is not below the peak bound {peak:.6g}")
     c = math.sqrt(2 * math.pi) * channel.sigma_w_sq * target / channel.gain_w \

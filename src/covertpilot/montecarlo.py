@@ -73,11 +73,11 @@ Reproducibility contract
   - ``mc_estimator_error``: ``u[0], u[1]``, ``s^H z`` by Box-Muller with
     variance ``s2 S``, shared by both hypotheses; the stream restarts at
     trial 0 for every pilot length.
-* The two-phase thresholds ``tau_dagger(h_hat)`` are computed over each
-  chunk in numpy arithmetic, with numpy's ``expm1`` like the rest of the
-  sampler (:func:`_chunk_threshold`); each agrees with a scalar
-  :func:`~covertpilot.detection.tau_dagger` call to a few ulp, not bit for
-  bit, and is the same for a trial whatever chunk it falls in.
+* The two-phase thresholds ``tau_dagger(h_hat)`` of each chunk take the
+  terms of :func:`~covertpilot.detection.tau_dagger` and numpy's ``expm1``
+  like the rest of the sampler; each agrees with a scalar ``tau_dagger``
+  call to a few ulp, not bit for bit, and is the same for a trial whatever
+  chunk it falls in.
 * Trials run serially in chunks of at most :data:`CHUNK`, which bound the
   memory of a run and nothing else: tallies are integer sums and means are
   taken over the concatenated per-trial values, so the chunk size never
@@ -126,10 +126,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import AttackParams, ChannelParams, SystemConfig, _require
-from .detection import (ErrorProbabilities, _threshold, analytic_error_probs,
-                        sqrt_law_bound, tau_dagger, tau_eps)
-from .pilot import _square, kl_pilot_exact, mmse_estimate, mmse_limit
+from .channel import (AttackParams, ChannelParams, SystemConfig, _abs2,
+                      _require)
+from .detection import (ErrorProbabilities, _dagger_terms, _threshold,
+                        analytic_error_probs, sqrt_law_bound, tau_dagger,
+                        tau_eps)
+from .pilot import kl_pilot_exact, mmse_estimate, mmse_limit
 
 # SeedSequence spawn key of every run's trial stream; fixed so that results
 # are reproducible across versions.  Labels 0-3 and 5 belong to the
@@ -273,25 +275,6 @@ def _injected_limit_reference(channel: ChannelParams, epsilon: float,
     return tau, analytic_error_probs(channel, attack, config, tau)
 
 
-def _chunk_threshold(channel: ChannelParams, h_hat: np.ndarray,
-                     lambda_t: float, n: int) -> np.ndarray:
-    """``tau_dagger`` of a chunk's estimates, in numpy arithmetic.
-
-    ``b = alpha_w^2 (Re^2 h_hat + Im^2 h_hat) lambda_t`` and numpy's
-    ``expm1`` stand in for the C ``hypot`` and the per-element
-    ``math.expm1`` of ``tau_dagger``, so each threshold agrees with a
-    scalar call to a few ulp instead of bit for bit; ``b = 0`` still gives
-    ``(n-1)/n sigma_w^2`` exactly.  Raises the same
-    :class:`ParameterError` as ``tau_dagger`` for a non-finite ``b``.
-    """
-    s2 = channel.sigma_w_sq
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = channel.alpha_w_sq * (h_hat.real ** 2 + h_hat.imag ** 2) * lambda_t
-    _require(np.all(np.isfinite(b)), "tau_dagger needs a finite scaled "
-             "trojan power alpha_w^2 |h_hat|^2 lambda_t")
-    return _threshold(b, (n / (n - 1)) * b / s2, (n - 1) / n * s2, np.expm1)
-
-
 def _reduced_statistics(u: np.ndarray, c: complex | np.ndarray, d: complex,
                         n: int, s2: float) -> tuple[np.ndarray, np.ndarray]:
     """``n t0 - R`` and ``n t1 - R`` of a chunk from ``u[0..3], u[5], u[6]``,
@@ -370,12 +353,12 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
     estimation phase is re-simulated per trial at that finite pilot
     length, and the receiver's estimate and its threshold
     ``tau_dagger(h_hat)`` come from its own noisy pilot observation
-    instead of the injected limit (``tau_dagger`` in numpy arithmetic over
-    each chunk's estimates, see :func:`_chunk_threshold`); a pilot not
-    shorter than the block draws a warning.  The ``analytic_reference``
-    of both results stays the injected-limit value at ``tau_eps`` in either
-    mode, so in the two-phase mode it is a landmark, not the expectation
-    of the estimate.
+    instead of the injected limit (``tau_dagger``'s terms over each
+    chunk's estimates with numpy's ``expm1``, so within a few ulp of a
+    scalar call); a pilot not shorter than the block draws a warning.
+    The ``analytic_reference`` of both results stays the injected-limit
+    value at ``tau_eps`` in either mode, so in the two-phase mode it is a
+    landmark, not the expectation of the estimate.
     """
     n = mc.n if mc.n is not None else config.block_len
     _require(math.isfinite(n * channel.gain_w * attack.lambda_t
@@ -407,7 +390,8 @@ def mc_comm_error_probs(channel: ChannelParams, attack: AttackParams,
             h_hat = mmse_estimate(
                 channel, energy, pilot_mean
                 + _complex_normal(u[:, 7], u[:, 8], s2 * energy))
-            thr = _chunk_threshold(channel, h_hat, attack.lambda_t, n)
+            thr = _threshold(*_dagger_terms(channel, h_hat, attack.lambda_t,
+                                            n), np.expm1)
         return (*_reduced_statistics(u, root_a * (h - h_hat), d, n, s2),
                 n * thr)
 
@@ -442,7 +426,7 @@ def mc_pilot_kl(channel: ChannelParams, attack: AttackParams, l: int,
     reference = kl_pilot_exact(channel, attack, S)  # rejects huge eps
     s2 = channel.sigma_w_sq
     kappa0 = channel.alpha_w_sq * channel.sigma_h_sq
-    kappa1 = kappa0 * _square(1 + attack.epsilon)
+    kappa1 = kappa0 * ((1 + attack.epsilon) * (1 + attack.epsilon))
     gap = S * kappa0 * attack.epsilon * (2 + attack.epsilon)  # S (kappa1 - kappa0)
     logdet = math.log1p(gap / (s2 + kappa0 * S))
     den = s2 + kappa1 * S
@@ -475,7 +459,7 @@ def mc_estimator_error(channel: ChannelParams, attack: AttackParams,
     a_w = math.sqrt(channel.alpha_w_sq)
     lim0 = channel.h_w
     lim1 = mmse_limit(channel, attack)
-    _require(math.isfinite(_square(abs(lim1))),
+    _require(math.isfinite(_abs2(lim1)),
              "|(1+eps) h_w|^2 must be finite; epsilon is too large")
     rows = []
     for l in l_grid:

@@ -36,14 +36,6 @@ import numpy as np
 from .channel import AttackParams, ChannelParams, ParameterError, _require
 
 
-def _square(x: float) -> float:
-    """``x ** 2`` by libm ``pow`` (as ``**``), but inf on overflow."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
-
 def kl_pilot_exact(channel: ChannelParams, attack: AttackParams,
                    pilot_energy: float) -> float:
     """Divergence (nats) between the two pilot hypotheses at finite length.
@@ -69,7 +61,7 @@ def kl_pilot_exact(channel: ChannelParams, attack: AttackParams,
              "pilot_energy S = ||s||^2 must be finite and >= 0")
     a = channel.alpha_w_sq * channel.sigma_h_sq / channel.sigma_w_sq
     eps = attack.epsilon
-    scaled = a * _square(1 + eps) * S
+    scaled = a * ((1 + eps) * (1 + eps)) * S
     den = 1 + scaled
     q = a * eps * (2 + eps) * S / den
     if math.isclose(1 - q, (1 + a * S) / den, rel_tol=1e-6):
@@ -90,8 +82,8 @@ def kl_pilot_limit(epsilon: float) -> float:
     terms cancel to within a few ulps of ``2 eps``, so there it is the
     series ``2 eps^2 - 10 eps^3/3 + 9 eps^4/2 - 28 eps^5/5 + 20 eps^6/3
     - 54 eps^7/7``, whose first omitted term is below rounding; its factor
-    of ``eps ** 2`` never exceeds 2, so the value never exceeds
-    ``2 * eps ** 2`` as evaluated.  Above it ``1 - (1+eps)^{-2}`` is
+    of ``eps * eps`` never exceeds 2, so the value never exceeds
+    ``2 * (eps * eps)`` as evaluated.  Above it ``1 - (1+eps)^{-2}`` is
     evaluated as ``eps (2+eps) / (1+eps)^2``; where ``(1+eps)^2`` overflows
     that fraction is 1 to double precision.
     """
@@ -99,9 +91,9 @@ def kl_pilot_limit(epsilon: float) -> float:
         raise ParameterError("epsilon must be >= 0")
     if epsilon < 1e-3:
         e = epsilon
-        return e ** 2 * (2 - e * (10 / 3 - e * (9 / 2 - e * (
+        return e * e * (2 - e * (10 / 3 - e * (9 / 2 - e * (
             28 / 5 - e * (20 / 3 - e * (54 / 7))))))
-    den = _square(1 + epsilon)
+    den = (1 + epsilon) * (1 + epsilon)
     frac = epsilon * (2 + epsilon) / den if math.isfinite(den) else 1.0
     return 2 * math.log1p(epsilon) - frac
 
@@ -115,7 +107,7 @@ def covertness_margin(epsilon: float, delta_1: float) -> bool:
     """
     _require(0 <= delta_1 < 1, "delta_1 must lie in [0, 1)")
     _require(epsilon >= 0, "epsilon must be >= 0")
-    kl_bound = 2 * _square(epsilon)
+    kl_bound = 2 * (epsilon * epsilon)
     _require(math.isfinite(kl_bound), "kl_bound = 2 eps^2 must be finite")
     if kl_pilot_limit(epsilon) > kl_bound:
         raise ArithmeticError(f"kl_pilot_limit({epsilon!r}) exceeds 2 eps^2")

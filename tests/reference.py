@@ -25,7 +25,6 @@ from covertpilot import (AttackParams, ChannelParams, SystemConfig,
                          attack_feasibility, derive_rng, gaussian_input,
                          mmse_estimate, mmse_limit, tau_dagger, tau_eps)
 from covertpilot.channel import _require, complex_normal
-from covertpilot.pilot import _square
 from covertpilot.rates import FeasibilityReport
 
 # Stream labels of the reference simulation; the values are fixed so that
@@ -143,7 +142,7 @@ def pilot_covariances(channel: ChannelParams, attack: AttackParams,
     outer = np.outer(pilot, pilot.conj())
     kappa = channel.alpha_w_sq * channel.sigma_h_sq
     eye = channel.sigma_w_sq * np.eye(len(pilot))
-    scale = kappa * _square(1 + attack.epsilon)
+    scale = kappa * ((1 + attack.epsilon) * (1 + attack.epsilon))
     _require(math.isfinite(scale),
              "alpha_w^2 sigma_h^2 (1+eps)^2 must be finite")
     return PilotCovariances(kappa * outer + eye, scale * outer + eye)

@@ -402,6 +402,8 @@ class TestMc:
          "pilot_len must be at most the largest double"),
         (["--target", "sqrtlaw", "--c", "1e308"],
          "above the double-precision resolution of n tau"),
+        (["--target", "estimator", "--epsilon", "1.5e308", "--h-w", "1+1j"],
+         "|(1+eps) h_w|^2"),
     ])
     def test_out_of_domain_inputs_exit_1(self, argv, constraint, capsys):
         # each ends in a named ParameterError, never in a traceback

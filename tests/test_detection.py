@@ -1,20 +1,23 @@
+import ast
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covertpilot
 from covertpilot import (AttackParams, ParameterError, Regime,
                          analytic_error_probs, attack_feasibility,
                          classify_regime, derive_rng, regime_gaps,
                          solve_lambda_star, solve_sqrt_law_coefficient,
                          sqrt_law_bound, tail_bound_sum, tau_dagger, tau_eps)
-from covertpilot.channel import complex_normal
-from covertpilot.detection import _abs, _expm1, _log2, _sqrt_law_limit
-from covertpilot.montecarlo import _chunk_threshold
+from covertpilot.channel import _abs2, complex_normal
+from covertpilot.detection import (_dagger_terms, _expm1, _log2,
+                                   _sqrt_law_limit, _threshold)
 from reference import (STREAM_NOISE, CommHypothesis, alice_input,
                        radiometer_statistic, synthesize_received)
 
@@ -123,7 +126,7 @@ class TestThresholds:
             tau_dagger(channel, channel.h_w, 0.3, 1)
         with pytest.raises(ParameterError):
             tau_dagger(channel, channel.h_w, -0.1, 100)
-        # |h_hat| overflows (hypot returns inf), or b does, or h_hat is nan
+        # |h_hat|^2 overflows, or b does, or h_hat is nan
         for h_hat, lt in ((1e308 + 1e308j, 0.3),
                           (np.array([1.0, 1e308 + 1e308j]), 0.3),
                           (1e200 + 0j, 0.3),
@@ -420,8 +423,8 @@ def test_tau_dagger_array_equals_scalar_calls(channel, gains, lt, n):
     assert taus.tolist() == [tau_dagger(channel, h, lt, n) for h in gains]
 
 
-# the two-phase Monte Carlo thresholds a chunk of estimates in numpy
-# arithmetic (Re^2 + Im^2, np.expm1): each threshold within a few ulp of a
+# the two-phase Monte Carlo thresholds a chunk of estimates with
+# tau_dagger's terms and np.expm1: each threshold within a few ulp of a
 # scalar tau_dagger, b = 0 and subnormal b included, and exactly its
 # limit (n-1)/n sigma_w^2 at lambda_t = 0
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -430,11 +433,14 @@ def test_tau_dagger_array_equals_scalar_calls(channel, gains, lt, n):
 def test_chunk_threshold_within_ulps_of_tau_dagger(channel, gains, lt, n, s2):
     channel = replace(channel, sigma_w_sq=s2)
     h_hat = np.array([0j] + gains)                         # b = 0 first
-    taus = _chunk_threshold(channel, h_hat, lt, n)
+
+    def chunk_threshold(lt):
+        return _threshold(*_dagger_terms(channel, h_hat, lt, n), np.expm1)
+
+    taus = chunk_threshold(lt)
     ref = np.array([tau_dagger(channel, h, lt, n) for h in h_hat.tolist()])
     assert np.all(np.abs(taus - ref) <= 8 * 2.0 ** -52 * ref)
-    assert _chunk_threshold(channel, h_hat, 0.0, n).tolist() \
-        == [(n - 1) / n * s2] * len(h_hat)
+    assert chunk_threshold(0.0).tolist() == [(n - 1) / n * s2] * len(h_hat)
 
 
 def _bits(x):
@@ -443,13 +449,14 @@ def _bits(x):
     return np.where(np.isnan(x), np.nan, x).view(np.uint64).tolist()
 
 
-# |h_hat| in tau_dagger is one C hypot per element, as Python's abs of a
-# complex or a float, so array calls match the per-element values bit for bit
 SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -4e-320,
             2.2250738585072014e-308, 1e308, -1e308, 1.0)
 
 
-def test_abs_equals_python_abs_bit_for_bit():
+# |h|^2 is Re^2 + Im^2 in products and a sum, which round alike in numpy
+# and Python: an array call matches the per-element scalar calls bit for
+# bit, and a finite gain whose square overflows gives inf, never a raise
+def test_abs2_array_equals_scalar_calls_bit_for_bit():
     rng = np.random.default_rng(5)
     parts = rng.standard_normal((2, 50_000)) \
         * 10.0 ** rng.uniform(-320, 300, (2, 50_000))
@@ -457,11 +464,29 @@ def test_abs_equals_python_abs_bit_for_bit():
     for re, im in (parts, pairs):
         z = re.astype(complex)
         z.imag = im   # re + 1j * im would turn inf * 0j into nan
-        assert _bits(_abs(z)) == _bits([abs(v) for v in z.tolist()])
-        assert _bits(_abs(re)) == _bits([abs(v) for v in re.tolist()])
-    for v in (3 + 4j, -2.5, complex(math.nan, math.inf), 1e308, -0.0):
-        assert isinstance(_abs(v), float)
-        assert _bits(_abs(v)) == _bits(abs(v))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _bits(_abs2(z)) == _bits([_abs2(v) for v in z.tolist()])
+            assert _bits(_abs2(re)) == _bits([_abs2(v) for v in re.tolist()])
+    for v in (1e200 + 1e200j, 1.5e308 + 1.5e308j):
+        assert _abs2(v) == math.inf
+
+
+# a second way of squaring in the analytic core would break the contract
+# above (pow and hypot round otherwise than a product) or the covertness
+# self-check, which compares kl_pilot_limit with 2 * (eps * eps)
+@pytest.mark.parametrize("module", ["channel", "detection", "pilot", "rates"])
+def test_analytic_core_squares_only_by_products(module):
+    path = Path(covertpilot.__file__).parent / f"{module}.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) \
+                and isinstance(node.right, ast.Constant) \
+                and node.right.value == 2 \
+                or isinstance(node, (ast.Name, ast.Attribute)) \
+                and ast.unparse(node) in ("float_power", "np.float_power",
+                                          "np.hypot"):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    assert found == []
 
 
 # _expm1 and _log2 call math.expm1 and math.log2 once per element, so an

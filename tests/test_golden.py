@@ -1,4 +1,4 @@
-"""Golden outputs: the bytes of eleven pinned CLI commands, by sha256.
+"""Golden outputs: the bytes of thirteen pinned CLI commands, by sha256.
 
 Each command runs in-process and its stdout is hashed; every command but
 ``verify``, which takes no ``--out``, is run again into an ``--out`` file
@@ -24,6 +24,11 @@ GOLDEN = {
         "3356bb868b68e9ce7be007e61769ca4d6afad4ae1295e2d0033f75f163c3fe3f",
     "rate --epsilon 0.0 --lambda-t 0.3":
         "329ad6c9ce7c783eca1397ec9819cd365c606bef13d092b127b511e85b146c9c",
+    # a complex gain, whose |h_w|^2 = Re^2 + Im^2 rounds in its last bits
+    "rate --h-w 0.3+0.2j":
+        "28b2695ae63aa10f9a3785f5951a9777eef7057c7fe95042d57b33c54bb56b07",
+    "sweep --h-w 0.3+0.2j --eps-steps 12 --lt-steps 12":
+        "7df73da89ebef33a7ed86daa52c031a0d3a4f5de8ae656b22c1c3af1dd31c557",
     "mc --target comm-detection --trials 600 --seed 11":
         "ca78b8b097c67ffa647e51b338d17aa5b300cc584573451b047d0c8d31eb5141",
     "mc --target sqrtlaw --trials 400 --seed 16":

@@ -109,10 +109,12 @@ class TestKlLimit:
         assert 0 <= kl_pilot_limit(eps) <= 2 * eps ** 2
 
     def test_quadratic_bound_on_small_eps_sweep(self):
-        # 2 log(1+eps) - 1 + (1+eps)^-2 cancels near 0; the bound holds
-        # with no rounding slack over the whole small-eps range
+        # 2 log(1+eps) - 1 + (1+eps)^-2 cancels near 0; the bound as the
+        # package evaluates it, 2 * (eps * eps), holds with no rounding
+        # slack over the whole small-eps range
         eps = np.logspace(-300, -2, 200_000).tolist()
-        over = [e for e in eps if not 0 <= kl_pilot_limit(e) <= 2 * e ** 2]
+        over = [e for e in eps
+                if not 0 <= kl_pilot_limit(e) <= 2 * (e * e)]
         assert over == []
 
 
