@@ -9,16 +9,13 @@ between the received-pilot laws, which has a closed form in the pilot
 energy and tends to ``2 log(1+eps) - 1 + (1+eps)^{-2}``.
 """
 
-import math
-
 import numpy as np
 
-from covertpilot import (AttackParams, ChannelParams, McConfig,
+from covertpilot import (AttackParams, McConfig, build_scenario,
                          covertness_margin, kl_pilot_exact, kl_pilot_limit,
                          mc_pilot_kl)
 
-channel = ChannelParams(alpha_w_sq=0.1, alpha_e_sq=0.1, sigma_w_sq=0.1,
-                        sigma_e_sq=0.1, sigma_h_sq=1.0, h_w=1 + 0j, h_e=1 + 0j)
+channel, config, _ = build_scenario()
 
 ##############################################################################
 # The divergence grows with the pilot length and saturates at the limit.
@@ -36,9 +33,8 @@ print(f"{'2eps^2':>7} {2 * 0.1 ** 2:>18.8f}")
 # Covertness budget: with delta_1 = 1/sqrt(10), scalings up to
 # 1/sqrt(20) = 0.2236 stay covert.
 
-delta_1 = 1 / math.sqrt(10)
 for eps in (0.1, 0.2, 0.2236, 0.23, 0.3):
-    covert = covertness_margin(eps, delta_1)
+    covert = covertness_margin(eps, config.delta_1)
     print(f"eps = {eps:<6} covert = {str(covert):<5} "
           f"(divergence bound {2 * eps ** 2:.4f} nats)")
 

@@ -12,19 +12,11 @@ import math
 
 import numpy as np
 
-from covertpilot import (AttackParams, ChannelParams, McConfig,
-                         derive_rng, mc_estimator_error,
-                         mmse_estimate, mmse_limit, SystemConfig,
-                         link_capacity)
+from covertpilot import (McConfig, build_scenario, derive_rng,
+                         mc_estimator_error, mmse_estimate, mmse_limit)
 from covertpilot.channel import complex_normal
 
-channel = ChannelParams(alpha_w_sq=0.1, alpha_e_sq=0.1, sigma_w_sq=0.1,
-                        sigma_e_sq=0.1, sigma_h_sq=1.0, h_w=1 + 0j, h_e=1 + 0j)
-attack = AttackParams(epsilon=0.1, lambda_t=0.3)
-config = SystemConfig.create(channel, lambda_a=20.0,
-                             r_a=0.8 * link_capacity(channel, 20.0),
-                             delta_1=1 / math.sqrt(10), delta_2=0.1,
-                             pilot_len=64, block_len=10_000)
+channel, config, attack = build_scenario()
 
 ##############################################################################
 # Noise-free view: the finite-length estimator shrinks toward zero by

@@ -10,26 +10,18 @@ on everything: false alarm plus missed detection tends to 1, which is no
 better than guessing.
 """
 
-import math
 from dataclasses import replace
 
-from covertpilot import (AttackParams, ChannelParams, McConfig, SystemConfig,
-                         analytic_error_probs, classify_regime, link_capacity,
-                         mc_comm_error_probs, regime_gaps,
-                         solve_lambda_star, tail_bound_sum, tau_dagger,
-                         tau_eps)
+from covertpilot import (AttackParams, McConfig, analytic_error_probs,
+                         build_scenario, classify_regime, mc_comm_error_probs,
+                         regime_gaps, solve_lambda_star, tail_bound_sum,
+                         tau_dagger, tau_eps)
 
-channel = ChannelParams(alpha_w_sq=0.1, alpha_e_sq=0.1, sigma_w_sq=0.1,
-                        sigma_e_sq=0.1, sigma_h_sq=1.0, h_w=1 + 0j, h_e=1 + 0j)
-config = SystemConfig.create(channel, lambda_a=20.0,
-                             r_a=0.8 * link_capacity(channel, 20.0),
-                             delta_1=1 / math.sqrt(10), delta_2=0.1,
-                             pilot_len=64, block_len=10_000)
+channel, config, attack = build_scenario()
 
 ##############################################################################
 # Finite-n optimal threshold converges (from below) to the asymptotic one.
 
-attack = AttackParams(epsilon=0.1, lambda_t=0.3)
 h_hat = (1 + attack.epsilon) * channel.h_w
 print(f"{'n':>8} {'tau_dagger':>12}")
 for n in (10, 100, 1000, 100_000):

@@ -10,19 +10,11 @@ larger admissible trojan power through the detector but costs the
 legitimate link its margin.
 """
 
-import math
-
 import numpy as np
 
-from covertpilot import (AttackParams, ChannelParams, SystemConfig,
-                         link_capacity, attack_feasibility)
+from covertpilot import AttackParams, attack_feasibility, build_scenario
 
-channel = ChannelParams(alpha_w_sq=0.1, alpha_e_sq=0.1, sigma_w_sq=0.1,
-                        sigma_e_sq=0.1, sigma_h_sq=1.0, h_w=1 + 0j, h_e=1 + 0j)
-config = SystemConfig.create(channel, lambda_a=20.0,
-                             r_a=0.8 * link_capacity(channel, 20.0),
-                             delta_1=1 / math.sqrt(10), delta_2=0.1,
-                             pilot_len=64, block_len=10_000)
+channel, config, _ = build_scenario()
 
 ##############################################################################
 # Coarse text rendering of the region ('#' feasible, '.' not); rows are

@@ -10,20 +10,12 @@ constant distance from a blind test, tunable through c.  The achievable
 rate then scales as n^{-1/2}: covert bits grow like sqrt(n), not n.
 """
 
-import math
-
 import numpy as np
 
-from covertpilot import (ChannelParams, McConfig, SystemConfig, link_capacity,
-                         mc_sqrt_law, solve_sqrt_law_coefficient,
-                         power_scaling_table)
+from covertpilot import (McConfig, build_scenario, mc_sqrt_law,
+                         power_scaling_table, solve_sqrt_law_coefficient)
 
-channel = ChannelParams(alpha_w_sq=0.1, alpha_e_sq=0.1, sigma_w_sq=0.1,
-                        sigma_e_sq=0.1, sigma_h_sq=1.0, h_w=1 + 0j, h_e=1 + 0j)
-config = SystemConfig.create(channel, lambda_a=20.0,
-                             r_a=0.8 * link_capacity(channel, 20.0),
-                             delta_1=0.0, delta_2=0.1,
-                             pilot_len=64, block_len=10_000)
+channel, config, _ = build_scenario(delta_1=0.0)
 
 ##############################################################################
 # Three power schedules lambda_t = c * n^{-q}: the error sum P_F + P_M

@@ -13,6 +13,9 @@ what a block is.  The estimation phase sends ``(1 + epsilon)`` times the
 pilot, a clean pilot being ``epsilon = 0``; the analysis sees the pilot
 only through its energy ``S = ||s||^2``.
 
+:data:`REFERENCE` is the paper's operating point, and :func:`build_scenario`
+builds the channel, configuration and attack of it, with any overrides.
+
 Conventions
 -----------
 * ``CN(0, s2)`` denotes the circularly-symmetric complex Gaussian whose
@@ -31,9 +34,10 @@ Conventions
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -68,6 +72,16 @@ def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
 
+def _store_scalars(obj, kind: type, *names: str) -> None:
+    """Store the fields ``names`` as Python ``kind`` values, which hash."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not kind:
+            _require(isinstance(value, (numbers.Number, np.ndarray))
+                     and np.ndim(value) == 0, f"{name} must be a scalar number")
+            object.__setattr__(obj, name, kind(value))
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Propagation losses, noise powers, and realized fading gains.
@@ -87,19 +101,19 @@ class ChannelParams:
     h_e: complex
 
     def __post_init__(self):
+        _store_scalars(self, float, "alpha_w_sq", "alpha_e_sq", "sigma_w_sq",
+                       "sigma_e_sq", "sigma_h_sq")
+        _store_scalars(self, complex, "h_w", "h_e")
         _require(self.alpha_w_sq >= 0 and self.alpha_e_sq >= 0,
                  "propagation losses must be >= 0")
         _require(self.sigma_w_sq > 0 and self.sigma_e_sq > 0,
                  "noise powers must be > 0")
         _require(self.sigma_h_sq > 0, "fading variance must be > 0")
-        for name in ("alpha_w_sq", "alpha_e_sq", "sigma_w_sq", "sigma_e_sq",
-                     "sigma_h_sq"):
-            _require(math.isfinite(getattr(self, name)), f"{name} must be finite")
+        for f in fields(self):
+            _require(cmath.isfinite(getattr(self, f.name)),
+                     f"{f.name} must be finite")
         for name, gain, alpha in (("h_w", "gain_w", "alpha_w_sq"),
                                   ("h_e", "gain_e", "alpha_e_sq")):
-            h = complex(getattr(self, name))
-            _require(math.isfinite(h.real) and math.isfinite(h.imag),
-                     f"{name} must be finite")
             _require(math.isfinite(getattr(self, gain)),
                      f"{gain} = {alpha} * |{name}|^2 must be finite")
 
@@ -133,6 +147,7 @@ class SystemConfig:
     block_len: int
 
     def __post_init__(self):
+        _store_scalars(self, float, "lambda_a", "r_a", "delta_1", "delta_2")
         _require(self.lambda_a > 0, "lambda_a must be > 0")
         _require(self.r_a > 0, "r_a must be > 0")
         _require(0 <= self.delta_1 < 1, "delta_1 must lie in [0, 1)")
@@ -148,7 +163,11 @@ class SystemConfig:
                block_len: int) -> "SystemConfig":
         """Validating constructor: rejects rates at or above link capacity."""
         cfg = cls(lambda_a, r_a, delta_1, delta_2, pilot_len, block_len)
-        check_link_margin(channel, cfg)
+        cap = link_capacity(channel, cfg.lambda_a)
+        if not cfg.r_a < cap:
+            raise ParameterError(
+                f"r_a = {cfg.r_a:.6g} bpcu is not below the link capacity "
+                f"{cap:.6g} bpcu; the link margin assumption fails")
         return cfg
 
 
@@ -163,15 +182,6 @@ def link_capacity(channel: ChannelParams, lambda_a: float) -> float:
     _require(math.isfinite(snr), "the link SNR alpha_w^2 |h_w|^2 lambda_a "
              "/ sigma_w^2 must be finite")
     return math.log1p(snr) / math.log(2)
-
-
-def check_link_margin(channel: ChannelParams, config: SystemConfig) -> None:
-    """Raise unless r_a is strictly below the legitimate link capacity."""
-    cap = link_capacity(channel, config.lambda_a)
-    if not config.r_a < cap:
-        raise ParameterError(
-            f"r_a = {config.r_a:.6g} bpcu is not below the link capacity "
-            f"{cap:.6g} bpcu; the link margin assumption fails")
 
 
 @dataclass(frozen=True)
@@ -191,6 +201,41 @@ class AttackParams:
             value = getattr(self, name)
             _require(np.all(np.isfinite(value) & (value >= 0)),
                      f"{name} must be finite and >= 0")
+
+
+# The paper's operating point: the fields of ChannelParams, SystemConfig and
+# AttackParams in order, as CLI keys; r_a None is 80% of the link capacity.
+REFERENCE = {
+    "alpha_w_sq": 0.1, "alpha_e_sq": 0.1, "sigma_w_sq": 0.1,
+    "sigma_e_sq": 0.1, "sigma_h_sq": 1.0, "h_w": 1 + 0j, "h_e": 1 + 0j,
+    "lambda_a": 20.0, "r_a": None, "delta_1": 1 / math.sqrt(10),
+    "delta_2": 0.1, "pilot_len": 64, "block_len": 10_000,
+    "epsilon": 0.1, "lambda_t": 0.3}
+
+
+def build_scenario(**overrides) -> tuple[ChannelParams, SystemConfig,
+                                          AttackParams]:
+    """(channel, config, attack) of :data:`REFERENCE` with ``overrides``.
+
+    An unknown key raises a :class:`ParameterError` naming it.  ``r_a``
+    unset (or ``None``) is 80% of the link capacity, which must be > 0.
+    """
+    unknown = [key for key in overrides if key not in REFERENCE]
+    _require(not unknown, f"unknown scenario key(s): {', '.join(unknown)}")
+    values = {**REFERENCE, **overrides}
+    channel = ChannelParams(*(values[f.name] for f in fields(ChannelParams)))
+    if values["r_a"] is None:
+        values["r_a"] = 0.8 * link_capacity(channel, values["lambda_a"])
+        if not values["r_a"] > 0:
+            snr = channel.gain_w * values["lambda_a"] / channel.sigma_w_sq
+            raise ParameterError(
+                "r_a defaults to 80% of the link capacity, which is 0 at the "
+                f"link SNR alpha_w^2 |h_w|^2 lambda_a / sigma_w^2 = {snr:.3g} "
+                "(zero link gain or too small); set r_a or a larger SNR")
+    config = SystemConfig.create(
+        channel, *(values[f.name] for f in fields(SystemConfig)))
+    return channel, config, AttackParams(
+        *(values[f.name] for f in fields(AttackParams)))
 
 
 def complex_normal(rng: np.random.Generator, size: int, var: float) -> np.ndarray:

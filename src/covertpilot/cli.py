@@ -37,9 +37,8 @@ parameter field names below and flags override file values.  Example::
     epsilon = 0.1
     lambda_t = 0.3
 
-Unset values fall back to a representative operating point (0.1 losses,
-0.1 noise powers, unit gains, lambda_a = 20) with ``r_a`` defaulting to
-80% of the link capacity.
+Unset values fall back to :data:`covertpilot.channel.REFERENCE`, with
+``r_a`` defaulting to 80% of the link capacity.
 
 CSV schema (``sweep``)
 ----------------------
@@ -86,8 +85,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import (AttackParams, ChannelParams, ParameterError,
-                      SystemConfig, _require, link_capacity)
+from .channel import (REFERENCE, AttackParams, ChannelParams,
+                      ParameterError, SystemConfig, _require, build_scenario)
 
 if TYPE_CHECKING:
     from .rates import FeasibilityReport
@@ -100,18 +99,9 @@ EXIT_VERIFY = 3
 CSV_HEADER = ("epsilon,lambda_t,feasible,failing_condition,"
               "r_t_tin_bpcu,r_t_ic_bpcu,gamma_w,tau_eps_w,delta_1_gap")
 
-# flag/config key -> (parser, default); h_* are python complex literals
-_PARAMS = {
-    "alpha_w_sq": (float, 0.1), "alpha_e_sq": (float, 0.1),
-    "sigma_w_sq": (float, 0.1), "sigma_e_sq": (float, 0.1),
-    "sigma_h_sq": (float, 1.0),
-    "h_w": (complex, 1 + 0j), "h_e": (complex, 1 + 0j),
-    "lambda_a": (float, 20.0),
-    "r_a": (float, None),            # None -> 80% of link capacity
-    "delta_1": (float, 1 / math.sqrt(10)), "delta_2": (float, 0.1),
-    "pilot_len": (int, 64), "block_len": (int, 10_000),
-    "epsilon": (float, 0.1), "lambda_t": (float, 0.3),
-}
+# flag/config key -> parser; h_* are python complex literals
+_PARAMS = {key: float for key in REFERENCE} | {
+    "h_w": complex, "h_e": complex, "pilot_len": int, "block_len": int}
 
 
 @dataclass(frozen=True)
@@ -168,7 +158,7 @@ def parse_config_file(path: str) -> dict:
         if key not in _PARAMS:
             raise ParameterError(f"{path}:{lineno}: unknown key '{key}'")
         try:
-            values[key] = _PARAMS[key][0](val)
+            values[key] = _PARAMS[key](val)
         except ValueError as exc:
             raise ParameterError(f"{path}:{lineno}: bad value for "
                                  f"'{key}': {exc}") from None
@@ -176,37 +166,13 @@ def parse_config_file(path: str) -> dict:
 
 
 def resolve_params(args: argparse.Namespace) -> dict:
-    """Defaults, overridden by config file, overridden by explicit flags."""
-    values = {key: default for key, (_, default) in _PARAMS.items()}
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
+    """Config-file values overridden by the flags set; no defaults filled."""
+    values = parse_config_file(args.config) if args.config else {}
     for key in _PARAMS:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
     return values
-
-
-def build_scenario(values: dict) -> tuple[ChannelParams, SystemConfig, AttackParams]:
-    channel = ChannelParams(
-        alpha_w_sq=values["alpha_w_sq"], alpha_e_sq=values["alpha_e_sq"],
-        sigma_w_sq=values["sigma_w_sq"], sigma_e_sq=values["sigma_e_sq"],
-        sigma_h_sq=values["sigma_h_sq"], h_w=values["h_w"], h_e=values["h_e"])
-    r_a = values["r_a"]
-    if r_a is None:
-        r_a = 0.8 * link_capacity(channel, values["lambda_a"])
-        if not r_a > 0:
-            snr = channel.gain_w * values["lambda_a"] / channel.sigma_w_sq
-            raise ParameterError(
-                "r_a defaults to 80% of the link capacity, which is 0 at the "
-                f"link SNR alpha_w^2 |h_w|^2 lambda_a / sigma_w^2 = {snr:.3g} "
-                "(zero link gain or too small); set r_a or a larger SNR")
-    config = SystemConfig.create(
-        channel, lambda_a=values["lambda_a"], r_a=r_a,
-        delta_1=values["delta_1"], delta_2=values["delta_2"],
-        pilot_len=values["pilot_len"], block_len=values["block_len"])
-    attack = AttackParams(epsilon=values["epsilon"], lambda_t=values["lambda_t"])
-    return channel, config, attack
 
 
 # failing_condition in its order of precedence
@@ -294,8 +260,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    values = resolve_params(args)
-    channel, config, _ = build_scenario(values)
+    channel, config, _ = build_scenario(**resolve_params(args))
     spec = SweepSpec(args.eps_min, args.eps_max, args.eps_steps,
                      args.lt_min, args.lt_max, args.lt_steps)
     lines = run_sweep(channel, config, spec)
@@ -307,8 +272,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
     from .detection import classify_regime
     from .rates import attack_feasibility
 
-    values = resolve_params(args)
-    channel, config, attack = build_scenario(values)
+    channel, config, attack = build_scenario(**resolve_params(args))
     rep = attack_feasibility(channel, attack, config)
     regime = classify_regime(channel, attack, config)
     lines = [
@@ -335,7 +299,7 @@ def _mc_payload(args: argparse.Namespace) -> dict:
     from .montecarlo import (McConfig, mc_comm_error_probs,
                              mc_estimator_error, mc_pilot_kl, mc_sqrt_law)
 
-    channel, config, attack = build_scenario(resolve_params(args))
+    channel, config, attack = build_scenario(**resolve_params(args))
     mc = McConfig(trials=args.trials, base_seed=args.seed)
     params = {"epsilon": attack.epsilon, "lambda_t": attack.lambda_t,
               "n": config.block_len, "l": config.pilot_len}
@@ -408,7 +372,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    for key, (parser, _) in _PARAMS.items():
+    for key, parser in _PARAMS.items():
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=parser,
                        default=None, help=f"override {key}")
 

@@ -264,9 +264,9 @@ def _injected_limit_reference(channel: ChannelParams, epsilon: float,
 
     Cached per operating point; the attack enters as two floats, so that
     0-d arrays key as their values, while the channel and the configuration
-    key as themselves and need hashable (scalar) fields.  Raises the named
-    :class:`ParameterError` for a non-finite ``n tau / sigma_w^2`` before
-    any chi-square tail is evaluated.
+    key as themselves, their fields stored as Python scalars.  Raises the
+    named :class:`ParameterError` for a non-finite ``n tau / sigma_w^2``
+    before any chi-square tail is evaluated.
     """
     attack = AttackParams(epsilon, lambda_t)
     tau = tau_eps(channel, attack)

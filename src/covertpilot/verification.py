@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import AttackParams, ChannelParams, SystemConfig, link_capacity
+from .channel import AttackParams, ChannelParams, build_scenario
 from .detection import (Regime, analytic_error_probs, classify_regime,
                         tail_bound_sum, tau_dagger, tau_eps)
 from .montecarlo import McConfig, mc_comm_error_probs
@@ -30,17 +30,8 @@ class CheckResult:
     detail: str
 
 
-def _reference_point() -> tuple[ChannelParams, SystemConfig, AttackParams]:
-    channel = ChannelParams(0.1, 0.1, 0.1, 0.1, 1.0, 1 + 0j, 1 + 0j)
-    config = SystemConfig.create(channel, lambda_a=20.0,
-                                 r_a=0.8 * link_capacity(channel, 20.0),
-                                 delta_1=1 / math.sqrt(10), delta_2=0.1,
-                                 pilot_len=64, block_len=10_000)
-    return channel, config, AttackParams(0.1, 0.3)
-
-
 def verify_kl(seed: int = 0) -> list[CheckResult]:
-    channel, _, _ = _reference_point()
+    channel, _, attack = build_scenario()
     eps_grid = np.linspace(0.0, 2.0, 1000)
     lims = np.array([kl_pilot_limit(e) for e in eps_grid])
     bound_ok = bool(np.all(lims <= 2 * eps_grid ** 2 + 1e-15)
@@ -49,7 +40,6 @@ def verify_kl(seed: int = 0) -> list[CheckResult]:
     out = [CheckResult("limit_below_2eps2", bound_ok,
                        f"max(limit - 2 eps^2) = {worst:.3e} over 1000-point grid")]
 
-    attack = AttackParams(0.1, 0.3)
     exact_big = kl_pilot_exact(channel, attack, 100_000.0)
     gap = abs(exact_big - kl_pilot_limit(0.1))
     out.append(CheckResult("finite_to_limit", gap <= 1e-3,
@@ -64,7 +54,7 @@ def verify_kl(seed: int = 0) -> list[CheckResult]:
 
 
 def verify_mmse(seed: int = 0) -> list[CheckResult]:
-    channel, _, attack = _reference_point()
+    channel, _, attack = build_scenario()
     a = channel.alpha_w_sq * channel.sigma_h_sq / channel.sigma_w_sq
     a_w = math.sqrt(channel.alpha_w_sq)
     out = []
@@ -104,10 +94,9 @@ def random_detection_config(rng: np.random.Generator
     ties at 0.0 across a wide threshold plateau, which no optimizer can
     be located on.
     """
-    channel = ChannelParams(
-        alpha_w_sq=rng.uniform(0.05, 1.0), alpha_e_sq=0.1,
-        sigma_w_sq=rng.uniform(0.05, 1.0), sigma_e_sq=0.1, sigma_h_sq=1.0,
-        h_w=complex(rng.normal(), rng.normal()) / math.sqrt(2), h_e=1 + 0j)
+    channel, _, _ = build_scenario(
+        alpha_w_sq=rng.uniform(0.05, 1.0), sigma_w_sq=rng.uniform(0.05, 1.0),
+        h_w=complex(rng.normal(), rng.normal()) / math.sqrt(2))
     n = int(rng.integers(50, 5000))
     z = rng.uniform(0.3, 5.0)
     lam_t = 2 * z * channel.sigma_w_sq / (channel.gain_w * math.sqrt(n))
@@ -115,7 +104,7 @@ def random_detection_config(rng: np.random.Generator
 
 
 def verify_threshold(seed: int = 0) -> list[CheckResult]:
-    _, config, _ = _reference_point()
+    _, config, _ = build_scenario()
     rng = np.random.default_rng(seed)
     worst_steps = 0.0
     for _ in range(50):
@@ -134,7 +123,7 @@ def verify_threshold(seed: int = 0) -> list[CheckResult]:
 
 
 def verify_regimes(seed: int = 0) -> list[CheckResult]:
-    channel, config, _ = _reference_point()
+    channel, config, _ = build_scenario()
     out = []
 
     expected = {(0.1, 0.1): Regime.BLIND_BELOW, (0.0, 0.3): Regime.DETECTABLE,
@@ -181,7 +170,7 @@ def verify_regimes(seed: int = 0) -> list[CheckResult]:
 
 
 def verify_sqrtlaw(seed: int = 0) -> list[CheckResult]:
-    channel, config, _ = _reference_point()
+    channel, config, _ = build_scenario()
     n_grid = [1000, 10_000, 100_000, 1_000_000]
     out = []
 

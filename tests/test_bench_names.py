@@ -1,17 +1,20 @@
-"""Package names: the ones the benchmark's traced mode wraps must exist, and
-the ones that left the package must stay gone."""
+"""Package names: the ones the benchmark's traced mode wraps must exist, the
+ones that left the package must stay gone, and the reference operating
+point has one builder."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+import runpy
 from pathlib import Path
 
 import covertpilot
 from covertpilot.cli import SweepSpec
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+WORKLOADS = TRACER.with_name("workloads.py")
 
 # Full-vector synthesis and dense pilot algebra live in tests/reference.py.
 TEST_ONLY = ("CommHypothesis", "alice_input", "trojan_input",
@@ -101,4 +104,25 @@ def test_one_estimator_and_no_pilot_vector():
     for mod in package_modules():
         for name in REMOVED_ESTIMATOR + ("make_pilot",):
             assert not hasattr(mod, name), f"{mod.__name__}.{name}"
-    assert len(covertpilot.__all__) == 30
+    assert len(covertpilot.__all__) == 31
+
+
+def test_bench_scenario_is_the_reference_point():
+    # bench/workloads.py keeps its own copy of the reference point; run
+    # from its file, which writes no bytecode beside it
+    bench_scenario = runpy.run_path(str(WORKLOADS))["build_scenario"]
+    for n in (10_000, 256):
+        assert bench_scenario(n) == covertpilot.build_scenario(block_len=n)
+
+
+def test_only_channel_calls_link_capacity():
+    # the 80% r_a policy lives in build_scenario; another caller of
+    # link_capacity is where a copy of it would start
+    root = TRACER.parent.parent
+    callers = {path.name for path in [
+        *Path(covertpilot.__file__).parent.glob("*.py"),
+        *(root / "demos").glob("*.py"), root / "tests" / "conftest.py"]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).endswith("link_capacity")}
+    assert callers == {"channel.py"}

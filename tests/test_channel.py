@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 
 from covertpilot import (AttackParams, ChannelParams, McConfig,
-                         ParameterError, SystemConfig, derive_rng,
-                         gaussian_input, link_capacity, mc_comm_error_probs)
-from covertpilot.channel import complex_normal
+                         ParameterError, SystemConfig, build_scenario,
+                         derive_rng, gaussian_input, link_capacity,
+                         mc_comm_error_probs)
+from covertpilot.channel import REFERENCE, complex_normal
 from reference import (STREAM_NOISE, STREAM_TROJAN, CommHypothesis,
                        alice_input, make_pilot, synthesize_received,
                        trojan_input)
@@ -82,11 +84,9 @@ class TestSynthesize:
         assert np.max(np.abs(diff - expected)) < 1e-12
 
     def test_comm_trojan_power_lln(self, channel, config, attack):
-        big = SystemConfig(config.lambda_a, config.r_a, config.delta_1,
-                           config.delta_2, config.pilot_len, 10_000)
-        y = synthesize_received(big, channel, attack,
+        y = synthesize_received(config, channel, attack,
                                 comm_hypothesis=CommHypothesis.H1, seed=17)
-        x_a = alice_input(big, 17)
+        x_a = alice_input(config, 17)
         resid = y - math.sqrt(0.1) * channel.h_w * x_a
         level = np.mean(np.abs(resid) ** 2)
         expected = channel.gain_w * attack.lambda_t + channel.sigma_w_sq
@@ -145,6 +145,10 @@ class TestParams:
             ChannelParams(0.1, 0.1, 0.1, 0.1, 1.0, complex("nan+0j"), 1 + 0j)
         with pytest.raises(ParameterError, match="h_e must be finite"):
             ChannelParams(0.1, 0.1, 0.1, 0.1, 1.0, 1 + 0j, complex(0, math.inf))
+        with pytest.raises(ParameterError, match="h_w must be a scalar"):
+            ChannelParams(0.1, 0.1, 0.1, 0.1, 1.0, np.array([1 + 0j]), 1 + 0j)
+        with pytest.raises(ParameterError, match="h_e must be a scalar"):
+            ChannelParams(0.1, 0.1, 0.1, 0.1, 1.0, 1 + 0j, "1+0j")
 
     def test_attack_rejects_bad_values(self):
         with pytest.raises(ParameterError):
@@ -160,14 +164,12 @@ class TestParams:
         AttackParams(0.0, 0.3)
 
     def test_config_link_margin_guard(self, channel):
-        with pytest.raises(ParameterError):
-            SystemConfig.create(channel, lambda_a=20.0, r_a=4.5, delta_1=0.3,
-                                delta_2=0.1, pilot_len=8, block_len=100)
+        with pytest.raises(ParameterError, match="link margin"):
+            build_scenario(r_a=4.5)
         # exactly at capacity is also rejected (strict margin)
         cap = math.log2(1 + channel.gain_w * 20.0 / channel.sigma_w_sq)
-        with pytest.raises(ParameterError):
-            SystemConfig.create(channel, lambda_a=20.0, r_a=cap, delta_1=0.3,
-                                delta_2=0.1, pilot_len=8, block_len=100)
+        with pytest.raises(ParameterError, match="link margin"):
+            build_scenario(r_a=cap)
 
     def test_link_capacity_at_tiny_snr(self, channel):
         # log2(1 + snr) rounds 1 + snr and was wrong in the third digit
@@ -197,3 +199,33 @@ class TestParams:
             SystemConfig(1.0, 0.5, 1.0, 0.1, 8, 100)   # delta_1 = 1
         with pytest.raises(ParameterError):
             SystemConfig(1.0, 0.5, 0.3, 0.0, 8, 100)   # delta_2 = 0
+        with pytest.raises(ParameterError, match="delta_2 must be a scalar"):
+            SystemConfig(1.0, 0.5, 0.3, np.array([0.1]), 8, 100)
+
+
+def scenario_fields(**overrides):
+    """The fields of ``build_scenario(**overrides)``, by name."""
+    return {k: v for part in build_scenario(**overrides)
+            for k, v in dataclasses.asdict(part).items()}
+
+
+class TestBuildScenario:
+    def test_defaults_are_the_reference(self, channel):
+        # the policy's r_a, bit for bit
+        r_a = 0.8 * link_capacity(channel, 20.0)
+        assert scenario_fields() == {**REFERENCE, "r_a": r_a}
+
+    # r_a is set, so that no override moves it through the link capacity
+    @pytest.mark.parametrize("key, value", [
+        ("alpha_w_sq", 0.2), ("alpha_e_sq", 0.2), ("sigma_w_sq", 0.2),
+        ("sigma_e_sq", 0.2), ("sigma_h_sq", 2.0), ("h_w", 0.9 + 0.1j),
+        ("h_e", 0.5j), ("lambda_a", 30.0), ("r_a", 2.0), ("delta_1", 0.2),
+        ("delta_2", 0.05), ("pilot_len", 16), ("block_len", 256),
+        ("epsilon", 0.2), ("lambda_t", 0.1)])
+    def test_override_changes_only_its_field(self, key, value):
+        assert scenario_fields(**{"r_a": 3.0, key: value}) \
+            == {**scenario_fields(r_a=3.0), key: value}
+
+    def test_unknown_key_is_named(self):
+        with pytest.raises(ParameterError, match="sigma_q_sq"):
+            build_scenario(sigma_q_sq=0.1)

@@ -16,11 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from covertpilot import (AttackParams, attack_feasibility, cli,
-                         kl_pilot_exact, solve_sqrt_law_coefficient)
+from covertpilot import (AttackParams, attack_feasibility, build_scenario,
+                         cli, kl_pilot_exact, solve_sqrt_law_coefficient)
+from covertpilot.channel import REFERENCE
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-DEFAULTS = {key: default for key, (_, default) in cli._PARAMS.items()}
 
 
 def run_cli(args):
@@ -83,7 +83,7 @@ class TestRate:
                 if boundary else contextlib.nullcontext():
             assert run_cli(["rate"] + argv) == 0
         assert "feasible = " in capsys.readouterr().out
-        assert cli.build_scenario(dict(DEFAULTS, **values))[1].r_a > 0
+        assert build_scenario(**values)[1].r_a > 0
 
     def test_overflowing_gain_exits_1(self, capsys):
         assert run_cli(["rate", "--h-w", "1e200+0j"]) == 1
@@ -231,7 +231,7 @@ class TestSweep:
         reasons = Counter(r[3] for r in rows if r[2] == "0")
         assert reasons == {"pilot_covert": 1000, "blind_comm": 5248,
                            "no_disruption": 1837}
-        channel, config, _ = cli.build_scenario(DEFAULTS)
+        channel, config, _ = build_scenario()
         grid = attack_feasibility(channel, AttackParams(
             np.linspace(0.0, 0.2475, 100)[:, None],
             np.linspace(0.01, 1.0, 100)), config)
@@ -291,7 +291,7 @@ class TestSweep:
                                                lt_steps):
         spec = cli.SweepSpec(eps_min, eps_min + eps_width, eps_steps,
                              lt_min, min(lt_min + lt_width, 50.0), lt_steps)
-        channel, config, _ = cli.build_scenario(DEFAULTS)
+        channel, config, _ = build_scenario()
         lines = cli.run_sweep(channel, config, spec)
         assert lines[0] == cli.CSV_HEADER
         assert lines[1:] == reference.sweep_lines(channel, config, spec)
@@ -338,7 +338,7 @@ class TestConfigFile:
         # the README's "Recognized keys" line is a third copy of the keys
         keys = re.search(r"Recognized keys: `([^`]*)`",
                          README.read_text(encoding="utf-8")).group(1)
-        assert keys.split() == list(cli._PARAMS)
+        assert keys.split() == list(REFERENCE) == list(cli._PARAMS)
 
 
 class TestMc:
@@ -426,7 +426,7 @@ class TestMc:
         assert run_cli(["mc", "--target", "sqrtlaw", "--trials", "20",
                         "--delta-2", "0.05", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        channel, _, _ = cli.build_scenario(DEFAULTS)
+        channel, _, _ = build_scenario()
         assert doc["params"]["c"] == solve_sqrt_law_coefficient(channel, 0.05)
         assert doc["params"]["c"] == pytest.approx(0.125578, rel=1e-5)
         assert doc["analytic_reference"] == pytest.approx(0.05)
@@ -454,7 +454,7 @@ class TestMc:
                             "--out", str(out)]) == 0
         assert not caught and capsys.readouterr().err == ""
         doc = json.loads(out.read_text())
-        channel, _, attack = cli.build_scenario(DEFAULTS)
+        channel, _, attack = build_scenario()
         assert doc["analytic_reference"] == kl_pilot_exact(channel, attack,
                                                            1e11)
 

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 import covertpilot
 from covertpilot import (AttackParams, ParameterError, Regime,
                          analytic_error_probs, attack_feasibility,
-                         classify_regime, derive_rng, regime_gaps,
-                         solve_lambda_star, solve_sqrt_law_coefficient,
-                         sqrt_law_bound, tail_bound_sum, tau_dagger, tau_eps)
+                         build_scenario, classify_regime, derive_rng,
+                         regime_gaps, solve_lambda_star,
+                         solve_sqrt_law_coefficient, sqrt_law_bound,
+                         tail_bound_sum, tau_dagger, tau_eps)
 from covertpilot.channel import _abs2, complex_normal
 from covertpilot.detection import (_dagger_terms, _expm1, _log2,
                                    _sqrt_law_limit, _threshold)
@@ -177,7 +178,7 @@ class TestAnalyticErrorProbs:
         # The chi-square formulas model the statistic's randomness as the
         # empirical noise power alone; simulate exactly that at n = 200,
         # checking each probability at a threshold where it is mid-range.
-        cfg = replace_config_n(200)
+        cfg = build_scenario(block_len=200)[1]
         res = attack.epsilon ** 2 * channel.gain_w * cfg.lambda_a
         trojan = channel.gain_w * attack.lambda_t
         trials = 100_000
@@ -198,19 +199,13 @@ class TestAnalyticErrorProbs:
     def test_sum_decreases_with_trojan_power(self, channel):
         # a stronger trojan is easier to detect at the optimal threshold
         for n in (100, 1000, 10_000):
-            cfg = replace_config_n(n)
+            cfg = build_scenario(block_len=n)[1]
             sums = []
             for lt in (0.05, 0.1, 0.2, 0.4):
                 att = AttackParams(0.0, lt)
                 tau = tau_dagger(channel, channel.h_w, lt, n)
                 sums.append(analytic_error_probs(channel, att, cfg, tau).sum)
             assert all(b < a for a, b in zip(sums, sums[1:]))
-
-
-def replace_config_n(n):
-    from covertpilot import SystemConfig
-    return SystemConfig(lambda_a=20.0, r_a=3.5, delta_1=1 / math.sqrt(10),
-                        delta_2=0.1, pilot_len=64, block_len=n)
 
 
 class TestRegimes:
@@ -365,13 +360,13 @@ class TestThresholdOptimality:
             t_star = tau_dagger(channel, channel.h_w, lam_t, n)
             grid = np.linspace(0.3 * t_star, 3.0 * t_star, 10_000)
             sums = analytic_error_probs(channel, AttackParams(0.0, lam_t),
-                                        replace_config_n(n), grid).sum
+                                        build_scenario(block_len=n)[1], grid).sum
             step = grid[1] - grid[0]
             assert abs(grid[int(np.argmin(sums))] - t_star) <= step * (1 + 1e-9)
 
     def test_grid_objective_matches_pointwise_probs(self, channel):
         # an array of thresholds runs the same model as the scalar path
-        cfg = replace_config_n(500)
+        cfg = build_scenario(block_len=500)[1]
         att = AttackParams(0.0, 0.2)
         taus = np.array([0.08, 0.11, 0.13, 0.2])
         vec = analytic_error_probs(channel, att, cfg, taus).sum

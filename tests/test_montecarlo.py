@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincinv
 
 from covertpilot import (AttackParams, McConfig, ParameterError,
-                         SystemConfig, kl_pilot_exact, kl_pilot_limit,
-                         mc_comm_error_probs, mc_estimator_error, mc_pilot_kl,
-                         mc_sqrt_law, mmse_estimate, mmse_limit,
-                         power_scaling_table, solve_sqrt_law_coefficient,
-                         tau_dagger, tau_eps)
+                         kl_pilot_exact, kl_pilot_limit, mc_comm_error_probs,
+                         mc_estimator_error, mc_pilot_kl, mc_sqrt_law,
+                         mmse_estimate, mmse_limit, power_scaling_table,
+                         solve_sqrt_law_coefficient, tau_dagger, tau_eps)
 from covertpilot import montecarlo
 from covertpilot.montecarlo import (BLOCKS_PER_TRIAL, CHUNK, STREAM_TRIAL,
                                     WORDS_PER_TRIAL, _gamma_cdf_grid,
@@ -513,8 +512,11 @@ class TestOperatingPointCache:
     def test_value_equal_dataclasses_hit(self, channel, config, cold_caches):
         mc = McConfig(trials=600, base_seed=5, n=256)
         first = mc_comm_error_probs(channel, AttackParams(0.1, 0.3), config, mc)
-        fresh = (replace(channel, h_w=1 - 0j),
-                 AttackParams(np.array(0.1), np.float64(0.3)), replace(config))
+        # 0-d array fields are stored as their values, so they hash
+        fresh = (replace(channel, alpha_w_sq=np.array(0.1),
+                         h_w=np.array(1 - 0j)),
+                 AttackParams(np.array(0.1), np.float64(0.3)),
+                 replace(config, lambda_a=np.array(20.0)))
         assert mc_comm_error_probs(*fresh, mc) == first
         info = montecarlo._injected_limit_reference.cache_info()
         assert (info.hits, info.misses) == (1, 1)
@@ -635,9 +637,7 @@ class TestEstimatorError:
         # term (3.1e-19) sets the MSE, so each MSE is compared with that
         # exact expectation, with no absolute slack.  A mean of |CN|^2
         # draws has relative standard deviation 1/sqrt(trials).
-        from covertpilot import ChannelParams
-        quiet = ChannelParams(0.1, 0.1, 1e-18, 0.1, 1.0, channel.h_w,
-                              channel.h_e)
+        quiet = replace(channel, sigma_w_sq=1e-18)
         trials, S = 50, 32.0
         rows = mc_estimator_error(quiet, attack, [32],
                                   McConfig(trials=trials, base_seed=14))
@@ -750,8 +750,7 @@ class TestIntegerInputs:
     def test_fractional_config_pilot_length(self, config):
         with pytest.raises(ParameterError,
                            match="pilot_len must be an integer >= 1"):
-            SystemConfig(config.lambda_a, config.r_a, config.delta_1,
-                         config.delta_2, pilot_len=64.5, block_len=300.5)
+            replace(config, pilot_len=64.5, block_len=300.5)
 
     def test_fractional_sqrt_law_block_length(self, channel):
         with pytest.raises(ParameterError,
