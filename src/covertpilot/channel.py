@@ -189,8 +189,10 @@ class AttackParams:
     """Trojan knobs: pilot scaling ``epsilon`` and transmit power ``lambda_t``.
 
     ``epsilon = 0`` with ``lambda_t > 0`` is the legal no-pilot-attack
-    configuration (square-root-law regime).  Either knob may be an array;
-    the two broadcast to a grid, and every element is checked.
+    configuration (square-root-law regime).  Either knob may be a Python
+    ``float``/``int`` or a real numpy array or scalar; arrays broadcast to a
+    grid, and every element is checked.  Any other knob (a string, a complex
+    value, ``None``) raises a :class:`ParameterError` naming it.
     """
 
     epsilon: float | np.ndarray
@@ -199,8 +201,21 @@ class AttackParams:
     def __post_init__(self):
         for name in ("epsilon", "lambda_t"):
             value = getattr(self, name)
-            _require(np.all(np.isfinite(value) & (value >= 0)),
-                     f"{name} must be finite and >= 0")
+            if isinstance(value, (float, int)):
+                try:
+                    ok = math.isfinite(value) and value >= 0
+                except OverflowError:   # an int beyond the float range
+                    ok = False
+            elif isinstance(value, (np.ndarray, np.generic)) and \
+                    value.dtype.kind in "biuf":
+                ok = np.all(np.isfinite(value) & (value >= 0))
+            else:
+                got = type(value).__name__ + (
+                    f" of dtype {value.dtype}"
+                    if isinstance(value, np.ndarray) else "")
+                raise ParameterError(f"{name} must be a real number or a real "
+                                     f"array, not {got}")
+            _require(ok, f"{name} must be finite and >= 0")
 
 
 # The paper's operating point: the fields of ChannelParams, SystemConfig and

@@ -57,17 +57,21 @@ report zero rates so plots can distinguish "zero rate" from
 One broadcast call evaluates the whole grid; then one formatting pass per
 axis and per epsilon row writes it: ``lambda_t`` and both rates depend on
 lambda_t alone and are formatted once per column, ``epsilon`` once per
-row, and the per-cell fields with one ``map`` of ``repr`` per row.  Every
-subcommand runs serially, so output bytes depend only on the parameters
-and seed; ``--threads`` has no effect.
+row, and the per-cell fields with one orjson call per row.  orjson
+writes the same shortest digits as ``repr`` (Ryu) and, for
+``1e-4 <= |x| < 1e16``, the same fixed notation; every other float
+(zeros, non-finite values, exponent notation) is written by ``repr``.
+Every subcommand runs serially, so output bytes depend only on the
+parameters and seed; ``--threads`` has no effect.
 
 Module loading
 --------------
 Importing this module loads only ``channel`` and numpy, which argument
 parsing and scenario building need.  Each subcommand imports its own
 modules when it runs: ``rate`` and ``sweep`` load ``rates`` and
-``detection``, ``mc`` loads ``montecarlo`` (with ``detection`` and
-``pilot``), and ``verify`` loads ``verification``, which loads them all.
+``detection``, ``sweep`` also loads ``orjson`` to write its CSV, ``mc``
+loads ``montecarlo`` (with ``detection`` and ``pilot``), and ``verify``
+loads ``verification``, which loads them all.
 """
 
 from __future__ import annotations
@@ -180,8 +184,24 @@ _CONDITIONS = ("pilot_covert", "blind_comm", "no_disruption")
 
 
 def _fmt_row(a) -> list[str]:
-    """``_fmt`` of every element of a 1-d float array, in one C-level ``map``."""
-    return list(map(repr, a.tolist()))
+    """``repr`` of every element of a 1-d float array, from one orjson call.
+
+    orjson writes each float's shortest round-trip digits (Ryu), the same
+    digits as ``repr``, and in fixed notation where ``repr`` does too: for
+    ``1e-4 <= |x| < 1e16``.  The elements outside that range (zeros,
+    non-finite values and the exponent-notation magnitudes) are written by
+    ``repr`` itself, so every string equals ``repr(x)``.
+    """
+    import orjson
+
+    values = a.tolist()
+    if not values:
+        return []
+    out = orjson.dumps(values).decode()[1:-1].split(",")
+    mag = np.abs(a)
+    for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16))).tolist():
+        out[i] = repr(values[i])
+    return out
 
 
 def sweep_cell_line(eps: np.ndarray, lt: np.ndarray,
@@ -190,9 +210,10 @@ def sweep_cell_line(eps: np.ndarray, lt: np.ndarray,
 
     ``rep`` is the grid's report.  ``lambda_t`` and both rates depend on
     lambda_t alone and are formatted once per column, ``epsilon`` once per
-    row; ``gamma_w``, ``tau_eps_w`` and ``delta_1_gap`` take one ``map``
-    of ``repr`` per row.  The feasibility masks pick each cell's middle
-    fields.
+    row; ``gamma_w``, ``tau_eps_w`` and ``delta_1_gap`` take one
+    :func:`_fmt_row` call per row.  Each float is written as its ``repr``:
+    by orjson in fixed notation for ``1e-4 <= |x| < 1e16``, by ``repr``
+    for the rest.  The feasibility masks pick each cell's middle fields.
     """
     shape = np.broadcast_shapes(eps.shape, lt.shape)
     tin = _fmt_row(np.broadcast_to(rep.r_t_tin, lt.shape))

@@ -163,6 +163,37 @@ class TestParams:
         # silent pilot attack with positive power is legal
         AttackParams(0.0, 0.3)
 
+    # a Python float or int is checked as a scalar, an array or a numpy
+    # scalar element by element; both paths accept and reject alike
+    @pytest.mark.parametrize("wrap", [lambda v: v, np.array, np.float64],
+                             ids=["python", "array", "numpy-scalar"])
+    def test_attack_knob_paths_agree(self, wrap):
+        for good in (0, 0.0, 3, 0.3, 1e300):
+            AttackParams(wrap(good), wrap(good))
+        for bad in (-1, -1e-300, math.inf, -math.inf, math.nan):
+            with pytest.raises(ParameterError, match="epsilon must be finite"):
+                AttackParams(wrap(bad), 0.3)
+            with pytest.raises(ParameterError, match="lambda_t must be finite"):
+                AttackParams(0.1, wrap(bad))
+
+    def test_attack_knob_of_int_beyond_float_range(self):
+        with pytest.raises(ParameterError, match="lambda_t must be finite"):
+            AttackParams(0.1, 10 ** 400)
+        AttackParams(np.int64(2), np.float32(0.3))
+
+    @pytest.mark.parametrize("knob,got", [
+        ("0.1", "str"), (0.1 + 0j, "complex"), (None, "NoneType"),
+        (np.complex128(0.1), "complex128"),
+        (np.array(["0.1"]), "ndarray of dtype <U3"),
+        (np.array([0.1 + 0j]), "ndarray of dtype complex128"),
+        (np.array([0.1], dtype=object), "ndarray of dtype object")])
+    def test_attack_rejects_non_real_knob_by_name(self, knob, got):
+        with pytest.raises(ParameterError, match="^epsilon must be a real "
+                           f"number or a real array, not {got}$"):
+            AttackParams(knob, 0.3)
+        with pytest.raises(ParameterError, match="^lambda_t must be a real"):
+            AttackParams(0.1, knob)
+
     def test_config_link_margin_guard(self, channel):
         with pytest.raises(ParameterError, match="link margin"):
             build_scenario(r_a=4.5)

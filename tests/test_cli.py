@@ -297,6 +297,37 @@ class TestSweep:
         assert lines[1:] == reference.sweep_lines(channel, config, spec)
 
 
+# orjson and repr switch to exponent notation at different magnitudes;
+# _fmt_row must write repr's string for every double
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-4, np.nextafter(1e-4, 0),
+          np.nextafter(1e-4, 1), -1e-4, 1e-5, 1e16, np.nextafter(1e16, 0),
+          np.nextafter(1e16, np.inf), -1e16, 2.0 ** 53, 1.7976931348623157e308,
+          np.nan, np.inf, -np.inf]
+
+
+class TestFmtRow:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=400)
+    @given(st.lists(st.one_of(st.floats(), st.floats(1e-5, 1e17),
+                              st.floats(-1e17, -1e-5)), max_size=40))
+    @example(_EDGES)
+    def test_equals_repr(self, values):
+        a = np.array(values, dtype=float)
+        assert cli._fmt_row(a) == list(map(repr, a.tolist()))
+
+    # the sweep passes rows of broadcast grids: stride-0 rows among them
+    def test_broadcast_views(self):
+        a = np.array(_EDGES)
+        for view in (np.broadcast_to(a[:, None], (a.size, 4))[:, 2],
+                     np.broadcast_to(a[:, None], (a.size, 4))[3],
+                     np.broadcast_to(np.float64(1e16), (5,)), a[::-3]):
+            assert cli._fmt_row(view) == list(map(repr, view.tolist()))
+
+    def test_empty(self):
+        assert cli._fmt_row(np.empty(0)) == []
+        assert cli._fmt_row(np.broadcast_to(1.0, (0,))) == []
+
+
 class TestConfigFile:
     def test_file_values_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "scen.cfg"

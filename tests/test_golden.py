@@ -1,4 +1,4 @@
-"""Golden outputs: the bytes of thirteen pinned CLI commands, by sha256.
+"""Golden outputs: the bytes of fourteen pinned CLI commands, by sha256.
 
 Each command runs in-process and its stdout is hashed; every command but
 ``verify``, which takes no ``--out``, is run again into an ``--out`` file
@@ -20,6 +20,10 @@ GOLDEN = {
     # every sweep outcome (feasible and each failing condition), lambda_t to 1e-6
     "sweep --eps-max 0.3 --eps-steps 23 --lt-min 1e-06 --lt-max 8.0 --lt-steps 41":
         "4287cae4022ed2df59fb4fdd3d98d493fd021c4512ee0e0ed967b0aae39fcadb",
+    # lambda_t from 1e-12 to 1e300: exponent notation (e+29x, e-29x), also
+    # negative, in four float columns, which fixed notation would not reach
+    "sweep --eps-steps 4 --lt-min 1e-12 --lt-max 1e300 --lt-steps 5":
+        "86cae023fe9e4e5c8467f39c092d1a47dda705fc87bdb3bf810444f5bc963b62",
     "rate":
         "3356bb868b68e9ce7be007e61769ca4d6afad4ae1295e2d0033f75f163c3fe3f",
     "rate --epsilon 0.0 --lambda-t 0.3":

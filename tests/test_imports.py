@@ -6,11 +6,13 @@ so ``rate`` and ``sweep`` never load the Monte Carlo estimators or the
 verification suites, and ``mc`` never loads the rate analysis.  scipy
 loads only where a chi-square tail, gammainc, the Lambert W or a root
 solve runs, so the analytic commands (``rate``, ``sweep``) and the pilot
-estimators must never load it.  The benchmark reads package names after
-importing only ``covertpilot`` and ``covertpilot.cli``, and its tracer
-wraps functions in the modules that its first commands loaded; both
-patterns are checked here.  Each case runs in a fresh interpreter, since the test process
-itself has every module loaded long before.
+estimators must never load it.  orjson loads only where ``sweep`` writes
+its CSV, so neither the bare import nor ``rate`` nor ``mc`` pays for it.
+The benchmark reads package names after importing only ``covertpilot``
+and ``covertpilot.cli``, and its tracer wraps functions in the modules
+that its first commands loaded; both patterns are checked here.  Each
+case runs in a fresh interpreter, since the test process itself has
+every module loaded long before.
 """
 
 import functools
@@ -34,7 +36,7 @@ import covertpilot, covertpilot.cli
 argv = json.loads(sys.argv[1])
 code = covertpilot.cli.main(argv) if argv else 0
 print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0]
-                               in ("scipy", "covertpilot"))]),
+                               in ("scipy", "covertpilot", "orjson"))]),
       file=sys.stderr)
 """
 
@@ -57,11 +59,17 @@ def last_json(proc):
 
 
 @functools.cache
-def modules_after(argv: tuple[str, ...]):
-    """Exit code of ``main(argv)`` in a fresh interpreter, the scipy modules
-    and the covertpilot modules loaded by then (``argv = ()`` only imports
-    the package and its CLI)."""
+def loaded(argv: tuple[str, ...]) -> tuple[int, frozenset[str]]:
+    """Exit code of ``main(argv)`` in a fresh interpreter and the scipy,
+    covertpilot and orjson modules loaded by then (``argv = ()`` only
+    imports the package and its CLI)."""
     code, modules = last_json(fresh(["-c", PROBE, json.dumps(argv)]))
+    return code, frozenset(modules)
+
+
+def modules_after(argv: tuple[str, ...]):
+    """Exit code of ``main(argv)``, the scipy and the covertpilot modules."""
+    code, modules = loaded(argv)
     return (code, {m for m in modules if m.startswith("scipy")},
             {m for m in modules if m.startswith("covertpilot")})
 
@@ -93,6 +101,18 @@ def test_comm_detection_loads_special_only():
         assert not any(m == "scipy.optimize"
                        or m.startswith("scipy.optimize.")
                        for m in scipy), argv
+
+
+@pytest.mark.parametrize("argv,loads", [
+    ((), False),
+    (("rate",), False),
+    (("sweep", "--eps-steps", "5", "--lt-steps", "7"), True),
+    (("mc", "--target", "comm-detection", "--trials", "10"), False),
+], ids=["import", "rate", "sweep", "mc-comm-detection"])
+def test_only_sweep_loads_orjson(argv, loads):
+    code, modules = loaded(argv)
+    assert code == 0
+    assert ("orjson" in modules) == loads
 
 
 def test_import_loads_channel_and_cli_only():
