@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from covertpilot import (McConfig, build_scenario, derive_rng,
-                         mc_estimator_error, mmse_estimate, mmse_limit)
+from covertpilot import (McConfig, build_scenario, mc_estimator_error,
+                         mmse_estimate, mmse_limit)
 from covertpilot.channel import complex_normal
 
 channel, config, attack = build_scenario()
@@ -41,7 +41,8 @@ print(f"{'limit':>6} {1.0:>20.6f} {1 + attack.epsilon:>21.6f}")
 
 pilot = np.ones(config.pilot_len, complex)
 y = a_w * channel.h_w * (1 + attack.epsilon) * pilot \
-    + complex_normal(derive_rng(7), config.pilot_len, channel.sigma_w_sq)
+    + complex_normal(np.random.default_rng(7), config.pilot_len,
+                     channel.sigma_w_sq)
 h_hat = mmse_estimate(channel, config.pilot_len, np.vdot(pilot, y))
 print(f"\none noisy run, L = {config.pilot_len}: h_hat = {h_hat:.4f}, "
       f"corrupted limit = {mmse_limit(channel, attack)}")

@@ -22,8 +22,7 @@ __version__ = "0.1.0"
 # module -> the names the package exports from it
 _EXPORTS = {
     "channel": ("AttackParams", "ChannelParams", "ParameterError",
-                "SystemConfig", "build_scenario", "derive_rng",
-                "gaussian_input", "link_capacity"),
+                "SystemConfig", "build_scenario", "link_capacity"),
     "detection": ("Regime", "analytic_error_probs", "classify_regime",
                   "regime_gaps", "solve_sqrt_law_coefficient",
                   "sqrt_law_bound", "tail_bound_sum", "tau_dagger",

@@ -23,12 +23,15 @@ Conventions
   ``E|z|^2 = s2``.
 * Synthesized data blocks satisfy the short-term power constraint
   exactly: ``(1/n) * ||x||^2 == power`` per block, not just on average.
-* All randomness derives from ``SeedSequence(seed, spawn_key=path)``:
-  :func:`derive_rng` turns a path into a generator, so a draw depends only
-  on the seed and its path, never on call order, thread count, or
-  scheduling.  :func:`complex_normal` and :func:`gaussian_input` are the
-  synthesis primitives the test suite builds its full-vector reference
-  simulation from.
+* All randomness derives from ``SeedSequence(seed, spawn_key=path)``,
+  so a draw depends only on the seed and its path, never on call order,
+  thread count, or scheduling.
+* :func:`derive_rng` (a path's generator), :func:`complex_normal` and
+  :func:`gaussian_input` serve the test suite's full-vector reference
+  simulation and demo 02's one noisy pilot, and the benchmark's tracer
+  wraps them by name.  The package's estimators draw from one
+  counter-based stream instead (see :mod:`~covertpilot.montecarlo`), and
+  the package namespace does not export these three.
 * Powers and variances are linear (watts), never dB.
 """
 

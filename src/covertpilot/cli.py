@@ -61,8 +61,15 @@ row, and the per-cell fields with one orjson call per row.  orjson
 writes the same shortest digits as ``repr`` (Ryu) and, for
 ``1e-4 <= |x| < 1e16``, the same fixed notation; every other float
 (zeros, non-finite values, exponent notation) is written by ``repr``.
-Every subcommand runs serially, so output bytes depend only on the
-parameters and seed; ``--threads`` has no effect.
+
+``mc`` writes one JSON object, keys sorted; a float that is not finite,
+such as ``std_error`` below 100 trials or for ``estimator``, is ``null``.
+
+Run controls: ``sweep``, ``rate`` and ``mc`` take ``--config``,
+``--threads`` and ``--out``; ``mc`` and ``verify`` take ``--seed``.  Every
+subcommand runs serially, so output bytes depend only on the parameters
+and seed; ``--threads`` has no effect and stays because the benchmark's
+command lines pass it.
 
 Module loading
 --------------
@@ -367,9 +374,22 @@ def _mc_payload(args: argparse.Namespace) -> dict:
     return out
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, nested too, replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) \
+        else value
+
+
 def cmd_mc(args: argparse.Namespace) -> int:
-    payload = _mc_payload(args)
-    _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # JSON (RFC 8259) has no NaN or Infinity token: a non-finite float is
+    # written as null, and allow_nan=False raises on any that slipped by
+    payload = _finite_or_null(_mc_payload(args))
+    _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2,
+                                     allow_nan=False) + "\n")
     return EXIT_OK
 
 
@@ -398,13 +418,15 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
                        default=None, help=f"override {key}")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="key = value parameter file")
-    p.add_argument("--seed", type=int, default=0, help="root RNG seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; has no effect "
-                        "(every run is serial)")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+def _add_common(p: argparse.ArgumentParser) -> argparse._ArgumentGroup:
+    """The run controls of the scenario commands, in a group of their own."""
+    g = p.add_argument_group("run controls")
+    g.add_argument("--config", default=None, help="key = value parameter file")
+    g.add_argument("--threads", type=int, default=1,
+                   help="has no effect (every run is serial); kept because "
+                        "the benchmark's command lines pass it")
+    g.add_argument("--out", default=None, help="output path (default stdout)")
+    return g
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,7 +466,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("mc", help="Monte Carlo estimate as a JSON object",
                        exit_on_error=False)
-    _add_common(p)
+    _add_common(p).add_argument("--seed", type=int, default=0,
+                                help="root RNG seed")
     _add_param_flags(p)
     p.add_argument("--target", required=True,
                    choices=["pilot-kl", "comm-detection", "estimator",
@@ -462,7 +485,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--suite", default="all",
                    choices=["kl", "mmse", "threshold", "regimes", "sqrtlaw",
                             "all"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument_group("run controls").add_argument(
+        "--seed", type=int, default=0, help="root RNG seed")
     p.set_defaults(func=cmd_verify)
     return parser, sub.choices
 
@@ -490,7 +514,8 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point returning the process exit code."""
     try:
         args = _parse_args(argv)
-        _require(args.seed >= 0, "seed must be >= 0")
+        # sweep and rate draw no random number and take no --seed
+        _require(getattr(args, "seed", 0) >= 0, "seed must be >= 0")
         return args.func(args)
     except (ParameterError, argparse.ArgumentError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

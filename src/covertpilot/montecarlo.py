@@ -170,7 +170,7 @@ class McResult:
     point_estimate: float
     std_error: float
     trials_used: int
-    analytic_reference: float | None = None
+    analytic_reference: float
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .channel import AttackParams, ChannelParams, SystemConfig, _require
 from .detection import (_log2, analytic_error_probs, regime_gaps,
-                        sqrt_law_bound, statistic_levels, tau_dagger, tau_eps)
+                        statistic_levels, tau_dagger, tau_eps)
 
 
 class FeasibilityReport(NamedTuple):
@@ -65,10 +65,7 @@ class ScalingRow:
 
     n: int
     lambda_t: float
-    p_f: float
-    p_m: float
     p_sum: float
-    sqrt_bound_limit: float
     r_t: float
 
 
@@ -86,12 +83,11 @@ def willie_sinr(channel: ChannelParams, attack: AttackParams,
     return channel.gain_w * config.lambda_a / upper
 
 
-def rate_tin(channel: ChannelParams, attack: AttackParams,
-             config: SystemConfig) -> float:
-    """Trojan rate with the rogue receiver treating the legitimate signal as noise."""
+def rate_tin(channel: ChannelParams, signal: float,
+             interference: float) -> float:
+    """Rogue-link rate of power ``signal``, treating ``interference`` as noise."""
     g = channel.gain_e
-    return _log2(1 + g * attack.lambda_t / (g * config.lambda_a
-                                            + channel.sigma_e_sq))
+    return _log2(1 + g * signal / (g * interference + channel.sigma_e_sq))
 
 
 def rate_ic(channel: ChannelParams, attack: AttackParams) -> float:
@@ -123,12 +119,11 @@ def attack_feasibility(channel: ChannelParams, attack: AttackParams,
         warnings.warn("legitimate rate sits exactly at the degraded capacity",
                       stacklevel=2)
 
-    g_e = channel.gain_e
-    ic_cap = _log2(1 + g_e * config.lambda_a
-                   / (g_e * attack.lambda_t + channel.sigma_e_sq))
-    cond4 = config.r_a <= ic_cap
+    # the rogue receiver can cancel the legitimate signal only if it decodes
+    # it treating the trojan's as noise
+    cond4 = config.r_a <= rate_tin(channel, config.lambda_a, attack.lambda_t)
 
-    tin = rate_tin(channel, attack, config)
+    tin = rate_tin(channel, attack.lambda_t, config.lambda_a)
     ic = np.where(cond4, rate_ic(channel, attack), tin)[()]
     return FeasibilityReport(
         cond_pilot_covert=cond1, cond_blind_comm=cond2,
@@ -182,9 +177,8 @@ def power_scaling_table(channel: ChannelParams, config: SystemConfig,
     """Tabulate detection performance along lambda_t(n) = c * n^-exponent, eps = 0.
 
     For each blocklength the row holds the power, the noise-only error
-    probabilities of the optimal test (clean pilot, no residual, threshold
-    tau_dagger), the limiting square-root-law bound at the equivalent
-    coefficient ``c_n = lambda_t(n) sqrt(n)``, and the rogue-link rate
+    sum of the optimal test (clean pilot, no residual, threshold
+    tau_dagger), and the rogue-link rate
     ``log2(1 + gain_e lambda_t(n) / sigma_e_sq)``, which is first-order
     linear in lambda_t.  Exponent 1/2 keeps the error sum at a constant;
     smaller exponents drive it to 0 (detectable), larger ones to 1.
@@ -201,9 +195,6 @@ def power_scaling_table(channel: ChannelParams, config: SystemConfig,
         cfg_n = replace(config, block_len=n)
         tau = tau_dagger(channel, channel.h_w, lt, n)
         probs = analytic_error_probs(channel, attack, cfg_n, tau)
-        bound = sqrt_law_bound(channel, lt * math.sqrt(n), n)
-        r_t = rate_ic(channel, attack)
-        rows.append(ScalingRow(n=n, lambda_t=lt, p_f=probs.p_f,
-                               p_m=probs.p_m, p_sum=probs.sum,
-                               sqrt_bound_limit=bound.limit, r_t=r_t))
+        rows.append(ScalingRow(n=n, lambda_t=lt, p_sum=probs.sum,
+                               r_t=rate_ic(channel, attack)))
     return rows

@@ -22,9 +22,10 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import beta, chndtr
 
 from covertpilot import (AttackParams, ChannelParams, SystemConfig,
-                         attack_feasibility, derive_rng, gaussian_input,
-                         mmse_estimate, mmse_limit, tau_dagger, tau_eps)
-from covertpilot.channel import _require, complex_normal
+                         attack_feasibility, mmse_estimate, mmse_limit,
+                         tau_dagger, tau_eps)
+from covertpilot.channel import (_require, complex_normal, derive_rng,
+                                 gaussian_input)
 from covertpilot.rates import FeasibilityReport
 
 # Stream labels of the reference simulation; the values are fixed so that

@@ -7,9 +7,9 @@ import pytest
 
 from covertpilot import (AttackParams, ChannelParams, McConfig,
                          ParameterError, SystemConfig, build_scenario,
-                         derive_rng, gaussian_input, link_capacity,
-                         mc_comm_error_probs)
-from covertpilot.channel import REFERENCE, complex_normal
+                         link_capacity, mc_comm_error_probs)
+from covertpilot.channel import (REFERENCE, complex_normal, derive_rng,
+                                 gaussian_input)
 from reference import (STREAM_NOISE, STREAM_TROJAN, CommHypothesis,
                        alice_input, make_pilot, synthesize_received,
                        trojan_input)

@@ -371,6 +371,19 @@ class TestConfigFile:
                          README.read_text(encoding="utf-8")).group(1)
         assert keys.split() == list(REFERENCE) == list(cli._PARAMS)
 
+    def test_readme_lists_the_run_controls(self):
+        # the README's run-control table, by command, is a second copy of
+        # each subcommand parser's "run controls" group
+        table = dict(re.findall(r"^\| `(\w+)` +\| (.*) \|$",
+                                README.read_text(encoding="utf-8"), re.M))
+        _, commands = cli._parsers()
+        assert list(table) == list(commands)
+        for name, parser in commands.items():
+            group, = [g for g in parser._action_groups
+                      if g.title == "run controls"]
+            assert re.findall(r"`(--[\w-]+)", table[name]) == [
+                a.option_strings[0] for a in group._group_actions], name
+
 
 class TestMc:
     def test_pilot_kl_json_schema(self, tmp_path):
@@ -407,6 +420,18 @@ class TestMc:
         doc = json.loads(out.read_text())
         assert abs(doc["point_estimate"] - (-1.0)) <= 0.15
         assert len(doc["table"]) == 9
+
+    # below 100 trials every target has a non-finite standard error; JSON
+    # (RFC 8259) has no NaN or Infinity token, so it is written as null
+    @pytest.mark.parametrize("target", ["pilot-kl", "comm-detection",
+                                        "estimator", "sqrtlaw"])
+    def test_json_has_no_non_finite_token(self, target, capsys):
+        def reject(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        assert run_cli(["mc", "--target", target, "--trials", "20"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert "std_error" in doc and doc["std_error"] is None
 
     @pytest.mark.parametrize("argv, constraint", [
         (["--target", "pilot-kl", "--epsilon", "1e200"], "1 - q"),
@@ -595,6 +620,17 @@ def test_unknown_flag_or_no_subcommand_exits_2_or_1(argv, capsys):
         assert "usage:" in err
     else:
         assert code == 1 and err.startswith("configuration error:")
+
+
+# sweep and rate draw no random number, so --seed is no flag of theirs
+@pytest.mark.parametrize("command", ["sweep", "rate"])
+def test_seed_is_unknown_to_sweep_and_rate(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--seed", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "covertpilot: error: unrecognized arguments: --seed 1\n")
+    assert "--seed" not in cli._parsers()[1][command].format_help()
 
 
 def test_unknown_flag_error_is_the_top_level_usage(capsys):

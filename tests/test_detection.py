@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 import covertpilot
 from covertpilot import (AttackParams, ParameterError, Regime,
                          analytic_error_probs, attack_feasibility,
-                         build_scenario, classify_regime, derive_rng,
-                         regime_gaps, solve_lambda_star,
-                         solve_sqrt_law_coefficient, sqrt_law_bound,
-                         tail_bound_sum, tau_dagger, tau_eps)
-from covertpilot.channel import _abs2, complex_normal
+                         build_scenario, classify_regime, regime_gaps,
+                         solve_lambda_star, solve_sqrt_law_coefficient,
+                         sqrt_law_bound, tail_bound_sum, tau_dagger, tau_eps)
+from covertpilot.channel import _abs2, complex_normal, derive_rng
 from covertpilot.detection import (_dagger_terms, _expm1, _log2,
                                    _sqrt_law_limit, _threshold)
 from reference import (STREAM_NOISE, CommHypothesis, alice_input,

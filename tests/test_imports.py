@@ -195,7 +195,7 @@ def test_bench_access_pattern_resolves(namespace):
 
 
 def test_star_import_binds_all(namespace):
-    assert len(namespace["all"]) == 31
+    assert len(namespace["all"]) == 29
     assert namespace["star"] == sorted(namespace["all"])
     assert namespace["star_bound"]
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from covertpilot import (AttackParams, ChannelParams, ParameterError,
                          SystemConfig, link_capacity, solve_lambda_star,
-                         attack_feasibility, power_scaling_table, tau_eps,
-                         willie_sinr)
+                         attack_feasibility, power_scaling_table,
+                         sqrt_law_bound, tau_eps, willie_sinr)
 from covertpilot.detection import regime_gaps, statistic_levels
 
 R_A_REF = 3.5138539382230082        # 0.8 * log2(21)
@@ -220,8 +220,10 @@ class TestPowerScalingTable:
         assert 1 - sums[-1] == pytest.approx(true_limit, abs=1e-3)
         # the closed-form limit expression agrees with the true limit to
         # O(c^2); it is an approximation near the mode, not a strict bound
-        assert all(abs((1 - s) - r.sqrt_bound_limit) <= 0.25 * c ** 2
-                   * r.sqrt_bound_limit for s, r in zip(sums, rows))
+        limits = [sqrt_law_bound(channel, r.lambda_t * math.sqrt(r.n),
+                                 r.n).limit for r in rows]
+        assert all(abs((1 - s) - lim) <= 0.25 * c ** 2 * lim
+                   for s, lim in zip(sums, limits))
 
     def test_sub_sqrt_power_is_trivially_covert(self, channel, config):
         rows = power_scaling_table(channel, config, 0.75, 1.0, self.N_GRID)
